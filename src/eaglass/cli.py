@@ -14,7 +14,7 @@ import os
 import sys
 
 from .errors import ConfigError, HardAssertionFailure
-from .lab import EXPERIMENT_KINDS, ExperimentConfig, run
+from .lab import EXPERIMENT_KINDS, PROXY_KINDS, ExperimentConfig, run
 
 _KIND_FLAG = {kind: kind.replace("_", "-") for kind in EXPERIMENT_KINDS}
 _FLAG_KIND = {v: k for k, v in _KIND_FLAG.items()}
@@ -60,8 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k-list", type=_int_list, help="comma separated")
         p.add_argument("--n-pairs", type=_pair_list, help="e.g. 2:3,3:4")
         p.add_argument("--window", help="window as WxH, e.g. 3x2")
-        p.add_argument("--proxy", choices=["excited_pair", "nested_volumes",
-                                           "perturbed_exterior"])
+        p.add_argument("--proxy", choices=PROXY_KINDS)
         p.add_argument("--band-height", type=int)
         p.add_argument("--probes", type=int)
         p.add_argument("--tol", type=float)

@@ -25,7 +25,7 @@ import numpy as np
 from .disorder import CouplingConfig
 from .errors import BudgetExceededError
 from .lattice import BoxGeometry
-from .solver import Clamp, SpinPair, solve
+from .solver import Clamp, SpinPair, _spin_products, solve
 
 
 @dataclass(frozen=True)
@@ -382,15 +382,10 @@ def grid_labels_enumeration(geom: BoxGeometry, J: CouplingConfig,
     V = geom.n_vertices
     if V - 1 > 21:
         raise BudgetExceededError("enumeration grid oracle limited to 22 vertices")
-    n = 1 << (V - 1)
-    idx = np.arange(n, dtype=np.int64)
-    S = np.empty((n, V), dtype=np.int8)
-    S[:, 0] = 1
-    for v in range(1, V):
-        S[:, v] = (((idx >> (v - 1)) & 1) * 2 - 1).astype(np.int8)
-    eu = np.array([e.u for e in geom.edges])
-    ev = np.array([e.v for e in geom.edges])
-    prod = (S[:, eu] * S[:, ev]).astype(np.float64)
+    base = np.zeros(V, dtype=np.int8)
+    base[0] = 1
+    _, prod = _spin_products(geom, base, range(1, V),
+                             np.arange(1 << (V - 1), dtype=np.int64))
     e0 = -(prod @ J.values)
     sb = prod[:, edge_b]
     se = prod[:, edge_e]

@@ -16,6 +16,8 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,9 +33,6 @@ from .solver import (MAX_SOLVE_WIDTH, Clamp, brute_force, solve,
 SCHEMA_VERSION = 1
 _ALT_SAMPLE_OFFSET = 1 << 32   # index space for perturbed-exterior redraws
 
-EXPERIMENT_KINDS = ("solve", "flip_sweep", "two_bond_map", "contour_stats",
-                    "wall_stats", "convergence", "uniqueness_probe",
-                    "property_suite")
 PROXY_KINDS = ("excited_pair", "nested_volumes", "perturbed_exterior")
 
 
@@ -117,76 +116,98 @@ def _edge_tuple(spec) -> tuple:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.kind not in EXPERIMENT_KINDS:
+    if cfg.kind not in _KINDS:
         raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
     if cfg.samples < 1:
         raise ConfigError("sample count must be >= 1")
     if cfg.parallel < 1:
         raise ConfigError("parallelism degree must be >= 1")
-    if cfg.kind in ("convergence", "uniqueness_probe"):
-        ns = [n for pair in cfg.n_pairs for n in pair] if cfg.kind == "uniqueness_probe" \
-            else list(cfg.n_list)
-        if cfg.kind == "convergence":
-            if len(cfg.n_list) < 1:
-                raise ConfigError("convergence requires a non-empty n_list")
-            if list(cfg.n_list) != sorted(set(cfg.n_list)):
-                raise ConfigError("n_list must be strictly increasing")
-        else:
-            if not cfg.n_pairs:
-                raise ConfigError("uniqueness_probe requires n_pairs")
-        if not ns:
-            raise ConfigError("no volumes requested")
-        n_min, n_max = min(ns), max(ns)
-        if n_min < 1:
-            raise ConfigError("box index n must be >= 1")
-        if 2 * n_max + 1 > MAX_SOLVE_WIDTH:
-            raise ConfigError(f"n={n_max} exceeds solver width budget")
-        if cfg.window_width < 1 or cfg.window_height < 1:
-            raise ConfigError("window must be at least 1x1")
-        # window columns span -floor((w-1)/2) .. ceil((w-1)/2) around center
-        if (cfg.window_width - 1) - (cfg.window_width - 1) // 2 > n_min \
-                or cfg.window_height > 2 * n_min + 1:
-            raise ConfigError("window does not fit in the smallest box")
-        return
+    _KINDS[cfg.kind].validate(cfg)
+
+
+def _validate_box(cfg: ExperimentConfig) -> None:
     if cfg.width < 1 or cfg.height < 2:
         raise ConfigError("box must have width >= 1 and height >= 2")
     if cfg.width > MAX_SOLVE_WIDTH:
         raise ConfigError(f"width {cfg.width} exceeds solver budget")
-    if cfg.kind == "two_bond_map":
-        if cfg.grid_points < 11:
-            raise ConfigError("two-bond map grid must be at least 11x11")
-        if not cfg.grid_lo < cfg.grid_hi:
-            raise ConfigError("grid_lo must be below grid_hi")
-        if cfg.width * cfg.height > 22:
-            raise ConfigError("two-bond grid oracle needs at most 22 vertices")
-    if cfg.kind == "wall_stats":
-        if cfg.proxy not in PROXY_KINDS:
-            raise ConfigError(f"unknown proxy kind {cfg.proxy!r}")
-        if not cfg.n_list or not cfg.k_list:
-            raise ConfigError("wall_stats requires n_list and k_list")
-        if 0 not in cfg.k_list:
-            raise ConfigError("k_list must contain 0")
-        half = (cfg.width - 1) // 2
-        n_cap = half - 1 if cfg.proxy == "nested_volumes" else half
-        if max(cfg.n_list) > n_cap:
-            raise ConfigError(f"segment n exceeds cap {n_cap} for this proxy")
-        if cfg.proxy == "excited_pair" and cfg.width < 3:
-            raise ConfigError("excited_pair proxy needs width >= 3")
-        if cfg.proxy == "nested_volumes":
-            if cfg.width % 2 == 0:
-                raise ConfigError("nested_volumes proxy needs odd width")
-            if cfg.width + 2 > MAX_SOLVE_WIDTH:
-                raise ConfigError("outer nested box exceeds solver budget")
-        band = cfg.band_height if cfg.band_height is not None else cfg.height // 2
-        if cfg.proxy == "perturbed_exterior":
-            if not 1 <= band < cfg.height - 1:
-                raise ConfigError("band_height must lie strictly inside the box")
-            if max(cfg.k_list) > band:
-                raise ConfigError("k_list exceeds the preserved band")
-        if max(cfg.k_list) > cfg.height:
-            raise ConfigError("k_list exceeds box height")
-    if cfg.kind == "contour_stats" and cfg.width < 3:
+
+
+def _validate_verified(cfg: ExperimentConfig) -> None:
+    _validate_box(cfg)
+    if cfg.subset_budget < 1:
+        raise ConfigError("subset_budget must be >= 1")
+    if cfg.dual_budget < 1:
+        raise ConfigError("dual_budget must be >= 1")
+
+
+def _validate_two_bond(cfg: ExperimentConfig) -> None:
+    _validate_box(cfg)
+    if cfg.grid_points < 11:
+        raise ConfigError("two-bond map grid must be at least 11x11")
+    if not cfg.grid_lo < cfg.grid_hi:
+        raise ConfigError("grid_lo must be below grid_hi")
+    if cfg.width * cfg.height > 22:
+        raise ConfigError("two-bond grid oracle needs at most 22 vertices")
+
+
+def _validate_contour_stats(cfg: ExperimentConfig) -> None:
+    _validate_box(cfg)
+    if cfg.width < 3:
         raise ConfigError("contour_stats needs width >= 3")
+
+
+def _validate_wall_stats(cfg: ExperimentConfig) -> None:
+    _validate_box(cfg)
+    if cfg.proxy not in PROXY_KINDS:
+        raise ConfigError(f"unknown proxy kind {cfg.proxy!r}")
+    if not cfg.n_list or not cfg.k_list:
+        raise ConfigError("wall_stats requires n_list and k_list")
+    if 0 not in cfg.k_list:
+        raise ConfigError("k_list must contain 0")
+    half = (cfg.width - 1) // 2
+    n_cap = half - 1 if cfg.proxy == "nested_volumes" else half
+    if max(cfg.n_list) > n_cap:
+        raise ConfigError(f"segment n exceeds cap {n_cap} for this proxy")
+    if cfg.proxy == "excited_pair" and cfg.width < 3:
+        raise ConfigError("excited_pair proxy needs width >= 3")
+    if cfg.proxy == "nested_volumes":
+        if cfg.width % 2 == 0:
+            raise ConfigError("nested_volumes proxy needs odd width")
+        if cfg.width + 2 > MAX_SOLVE_WIDTH:
+            raise ConfigError("outer nested box exceeds solver budget")
+    band = cfg.band_height if cfg.band_height is not None else cfg.height // 2
+    if cfg.proxy == "perturbed_exterior":
+        if not 1 <= band < cfg.height - 1:
+            raise ConfigError("band_height must lie strictly inside the box")
+        if max(cfg.k_list) > band:
+            raise ConfigError("k_list exceeds the preserved band")
+    if max(cfg.k_list) > cfg.height:
+        raise ConfigError("k_list exceeds box height")
+
+
+def _validate_ladder(cfg: ExperimentConfig) -> None:
+    """Nested square boxes of half-width n around a fixed window."""
+    if cfg.kind == "convergence":
+        if len(cfg.n_list) < 1:
+            raise ConfigError("convergence requires a non-empty n_list")
+        if list(cfg.n_list) != sorted(set(cfg.n_list)):
+            raise ConfigError("n_list must be strictly increasing")
+        ns = list(cfg.n_list)
+    else:
+        if not cfg.n_pairs:
+            raise ConfigError("uniqueness_probe requires n_pairs")
+        ns = [n for pair in cfg.n_pairs for n in pair]
+    n_min, n_max = min(ns), max(ns)
+    if n_min < 1:
+        raise ConfigError("box index n must be >= 1")
+    if 2 * n_max + 1 > MAX_SOLVE_WIDTH:
+        raise ConfigError(f"n={n_max} exceeds solver width budget")
+    if cfg.window_width < 1 or cfg.window_height < 1:
+        raise ConfigError("window must be at least 1x1")
+    # window columns span -floor((w-1)/2) .. ceil((w-1)/2) around center
+    if (cfg.window_width - 1) - (cfg.window_width - 1) // 2 > n_min \
+            or cfg.window_height > 2 * n_min + 1:
+        raise ConfigError("window does not fit in the smallest box")
 
 
 # --------------------------------------------------------------------------
@@ -240,10 +261,6 @@ def _default_edge(geom: BoxGeometry) -> int:
     return geom.edge_by_key[("v", 0, geom.height // 2)]
 
 
-def _pattern_string(signs) -> str:
-    return "".join("+" if s > 0 else "-" for s in signs)
-
-
 def _window_keys(window_width: int, window_height: int) -> list[tuple]:
     lo = -((window_width - 1) // 2)
     hi = lo + window_width - 1
@@ -257,21 +274,38 @@ def _window_keys(window_width: int, window_height: int) -> list[tuple]:
     return keys
 
 
-def _window_signature(geom, pair, keys) -> tuple:
-    sig = []
-    for key in keys:
-        e = geom.edges[geom.edge_by_key[key]]
-        sig.append(int(pair.signs[e.u]) * int(pair.signs[e.v]))
-    return tuple(sig)
+def _window_signatures(cfg: ExperimentConfig, i: int, ns) -> tuple[list, dict]:
+    """Window edge keys, and the GSP's window signature per box index n."""
+    keys = _window_keys(cfg.window_width, cfg.window_height)
+    sigs: dict[int, tuple] = {}
+    for n in ns:
+        if n not in sigs:
+            geom = build_box(2 * n + 1, 2 * n + 1)
+            J = sample_couplings(geom, cfg.dist, cfg.master_seed, i)
+            signs = solve(geom, J).signs
+            ids = [geom.edge_by_key[key] for key in keys]
+            sigs[n] = tuple(int(signs[geom.eu[e]]) * int(signs[geom.ev[e]])
+                            for e in ids)
+    return keys, sigs
+
+
+def _flip_contour(cfg: ExperimentConfig, i: int):
+    """An edge and its critical contour."""
+    geom = build_box(cfg.width, cfg.height)
+    dual = build_dual(cfg.width, cfg.height)
+    J = sample_couplings(geom, cfg.dist, cfg.master_seed, i)
+    if cfg.edge:
+        b = _resolve_edge(geom, cfg.edge)
+    else:
+        # bottom-row horizontal edge, column randomized to keep the ensemble
+        # invariant under rotations of the cylinder
+        col = int(_sample_rng(cfg, i, tag=3).integers(geom.width))
+        b = geom.edge_by_key[("h", geom.abs_col(col), 0)]
+    return b, exc.critical_contour(geom, dual, J, b)
 
 
 # --------------------------------------------------------------------------
 # proxy pair sources
-
-
-def proxy_excited_pair(cfg, J, geom, dual, edge_id):
-    iface = exc.critical_contour(geom, dual, J, edge_id)
-    return iface, frozenset((edge_id,))
 
 
 def proxy_nested_volumes(cfg, index):
@@ -292,18 +326,10 @@ def proxy_nested_volumes(cfg, index):
     shared = [e.id for e in small.edges
               if not e.wrap and not (e.kind == "v" and e.col == 0)]
     sat_a = wl.satisfaction(small, j_small, alpha)
-    sat_b = np.zeros(small.n_edges, dtype=bool)
-    for eid in shared:
-        e = small.edges[eid]
-        kind, c_abs, r = e.key
-        if kind == "h":
-            u = big.vertex_by_abs(c_abs, r)
-            v = big.vertex_by_abs(c_abs + 1, r)
-        else:
-            u = big.vertex_by_abs(c_abs, r)
-            v = big.vertex_by_abs(c_abs, r + 1)
-        prod = int(beta.signs[u]) * int(beta.signs[v])
-        sat_b[eid] = j_small.values[eid] * prod > 0
+    # small-box vertex (c, r) sits at column c + 1 of the bigger box
+    v = np.arange(small.n_vertices)
+    sat_b = wl.satisfaction(small, j_small,
+                            beta.signs[v + 2 * (v // small.width) + 1])
     dual = build_dual(cfg.width, cfg.height)
     iface = wl.interface_from_satisfaction(small, dual, sat_a, sat_b,
                                            edge_ids=shared,
@@ -318,13 +344,10 @@ def proxy_perturbed_exterior(cfg, index):
     j_base = sample_couplings(geom, cfg.dist, cfg.master_seed, index)
     j_alt = sample_couplings(geom, cfg.dist, cfg.master_seed,
                              index + _ALT_SAMPLE_OFFSET)
-    window = []
+    # edges with both endpoints in rows 0..band keep their base couplings
+    window = np.flatnonzero(np.maximum(geom.eu, geom.ev) // geom.width <= band)
     vals = j_alt.values.copy()
-    for e in geom.edges:
-        rows = (geom.vertex_cr(e.u)[1], geom.vertex_cr(e.v)[1])
-        if max(rows) <= band:
-            vals[e.id] = j_base.values[e.id]
-            window.append(e.id)
+    vals[window] = j_base.values[window]
     j_pert = CouplingConfig(geom, vals, {"perturbed_from": index, "band": band})
     alpha = solve(geom, j_base)
     beta = solve(geom, j_pert)
@@ -351,7 +374,7 @@ def _run_solve(cfg: ExperimentConfig, i: int) -> dict:
                         max_dual_len=cfg.dual_budget)
     _hard(report.passed, "ground state fails finite-volume verification", cfg, i)
     return {"sample": i, "energy": gsp.energy, "tied": gsp.tied,
-            "pattern": _pattern_string(gsp.signs),
+            "pattern": "".join("+" if s > 0 else "-" for s in gsp.signs),
             "checked_subsets": report.checked_subsets,
             "checked_duals": report.checked_duals}
 
@@ -383,8 +406,7 @@ def _run_two_bond(cfg: ExperimentConfig, i: int) -> dict:
     J = sample_couplings(geom, cfg.dist, cfg.master_seed, i)
     b = _resolve_edge(geom, cfg.edge) if cfg.edge else \
         geom.edge_by_key[("h", 0, geom.height // 2)]
-    e = _resolve_edge(geom, cfg.edge2) if cfg.edge2 else \
-        geom.edge_by_key[("v", 0, geom.height // 2)]
+    e = _resolve_edge(geom, cfg.edge2) if cfg.edge2 else _default_edge(geom)
     cs = exc.two_bond_critical_set(geom, J, b, e)
     dev = abs((cs.c1 - cs.c2) - (cs.c3 - cs.c4))
     _hard(dev <= cfg.tol, f"C1-C2 != C3-C4 (deviation {dev})", cfg, i)
@@ -417,18 +439,8 @@ def _run_two_bond(cfg: ExperimentConfig, i: int) -> dict:
 
 
 def _run_contour_stats(cfg: ExperimentConfig, i: int) -> dict:
-    geom = build_box(cfg.width, cfg.height)
-    dual = build_dual(cfg.width, cfg.height)
-    J = sample_couplings(geom, cfg.dist, cfg.master_seed, i)
-    if cfg.edge:
-        b = _resolve_edge(geom, cfg.edge)
-    else:
-        # bottom-row horizontal edge, column randomized to keep the ensemble
-        # invariant under rotations of the cylinder
-        rng = _sample_rng(cfg, i, tag=3)
-        col = int(rng.integers(geom.width))
-        b = geom.edge_by_key[("h", geom.abs_col(col), 0)]
-    iface = exc.critical_contour(geom, dual, J, b)
+    b, iface = _flip_contour(cfg, i)
+    dual = iface.dual
     _hard(b in iface.edge_ids, "contour misses the flipped edge's dual", cfg, i)
     walls = wl.domain_walls(iface, dual)
     tether = wl.no_double_tether_check(walls, dual, excluded_dual_edges={b})
@@ -443,21 +455,13 @@ def _run_contour_stats(cfg: ExperimentConfig, i: int) -> dict:
 
 def _run_wall_stats(cfg: ExperimentConfig, i: int) -> dict:
     if cfg.proxy == "excited_pair":
-        geom = build_box(cfg.width, cfg.height)
-        dual = build_dual(cfg.width, cfg.height)
-        J = sample_couplings(geom, cfg.dist, cfg.master_seed, i)
-        if cfg.edge:
-            b = _resolve_edge(geom, cfg.edge)
-        else:
-            rng = _sample_rng(cfg, i, tag=3)
-            b = geom.edge_by_key[("h", geom.abs_col(int(rng.integers(geom.width))), 0)]
-        iface, excluded = proxy_excited_pair(cfg, J, geom, dual, b)
+        b, iface = _flip_contour(cfg, i)
+        excluded = frozenset((b,))
     elif cfg.proxy == "nested_volumes":
         iface, excluded = proxy_nested_volumes(cfg, i)
-        dual = iface.dual
     else:
         iface, excluded = proxy_perturbed_exterior(cfg, i)
-        dual = iface.dual
+    dual = iface.dual
     walls = wl.domain_walls(iface, dual)
     grid = wl.wall_count_grid(walls, cfg.n_list, cfg.k_list, dual)
     bound = wl.wall_bound_check(grid)
@@ -476,31 +480,17 @@ def _run_wall_stats(cfg: ExperimentConfig, i: int) -> dict:
 
 
 def _run_convergence(cfg: ExperimentConfig, i: int) -> dict:
-    keys = _window_keys(cfg.window_width, cfg.window_height)
-    sigs = []
-    for n in cfg.n_list:
-        geom = build_box(2 * n + 1, 2 * n + 1)
-        J = sample_couplings(geom, cfg.dist, cfg.master_seed, i)
-        gsp = solve(geom, J)
-        sigs.append(_window_signature(geom, gsp, keys))
-    agrees = [sigs[j] == sigs[j + 1] for j in range(len(sigs) - 1)]
+    _, sigs = _window_signatures(cfg, i, cfg.n_list)
+    agrees = [sigs[a] == sigs[b] for a, b in zip(cfg.n_list, cfg.n_list[1:])]
     return {"sample": i, "agrees": agrees}
 
 
 def _run_uniqueness(cfg: ExperimentConfig, i: int) -> dict:
-    keys = _window_keys(cfg.window_width, cfg.window_height)
-    cache: dict[int, tuple] = {}
-
-    def signature(n):
-        if n not in cache:
-            geom = build_box(2 * n + 1, 2 * n + 1)
-            J = sample_couplings(geom, cfg.dist, cfg.master_seed, i)
-            cache[n] = _window_signature(geom, solve(geom, J), keys)
-        return cache[n]
-
+    keys, sigs = _window_signatures(
+        cfg, i, [n for pair in cfg.n_pairs for n in pair])
     results = []
     for n_lo, n_hi in cfg.n_pairs:
-        sig_a, sig_b = signature(n_lo), signature(n_hi)
+        sig_a, sig_b = sigs[n_lo], sigs[n_hi]
         agree = sig_a == sig_b
         entry = {"pair": [n_lo, n_hi], "agree": agree}
         if not agree:
@@ -618,18 +608,6 @@ def _run_property_suite(cfg: ExperimentConfig, i: int) -> dict:
     return {"sample": i, **{k: bool(v) for k, v in checks.items()}}
 
 
-_RUNNERS = {
-    "solve": _run_solve,
-    "flip_sweep": _run_flip_sweep,
-    "two_bond_map": _run_two_bond,
-    "contour_stats": _run_contour_stats,
-    "wall_stats": _run_wall_stats,
-    "convergence": _run_convergence,
-    "uniqueness_probe": _run_uniqueness,
-    "property_suite": _run_property_suite,
-}
-
-
 # --------------------------------------------------------------------------
 # aggregation
 
@@ -642,114 +620,137 @@ def _mean_se(values) -> tuple[float, float]:
     return mean, float(arr.std(ddof=1) / math.sqrt(len(arr)))
 
 
-def _aggregate(cfg: ExperimentConfig, records: list[dict]) -> tuple[dict, list]:
-    aggregates: dict = {"n_samples": len(records)}
-    properties: list[dict] = []
-    if cfg.kind == "solve":
-        mean, se = _mean_se([r["energy"] for r in records])
-        aggregates["energy_mean"] = mean
-        aggregates["energy_se"] = se
-        properties.append({"name": "gsp_verified", "passed": True,
-                           "detail": "hard per-sample"})
-    elif cfg.kind == "flip_sweep":
-        mean, se = _mean_se([r["critical_value"] for r in records])
-        aggregates["critical_value_mean"] = mean
-        aggregates["critical_value_se"] = se
-        properties.append({"name": "single_flip", "passed": True,
-                           "detail": "hard per-sample"})
-    elif cfg.kind == "two_bond_map":
-        cases = {"cross": 0, "positive_diag": 0, "negative_diag": 0}
-        for r in records:
-            cases[r["case"]] += 1
-        total = len(records)
-        aggregates["case_frequencies"] = {k: v / total for k, v in cases.items()}
-        aggregates["max_cross_dev"] = max(r["cross_dev"] for r in records)
-        aggregates["max_consistency_err"] = max(r["consistency_err"]
-                                                for r in records)
-        aggregates["grid_mismatches"] = sum(r["mismatches"] for r in records)
-        properties.append({"name": "two_bond_exact", "passed": True,
-                           "detail": "hard per-sample"})
-    elif cfg.kind == "contour_stats":
-        mean, se = _mean_se([r["contour_size"] for r in records])
-        aggregates["contour_size_mean"] = mean
-        aggregates["contour_size_se"] = se
-        aggregates["tethered_fraction"] = float(
-            np.mean([1.0 if r["n_tethered"] else 0.0 for r in records]))
-        properties.append({"name": "contour_structure", "passed": True,
-                           "detail": "hard per-sample"})
-    elif cfg.kind == "wall_stats":
-        means = {}
-        for n in cfg.n_list:
-            for k in cfg.k_list:
-                mean, se = _mean_se([r["counts"][f"{n},{k}"] for r in records])
-                means[f"{n},{k}"] = {"mean": mean, "se": se}
-        aggregates["counts"] = means
-        splits = []
-        n_bad = 0
-        for k in cfg.k_list:
-            for i1, n1 in enumerate(cfg.n_list):
-                for n2 in cfg.n_list[i1:]:
-                    if (n1 + n2) not in cfg.n_list:
-                        continue
-                    m12 = means[f"{n1 + n2},{k}"]
-                    m1 = means[f"{n1},{k}"]
-                    m2 = means[f"{n2},{k}"]
-                    se_comb = math.sqrt(m12["se"] ** 2 + m1["se"] ** 2
-                                        + m2["se"] ** 2)
-                    excess = m12["mean"] - m1["mean"] - m2["mean"]
-                    violated = excess > 2.0 * se_comb + 1e-12
-                    n_bad += violated
-                    splits.append({"k": k, "n1": n1, "n2": n2,
-                                   "excess": excess, "se": se_comb,
-                                   "z": excess / se_comb if se_comb > 0 else None,
-                                   "violated": violated})
-        aggregates["subadditivity"] = splits
-        properties.append({"name": "wall_bound", "passed": True,
-                           "detail": "hard per-sample"})
-        properties.append({"name": "no_double_tether", "passed": True,
-                           "detail": "hard per-sample"})
-        properties.append({"name": "subadditivity_2sigma",
-                           "passed": n_bad == 0,
-                           "detail": f"{n_bad} of {len(splits)} splits beyond "
-                                     "two combined standard errors"})
-    elif cfg.kind == "convergence":
-        pairs = []
-        n_levels = len(cfg.n_list)
-        for j in range(n_levels - 1):
-            disagreements = sum(1 for r in records if not r["agrees"][j])
-            freq = disagreements / len(records)
-            se = math.sqrt(max(freq * (1 - freq), 0.0) / len(records))
-            pairs.append({"n_lo": cfg.n_list[j], "n_hi": cfg.n_list[j + 1],
-                          "disagreements": disagreements,
-                          "frequency": freq, "stderr": se})
-        aggregates["pairs"] = pairs
-        aggregates["insufficient_levels"] = n_levels < 2
-        mono = all(pairs[j]["frequency"] >= pairs[j + 1]["frequency"]
-                   for j in range(len(pairs) - 1)) if len(pairs) > 1 else None
-        aggregates["monotone_trend"] = mono
-        properties.append({"name": "report_complete", "passed": True,
-                           "detail": "diagnostic only"})
-    elif cfg.kind == "uniqueness_probe":
-        table = []
-        for idx, (n_lo, n_hi) in enumerate(cfg.n_pairs):
-            disagreements = sum(1 for r in records
-                                if not r["pairs"][idx]["agree"])
-            freq = disagreements / len(records)
-            se = math.sqrt(max(freq * (1 - freq), 0.0) / len(records))
-            table.append({"n_lo": n_lo, "n_hi": n_hi, "min_n": min(n_lo, n_hi),
-                          "disagreements": disagreements,
-                          "frequency": freq, "stderr": se})
-        aggregates["pairs"] = sorted(table, key=lambda t: t["min_n"])
-        properties.append({"name": "report_complete", "passed": True,
-                           "detail": "diagnostic only"})
-    elif cfg.kind == "property_suite":
-        names = [k for k in records[0] if k != "sample"]
-        for name in names:
-            passed = all(r[name] for r in records)
-            properties.append({"name": name, "passed": passed,
-                               "detail": f"{len(records)} samples"})
-        aggregates["all_properties_pass"] = all(p["passed"] for p in properties)
+def _property(name: str, detail: str = "hard per-sample",
+              passed: bool = True) -> dict:
+    return {"name": name, "passed": passed, "detail": detail}
+
+
+def _aggregate_mean_se(cfg: ExperimentConfig, records: list[dict], key: str,
+                       prop: str) -> tuple[dict, list]:
+    """Mean and standard error of one record field, and one hard property."""
+    mean, se = _mean_se([r[key] for r in records])
+    return {f"{key}_mean": mean, f"{key}_se": se}, [_property(prop)]
+
+
+def _aggregate_two_bond(cfg: ExperimentConfig, records: list[dict]):
+    cases = {"cross": 0, "positive_diag": 0, "negative_diag": 0}
+    for r in records:
+        cases[r["case"]] += 1
+    total = len(records)
+    aggregates = {
+        "case_frequencies": {k: v / total for k, v in cases.items()},
+        "max_cross_dev": max(r["cross_dev"] for r in records),
+        "max_consistency_err": max(r["consistency_err"] for r in records),
+        "grid_mismatches": sum(r["mismatches"] for r in records)}
+    return aggregates, [_property("two_bond_exact")]
+
+
+def _aggregate_contour_stats(cfg: ExperimentConfig, records: list[dict]):
+    aggregates, properties = _aggregate_mean_se(cfg, records, "contour_size",
+                                                "contour_structure")
+    aggregates["tethered_fraction"] = float(
+        np.mean([1.0 if r["n_tethered"] else 0.0 for r in records]))
     return aggregates, properties
+
+
+def _aggregate_wall_stats(cfg: ExperimentConfig, records: list[dict]):
+    means = {}
+    for n in cfg.n_list:
+        for k in cfg.k_list:
+            mean, se = _mean_se([r["counts"][f"{n},{k}"] for r in records])
+            means[f"{n},{k}"] = {"mean": mean, "se": se}
+    splits = []
+    n_bad = 0
+    for k in cfg.k_list:
+        for i1, n1 in enumerate(cfg.n_list):
+            for n2 in cfg.n_list[i1:]:
+                if (n1 + n2) not in cfg.n_list:
+                    continue
+                m12 = means[f"{n1 + n2},{k}"]
+                m1 = means[f"{n1},{k}"]
+                m2 = means[f"{n2},{k}"]
+                se_comb = math.sqrt(m12["se"] ** 2 + m1["se"] ** 2
+                                    + m2["se"] ** 2)
+                excess = m12["mean"] - m1["mean"] - m2["mean"]
+                violated = excess > 2.0 * se_comb + 1e-12
+                n_bad += violated
+                splits.append({"k": k, "n1": n1, "n2": n2,
+                               "excess": excess, "se": se_comb,
+                               "z": excess / se_comb if se_comb > 0 else None,
+                               "violated": violated})
+    properties = [_property("wall_bound"), _property("no_double_tether"),
+                  _property("subadditivity_2sigma",
+                            f"{n_bad} of {len(splits)} splits beyond two "
+                            "combined standard errors", n_bad == 0)]
+    return {"counts": means, "subadditivity": splits}, properties
+
+
+def _disagreement_row(n_lo: int, n_hi: int, disagreements: int,
+                      total: int) -> dict:
+    freq = disagreements / total
+    se = math.sqrt(max(freq * (1 - freq), 0.0) / total)
+    return {"n_lo": n_lo, "n_hi": n_hi, "disagreements": disagreements,
+            "frequency": freq, "stderr": se}
+
+
+def _aggregate_convergence(cfg: ExperimentConfig, records: list[dict]):
+    pairs = [_disagreement_row(cfg.n_list[j], cfg.n_list[j + 1],
+                               sum(1 for r in records if not r["agrees"][j]),
+                               len(records))
+             for j in range(len(cfg.n_list) - 1)]
+    mono = all(pairs[j]["frequency"] >= pairs[j + 1]["frequency"]
+               for j in range(len(pairs) - 1)) if len(pairs) > 1 else None
+    return ({"pairs": pairs, "insufficient_levels": len(cfg.n_list) < 2,
+             "monotone_trend": mono},
+            [_property("report_complete", "diagnostic only")])
+
+
+def _aggregate_uniqueness(cfg: ExperimentConfig, records: list[dict]):
+    table = []
+    for idx, (n_lo, n_hi) in enumerate(cfg.n_pairs):
+        row = _disagreement_row(
+            n_lo, n_hi, sum(1 for r in records if not r["pairs"][idx]["agree"]),
+            len(records))
+        table.append({**row, "min_n": min(n_lo, n_hi)})
+    return ({"pairs": sorted(table, key=lambda t: t["min_n"])},
+            [_property("report_complete", "diagnostic only")])
+
+
+def _aggregate_property_suite(cfg: ExperimentConfig, records: list[dict]):
+    properties = [_property(name, f"{len(records)} samples",
+                            all(r[name] for r in records))
+                  for name in records[0] if name != "sample"]
+    return ({"all_properties_pass": all(p["passed"] for p in properties)},
+            properties)
+
+
+class _Kind(NamedTuple):
+    """Per-sample body, report aggregation and config checks of one kind."""
+    sample: Callable[[ExperimentConfig, int], dict]
+    aggregate: Callable[[ExperimentConfig, list], tuple[dict, list]]
+    validate: Callable[[ExperimentConfig], None] = _validate_box
+
+
+_KINDS = {
+    "solve": _Kind(_run_solve, partial(_aggregate_mean_se, key="energy",
+                                       prop="gsp_verified"),
+                   _validate_verified),
+    "flip_sweep": _Kind(_run_flip_sweep, partial(
+        _aggregate_mean_se, key="critical_value", prop="single_flip")),
+    "two_bond_map": _Kind(_run_two_bond, _aggregate_two_bond,
+                          _validate_two_bond),
+    "contour_stats": _Kind(_run_contour_stats, _aggregate_contour_stats,
+                           _validate_contour_stats),
+    "wall_stats": _Kind(_run_wall_stats, _aggregate_wall_stats,
+                        _validate_wall_stats),
+    "convergence": _Kind(_run_convergence, _aggregate_convergence,
+                         _validate_ladder),
+    "uniqueness_probe": _Kind(_run_uniqueness, _aggregate_uniqueness,
+                              _validate_ladder),
+    "property_suite": _Kind(_run_property_suite, _aggregate_property_suite,
+                            _validate_verified),
+}
+EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 # --------------------------------------------------------------------------
@@ -782,7 +783,7 @@ def _sample_worker(payload):
     core, index = payload
     cfg = ExperimentConfig.from_dict(core)
     try:
-        return index, "ok", _jsonable(_RUNNERS[cfg.kind](cfg, index))
+        return index, "ok", _jsonable(_KINDS[cfg.kind].sample(cfg, index))
     except HardAssertionFailure as exc_:
         return index, "hard_fail", {"message": str(exc_),
                                     "reproducer": exc_.reproducer}
@@ -810,8 +811,8 @@ def run(config: ExperimentConfig | dict) -> RunReport:
             raise HardAssertionFailure(payload["message"],
                                        reproducer=payload["reproducer"])
     records = [payload for _, _, payload in raw]
-    aggregates, properties = _aggregate(cfg, records)
-    aggregates = _jsonable(aggregates)
+    aggregates, properties = _KINDS[cfg.kind].aggregate(cfg, records)
+    aggregates = _jsonable({"n_samples": len(records), **aggregates})
     properties = _jsonable(properties)
     digest = hashlib.sha256(json.dumps(
         {"config": core, "records": records, "aggregates": aggregates,
@@ -831,44 +832,6 @@ def run(config: ExperimentConfig | dict) -> RunReport:
             json.dump(report.summary_dict(), fh, sort_keys=True, indent=1)
             fh.write("\n")
     return report
-
-
-def run_convergence(window_width: int, window_height: int, n_list,
-                    samples: int, master_seed: int, **kw) -> RunReport:
-    """Window-restricted GSP agreement across a nested-volume ladder."""
-    return run(dict(kind="convergence", window_width=window_width,
-                    window_height=window_height, n_list=list(n_list),
-                    samples=samples, master_seed=master_seed, **kw))
-
-
-def run_wall_stats(width: int, height: int, n_list, k_list, samples: int,
-                   master_seed: int, proxy: str = "excited_pair",
-                   **kw) -> RunReport:
-    """Tethered-wall counts, hard bound checks, and subadditivity report."""
-    return run(dict(kind="wall_stats", width=width, height=height,
-                    n_list=list(n_list), k_list=list(k_list), samples=samples,
-                    master_seed=master_seed, proxy=proxy, **kw))
-
-
-def run_two_bond_map(width: int, height: int, samples: int, master_seed: int,
-                     edge=None, edge2=None, **kw) -> RunReport:
-    """Two-coupling critical sets with grid-sweep and consistency checks."""
-    cfg = dict(kind="two_bond_map", width=width, height=height,
-               samples=samples, master_seed=master_seed, **kw)
-    if edge is not None:
-        cfg["edge"] = edge
-    if edge2 is not None:
-        cfg["edge2"] = edge2
-    return run(cfg)
-
-
-def run_uniqueness_probe(window_width: int, window_height: int, n_pairs,
-                         samples: int, master_seed: int, **kw) -> RunReport:
-    """Cross-volume window disagreement frequencies."""
-    return run(dict(kind="uniqueness_probe", window_width=window_width,
-                    window_height=window_height,
-                    n_pairs=[list(p) for p in n_pairs], samples=samples,
-                    master_seed=master_seed, **kw))
 
 
 def validate_summary(summary: dict) -> list[str]:

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
+import numpy as np
+
 from .errors import BudgetExceededError
 
 DEFAULT_ENUM_BUDGET = 10**7
@@ -47,6 +49,9 @@ class BoxGeometry:
     edges: tuple[Edge, ...]
     incident: tuple[tuple[int, ...], ...] = field(repr=False)
     edge_by_key: dict = field(repr=False, hash=False, compare=False)
+    # read-only endpoint arrays: eu[e.id] == e.u, ev[e.id] == e.v
+    eu: np.ndarray = field(repr=False, compare=False)
+    ev: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:
@@ -69,12 +74,6 @@ class BoxGeometry:
 
     def abs_col(self, c: int) -> int:
         return c + self.col_offset
-
-    def local_col(self, c_abs: int) -> int:
-        return c_abs - self.col_offset
-
-    def vertex_by_abs(self, c_abs: int, r: int) -> int:
-        return self.vertex_id(self.local_col(c_abs), r)
 
     def shift_vertex_map(self, k: int) -> list[int]:
         """Permutation of vertex ids induced by shifting columns by k (with wrap)."""
@@ -157,8 +156,12 @@ def build_box(width: int, height: int) -> BoxGeometry:
         if e.v != e.u:
             incident[e.v].append(e.id)
     by_key = {e.key: e.id for e in edges}
+    eu = np.array([e.u for e in edges], dtype=np.int64)
+    ev = np.array([e.v for e in edges], dtype=np.int64)
+    eu.setflags(write=False)
+    ev.setflags(write=False)
     return BoxGeometry(W, H, True, tuple(edges),
-                       tuple(tuple(x) for x in incident), by_key)
+                       tuple(tuple(x) for x in incident), by_key, eu, ev)
 
 
 @lru_cache(maxsize=64)
@@ -193,10 +196,6 @@ def build_dual(width: int, height: int) -> DualGeometry:
     x_axis = tuple(dvid(c, 0) for c in range(W))
     return DualGeometry(W, H, tuple(duals), x_axis,
                         tuple(tuple(x) for x in adjacency))
-
-
-def dual_of(geom: BoxGeometry) -> DualGeometry:
-    return build_dual(geom.width, geom.height)
 
 
 def connected_subsets(geom: BoxGeometry, max_size: int,

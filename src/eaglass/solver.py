@@ -32,9 +32,6 @@ from .lattice import (BoxGeometry, DualGeometry, build_box, build_dual,
 MAX_SOLVE_WIDTH = 16
 MAX_BRUTE_VERTICES = 24
 _TIE_CAP = 20000
-# penalty for clamp-violating masks; finite because inf arithmetic falls off
-# the fast path on some CPUs, and couplings keep real energies far below it
-_REJECT = 1e30
 
 
 @dataclass(frozen=True)
@@ -58,9 +55,6 @@ class Clamp:
             ss = tuple(-s for s in ss)
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "signs", ss)
-
-    def sign_of(self, v: int) -> int:
-        return self.signs[self.vertices.index(v)]
 
     @staticmethod
     def equal_pair(u: int, v: int) -> "Clamp":
@@ -95,8 +89,7 @@ class SpinPair:
 
 def energy(geom: BoxGeometry, J: CouplingConfig, signs: np.ndarray) -> float:
     """-sum of J_e * s_u * s_v over all box edges, compensated summation."""
-    vals = J.values
-    return -fsum(vals[e.id] * signs[e.u] * signs[e.v] for e in geom.edges)
+    return -fsum(J.values * signs[geom.eu] * signs[geom.ev])
 
 
 def canonical_anchor(geom: BoxGeometry, clamp: Clamp | None) -> int:
@@ -134,7 +127,7 @@ def _pattern(signs: np.ndarray) -> bytes:
 
 
 def _transition_column(cur, nxt, j_vert, bp, c):
-    """One column step of the row-to-row transition (numpy fallback).
+    """One column step of the row-to-row transition.
 
     Replaces bit c of the frontier: for each target mask the cost of the
     vertical edge is -J * old * new; bp gets 1 / 2 / 3 for old-bit-0 optimal,
@@ -151,49 +144,6 @@ def _transition_column(cur, nxt, j_vert, bp, c):
     np.minimum(u0, u1, out=n3[:, 1, :])
     b3[:, 0, :] = (t0 == n3[:, 0, :]) | ((t1 == n3[:, 0, :]) << 1)
     b3[:, 1, :] = (u0 == n3[:, 1, :]) | ((u1 == n3[:, 1, :]) << 1)
-
-
-try:
-    import numba as _numba
-
-    @_numba.njit(cache=True)
-    def _transition_column_jit(cur, nxt, j_vert, bp, c):  # pragma: no cover
-        bit = 1 << c
-        hi_count = cur.shape[0] >> (c + 1)
-        lo_count = 1 << c
-        for h in range(hi_count):
-            base = h << (c + 1)
-            for lo in range(lo_count):
-                m0 = base | lo
-                m1 = m0 | bit
-                a = cur[m0]
-                b = cur[m1]
-                t0 = a - j_vert
-                t1 = b + j_vert
-                if t0 < t1:
-                    nxt[m0] = t0
-                    bp[m0] = 1
-                elif t1 < t0:
-                    nxt[m0] = t1
-                    bp[m0] = 2
-                else:
-                    nxt[m0] = t0
-                    bp[m0] = 3
-                u0 = a + j_vert
-                u1 = b - j_vert
-                if u0 < u1:
-                    nxt[m1] = u0
-                    bp[m1] = 1
-                elif u1 < u0:
-                    nxt[m1] = u1
-                    bp[m1] = 2
-                else:
-                    nxt[m1] = u0
-                    bp[m1] = 3
-
-    _transition = _transition_column_jit
-except ImportError:  # pragma: no cover
-    _transition = _transition_column
 
 
 class _Workspace:
@@ -241,10 +191,10 @@ def _buffers(width: int, height: int):
 
 def _row_cost_matrix(geom, J, ws, out):
     """(2^W, H) matrix of intra-row energies, wrap edge included."""
-    j_rows = np.zeros((len(ws.h_anchors), geom.height))
-    for e in geom.edges:
-        if e.kind == "h":
-            j_rows[e.col, e.row] = J.values[e.id]
+    # build_box numbers the horizontal edges first, row by row
+    n_h = len(ws.h_anchors)
+    j_rows = np.ascontiguousarray(
+        J.values[:n_h * geom.height].reshape(geom.height, n_h).T)
     np.matmul(ws.pair_matrix, j_rows, out=out)
     np.negative(out, out=out)
     return out
@@ -270,27 +220,25 @@ def solve(geom: BoxGeometry, J: CouplingConfig, clamp: Clamp | None = None,
     cur, nxt, backptr, rc_buf = _buffers(W, H)
     rowcost = _row_cost_matrix(geom, J, ws, rc_buf)
     admissible = _row_admissible(geom, forced, ws.masks)
-    vert_j = np.zeros((W, H - 1))
-    for e in geom.edges:
-        if e.kind == "v":
-            vert_j[e.col, e.row] = J.values[e.id]
+    # the vertical edges follow the horizontal ones, row by row
+    vert_j = J.values[geom.n_edges - W * (H - 1):].reshape(H - 1, W)
 
     np.copyto(cur, rowcost[:, 0])
     if 0 in admissible:
-        cur[~admissible[0]] = _REJECT
+        cur[~admissible[0]] = np.inf
 
     for r in range(H - 1):
         bp_r = backptr[r]
         for c in range(W):
-            _transition(cur, nxt, float(vert_j[c, r]), bp_r[c], c)
+            _transition_column(cur, nxt, float(vert_j[r, c]), bp_r[c], c)
             cur, nxt = nxt, cur
         cur += rowcost[:, r + 1]
         if r + 1 in admissible:
-            cur[~admissible[r + 1]] = _REJECT
+            cur[~admissible[r + 1]] = np.inf
 
     dp = cur
     best = dp.min()
-    if best >= _REJECT / 2:
+    if not np.isfinite(best):
         raise RuntimeError("no admissible configuration (unsatisfiable clamp?)")
     finals = [int(m) for m in np.flatnonzero(dp == best)]
 
@@ -299,7 +247,7 @@ def solve(geom: BoxGeometry, J: CouplingConfig, clamp: Clamp | None = None,
     best_signs = None
     best_pat = None
     for rows in configs:
-        signs = _rows_to_signs(rows, W, H)
+        signs = _rows_to_signs(rows, W)
         canon = canonicalize(geom, signs, clamp)
         pat = _pattern(canon)
         if best_pat is None or pat < best_pat:
@@ -307,12 +255,9 @@ def solve(geom: BoxGeometry, J: CouplingConfig, clamp: Clamp | None = None,
     return SpinPair(geom, best_signs, energy(geom, J, best_signs), tied=tied)
 
 
-def _rows_to_signs(rows, W, H):
-    signs = np.empty(W * H, dtype=np.int8)
-    for r, m in enumerate(rows):
-        for c in range(W):
-            signs[r * W + c] = 1 if (m >> c) & 1 else -1
-    return signs
+def _rows_to_signs(rows, W):
+    bits = (np.array(rows, dtype=np.int64)[:, None] >> np.arange(W)) & 1
+    return (2 * bits - 1).astype(np.int8).ravel()
 
 
 def _enumerate_optimal(backptr, finals, W, H, cap):
@@ -359,6 +304,18 @@ def _enumerate_optimal(backptr, finals, W, H, cap):
 _CHUNK_BITS = 16
 
 
+def _spin_products(geom: BoxGeometry, base: np.ndarray, free, idx: np.ndarray):
+    """Spin rows and their edge products, one row per index in ``idx``.
+
+    Row i copies ``base`` and sets vertex free[j] to +1 / -1 from bit j of
+    idx[i]; the products are s_u * s_v per edge as float64.
+    """
+    S = np.repeat(base[None, :], len(idx), axis=0)
+    for j, v in enumerate(free):
+        S[:, v] = (((idx >> j) & 1) * 2 - 1).astype(np.int8)
+    return S, (S[:, geom.eu] * S[:, geom.ev]).astype(np.float64)
+
+
 def brute_force(geom: BoxGeometry, J: CouplingConfig,
                 clamp: Clamp | None = None) -> SpinPair:
     """Exhaustive minimum over all configurations modulo flip.
@@ -372,8 +329,6 @@ def brute_force(geom: BoxGeometry, J: CouplingConfig,
     forced = _forced_signs(geom, clamp)
     free = [v for v in range(V) if v not in forced]
     k = len(free)
-    eu = np.array([e.u for e in geom.edges])
-    ev = np.array([e.v for e in geom.edges])
     base = np.zeros(V, dtype=np.int8)
     for v, s in forced.items():
         base[v] = s
@@ -386,10 +341,7 @@ def brute_force(geom: BoxGeometry, J: CouplingConfig,
     step = 1 << min(k, _CHUNK_BITS)
     for start in range(0, total, step):
         idx = np.arange(start, min(start + step, total), dtype=np.int64)
-        S = np.repeat(base[None, :], len(idx), axis=0)
-        for j, v in enumerate(free):
-            S[:, v] = (((idx >> j) & 1) * 2 - 1).astype(np.int8)
-        prod = (S[:, eu] * S[:, ev]).astype(np.float64)
+        S, prod = _spin_products(geom, base, free, idx)
         E = -(prod @ J.values)
         m = float(E.min())
         if m < best_energy:
@@ -435,14 +387,9 @@ def _subset_boundaries(width, height, max_size):
     geom = build_box(width, height)
     out = []
     for subset in connected_subsets(geom, max_size):
-        inside = set(subset)
-        bids = set()
-        for v in subset:
-            for eid in geom.incident[v]:
-                e = geom.edges[eid]
-                if (e.u in inside) != (e.v in inside):
-                    bids.add(eid)
-        out.append((subset, np.fromiter(sorted(bids), dtype=np.int64)))
+        inside = np.zeros(geom.n_vertices, dtype=bool)
+        inside[list(subset)] = True
+        out.append((subset, np.flatnonzero(inside[geom.eu] != inside[geom.ev])))
     return out
 
 
@@ -463,9 +410,7 @@ def verify_gsp(geom: BoxGeometry, dual: DualGeometry, J: CouplingConfig,
     since those flips are not clamp-preserving in general.
     """
     signs = spins.signs if isinstance(spins, SpinPair) else np.asarray(spins)
-    eu = np.array([e.u for e in geom.edges])
-    ev = np.array([e.v for e in geom.edges])
-    contrib = J.values * signs[eu] * signs[ev]
+    contrib = J.values * signs[geom.eu] * signs[geom.ev]
     excluded = frozenset(exclude)
 
     violations = []

@@ -28,9 +28,7 @@ from .solver import SpinPair
 def satisfaction(geom: BoxGeometry, J: CouplingConfig, spins) -> np.ndarray:
     """Boolean per edge: J_e * s_u * s_v > 0.  Invariant under global flip."""
     signs = spins.signs if isinstance(spins, SpinPair) else np.asarray(spins)
-    eu = np.array([e.u for e in geom.edges])
-    ev = np.array([e.v for e in geom.edges])
-    return (J.values * signs[eu] * signs[ev]) > 0
+    return (J.values * signs[geom.eu] * signs[geom.ev]) > 0
 
 
 @dataclass(frozen=True)

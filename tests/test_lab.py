@@ -37,6 +37,10 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         make("uniqueness_probe", n_pairs=[])
     with pytest.raises(ConfigError):
+        run(dict(kind="solve", width=3, height=3, subset_budget=0))
+    with pytest.raises(ConfigError):
+        run(dict(kind="solve", width=3, height=3, dual_budget=0))
+    with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"kind": "solve", "bogus_field": 1})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"kind": "solve", "schema_version": 99})
@@ -130,20 +134,6 @@ def test_property_suite_smoke():
     assert rep.aggregates["all_properties_pass"]
 
 
-def test_named_experiment_wrappers():
-    from eaglass.lab import (run_convergence, run_two_bond_map,
-                             run_uniqueness_probe, run_wall_stats)
-    rep = run_convergence(3, 2, [1, 2], samples=2, master_seed=1)
-    assert rep.config["kind"] == "convergence"
-    rep = run_wall_stats(7, 7, [1, 2], [0, 1], samples=2, master_seed=1)
-    assert rep.config["kind"] == "wall_stats"
-    rep = run_two_bond_map(3, 3, samples=1, master_seed=1, grid_points=11,
-                           edge=("h", 0, 1), edge2=("v", 0, 1))
-    assert rep.config["kind"] == "two_bond_map"
-    rep = run_uniqueness_probe(3, 2, [(1, 2)], samples=2, master_seed=1)
-    assert rep.config["kind"] == "uniqueness_probe"
-
-
 def test_hard_failure_carries_reproducer(monkeypatch):
     import eaglass.lab as lab
 
@@ -151,7 +141,8 @@ def test_hard_failure_carries_reproducer(monkeypatch):
         from eaglass.lab import _hard
         _hard(False, "synthetic failure", cfg, i)
 
-    monkeypatch.setitem(lab._RUNNERS, "solve", boom)
+    monkeypatch.setitem(lab._KINDS, "solve",
+                        lab._KINDS["solve"]._replace(sample=boom))
     with pytest.raises(HardAssertionFailure) as exc_info:
         run(dict(kind="solve", width=3, height=3, samples=2, master_seed=1))
     rep = json.loads(exc_info.value.reproducer)
@@ -214,8 +205,45 @@ def test_cli_hard_failure_exit_code(tmp_path, capsys, monkeypatch):
     def boom(cfg, i):
         lab._hard(False, "synthetic failure", cfg, i)
 
-    monkeypatch.setitem(lab._RUNNERS, "solve", boom)
+    monkeypatch.setitem(lab._KINDS, "solve",
+                        lab._KINDS["solve"]._replace(sample=boom))
     code = cli_main(["solve", "--width", "3", "--height", "3", "--samples", "1"])
     assert code == 2
     err = capsys.readouterr().err
     assert "REPRODUCER" in err
+
+
+# content hashes of one small config per kind (samples=3, master_seed=7);
+# any change to these means a report is no longer reproducible
+GOLDEN = [
+    (dict(kind="solve", width=3, height=3),
+     "2b8a69a224907bc5415a16b3860ca436402a59fd0f41ee61e7d5ac2d0f663c23"),
+    (dict(kind="flip_sweep", width=3, height=3, grid_points=11),
+     "4549f246a9f4accd12b90d941555daf24d5cf4b9ff148abb44bb867a75f40162"),
+    (dict(kind="two_bond_map", width=3, height=3, grid_points=11),
+     "4dd8896ba97d4947f13e9665cd783e61c6192b3712bd01ca5636807fd70b37fb"),
+    (dict(kind="contour_stats", width=5, height=5),
+     "87dcc58ff20f5cb9745c9c66e5d81666da0fa92371d179e7807935eb78664e89"),
+    (dict(kind="wall_stats", width=7, height=7, proxy="excited_pair",
+          n_list=[1, 2], k_list=[0, 1]),
+     "0158d78fbcdccd8dc30a9b9b9121cf4417c21350f18988493b9e7324d2a8df92"),
+    (dict(kind="wall_stats", width=5, height=5, proxy="nested_volumes",
+          n_list=[1], k_list=[0, 1]),
+     "4b27c81b3565e60f2118a732ad603d5af7ef60e45d94e9d699eb8082babe1883"),
+    (dict(kind="wall_stats", width=7, height=7, proxy="perturbed_exterior",
+          n_list=[1, 2], k_list=[0, 1]),
+     "42f3e063e7ee8281d3dc3ca675491ba498aa67081112031a0f5af5338bd2d8c4"),
+    (dict(kind="convergence", n_list=[1, 2]),
+     "e16fba78072c2f2e778e8f595ab35ceff64610998a8a743ea29723310cdf6ca6"),
+    (dict(kind="uniqueness_probe", n_pairs=[[1, 2]]),
+     "87cd35770cb8a3e476e71ab82c2202c05efad5528f12b560b94dd793c51515c5"),
+    (dict(kind="property_suite", width=4, height=4, probes=2),
+     "0a47f868f5d150dbcc9c5bd159c5306e41ce24a9306f1703ef67eb3174c2e1cc"),
+]
+
+
+@pytest.mark.parametrize("cfg,digest", GOLDEN,
+                         ids=[f"{c['kind']}-{c.get('proxy', '')}".rstrip("-")
+                              for c, _ in GOLDEN])
+def test_golden_content_hash(cfg, digest):
+    assert run(dict(cfg, samples=3, master_seed=7)).content_hash == digest

@@ -134,27 +134,22 @@ def test_clamped_solve_matches_bruteforce(idx, data):
         assert a.energy == free.energy
 
 
-def test_transition_kernels_agree():
-    # the jitted kernel and the numpy fallback must be interchangeable,
-    # including exact ties and penalty entries
-    import eaglass.solver as S
-    if S._transition is S._transition_column:
-        pytest.skip("numba not available; only one kernel present")
-    rng = np.random.default_rng(0)
-    for w in (1, 2, 3, 5):
-        n = 1 << w
-        for trial in range(60):
-            cur = rng.normal(size=n)
-            if trial % 7 == 0:
-                cur[rng.integers(n)] = S._REJECT
-            jv = 0.0 if trial % 11 == 0 else float(rng.normal())
-            c = int(rng.integers(w))
-            n1, b1 = np.empty(n), np.empty(n, np.uint8)
-            n2, b2 = np.empty(n), np.empty(n, np.uint8)
-            S._transition_column(cur, n1, jv, b1, c)
-            S._transition_column_jit(cur, n2, jv, b2, c)
-            assert np.array_equal(n1, n2)
-            assert np.array_equal(b1, b2)
+def test_clamp_survives_huge_couplings():
+    # clamp-violating rows must stay excluded however large the couplings:
+    # a finite penalty is drowned once |J| reaches its size
+    rng = np.random.default_rng(31)
+    for w, h in ((3, 3), (3, 4), (4, 3), (4, 4)):
+        g = build_box(w, h)
+        for idx in range(45):
+            base = sample_couplings(g, GAUSS, 1031, idx)
+            J = CouplingConfig(g, base.values * 1e31, {})
+            verts = rng.choice(g.n_vertices, size=3, replace=False)
+            signs = [1] + [int(s) for s in rng.choice([1, -1], size=2)]
+            cl = Clamp(tuple(int(v) for v in verts), tuple(signs))
+            a = solve(g, J, cl)
+            b = brute_force(g, J, cl)
+            assert np.array_equal(a.signs, b.signs), (w, h, idx, cl)
+            assert a.energy == b.energy
 
 
 def test_budget_errors():

@@ -5,7 +5,7 @@ domain walls, and seeded disorder ensembles."""
 from .disorder import (CouplingConfig, DistributionSpec, sample_couplings,
                        super_satisfy, supersatisfied_threshold)
 from .errors import (BudgetExceededError, ConfigError, EaglassError,
-                     HardAssertionFailure)
+                     HardAssertionFailure, SampleError)
 from .lattice import BoxGeometry, DualGeometry, build_box, build_dual
 from .solver import Clamp, SpinPair, brute_force, energy, solve, verify_gsp
 
@@ -15,7 +15,7 @@ __all__ = [
     "supersatisfied_threshold", "super_satisfy",
     "Clamp", "SpinPair", "energy", "solve", "brute_force", "verify_gsp",
     "EaglassError", "BudgetExceededError", "ConfigError",
-    "HardAssertionFailure",
+    "HardAssertionFailure", "SampleError",
 ]
 
 __version__ = "0.1.0"

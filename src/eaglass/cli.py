@@ -2,8 +2,8 @@
 
 One subcommand per experiment kind.  Values are resolved in priority order
 flag > config file > environment > default.  Exit codes: 0 all hard
-assertions pass, 1 configuration error, 2 hard assertion failure (the
-reproducer line is printed to stderr).
+assertions pass, 1 configuration error, 2 hard assertion failure, 3 any other
+exception in a sample (for 2 and 3 the reproducer line is printed to stderr).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .errors import ConfigError, HardAssertionFailure
+from .errors import ConfigError, HardAssertionFailure, SampleError
 from .lab import EXPERIMENT_KINDS, PROXY_KINDS, ExperimentConfig, run
 
 _KIND_FLAG = {kind: kind.replace("_", "-") for kind in EXPERIMENT_KINDS}
@@ -130,11 +130,13 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except HardAssertionFailure as e:
-        print(f"hard assertion failure: {e}", file=sys.stderr)
+    except SampleError as e:
+        hard = isinstance(e, HardAssertionFailure)
+        print(f"{'hard assertion failure' if hard else 'internal error'}: {e}",
+              file=sys.stderr)
         if e.reproducer:
             print(f"REPRODUCER {e.reproducer}", file=sys.stderr)
-        return 2
+        return 2 if hard else 3
     summary = report.summary_dict()
     print(json.dumps({"kind": summary["kind"],
                       "n_samples": summary["n_samples"],

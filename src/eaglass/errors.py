@@ -13,8 +13,8 @@ class ConfigError(EaglassError, ValueError):
     """Invalid experiment or distribution configuration."""
 
 
-class HardAssertionFailure(EaglassError):
-    """A per-sample hard assertion failed during an experiment run.
+class SampleError(EaglassError):
+    """One sample of an experiment run raised an exception.
 
     Carries a reproducer string sufficient to replay the single sample.
     """
@@ -22,3 +22,7 @@ class HardAssertionFailure(EaglassError):
     def __init__(self, message, reproducer=None):
         super().__init__(message)
         self.reproducer = reproducer
+
+
+class HardAssertionFailure(SampleError):
+    """A per-sample hard assertion failed during an experiment run."""

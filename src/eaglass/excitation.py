@@ -41,18 +41,17 @@ class ExcitationRecord:
 
 
 def interior_edges(geom: BoxGeometry, vertices) -> list[int]:
-    inside = set(vertices)
-    return [e.id for e in geom.edges if e.u in inside and e.v in inside]
+    inside = np.zeros(geom.n_vertices, dtype=bool)
+    inside[list(vertices)] = True
+    return np.flatnonzero(inside[geom.eu] & inside[geom.ev]).tolist()
 
 
 def interior_hamiltonian(geom: BoxGeometry, J: CouplingConfig, clamp: Clamp) -> float:
     """Energy restricted to couplings with both endpoints in the clamp set."""
-    inside = dict(zip(clamp.vertices, clamp.signs))
-    terms = []
-    for eid in interior_edges(geom, clamp.vertices):
-        e = geom.edges[eid]
-        terms.append(J.values[eid] * inside[e.u] * inside[e.v])
-    return -fsum(terms)
+    spin = np.zeros(geom.n_vertices)
+    spin[list(clamp.vertices)] = clamp.signs
+    prod = spin[geom.eu] * spin[geom.ev]      # nonzero on interior edges only
+    return -fsum((J.values * prod)[prod != 0])
 
 
 def excitation(geom: BoxGeometry, J: CouplingConfig, a_vertices,
@@ -68,13 +67,19 @@ def excitation(geom: BoxGeometry, J: CouplingConfig, a_vertices,
                             delta_e, h, delta_e - h)
 
 
+def edge_excitation(geom: BoxGeometry, J: CouplingConfig, edge_id: int
+                    ) -> ExcitationRecord:
+    """Excitation from the edge's +_b clamp (equal endpoints) to its -_b one."""
+    e = geom.edges[edge_id]
+    return excitation(geom, J, (e.u, e.v),
+                      Clamp.equal_pair(e.u, e.v), Clamp.opposite_pair(e.u, e.v))
+
+
 def b_excited_states(geom: BoxGeometry, J: CouplingConfig, edge_id: int
                      ) -> tuple[SpinPair, SpinPair]:
     """The minimizers with the edge's endpoint product forced +1 / -1."""
-    e = geom.edges[edge_id]
-    plus = solve(geom, J, Clamp.equal_pair(e.u, e.v))
-    minus = solve(geom, J, Clamp.opposite_pair(e.u, e.v))
-    return plus, minus
+    rec = edge_excitation(geom, J, edge_id)
+    return rec.state_a, rec.state_b
 
 
 def critical_value(geom: BoxGeometry, J: CouplingConfig, edge_id: int) -> float:
@@ -82,10 +87,7 @@ def critical_value(geom: BoxGeometry, J: CouplingConfig, edge_id: int) -> float:
 
     Independent of the current value of J_b by construction.
     """
-    e = geom.edges[edge_id]
-    rec = excitation(geom, J, (e.u, e.v),
-                     Clamp.equal_pair(e.u, e.v), Clamp.opposite_pair(e.u, e.v))
-    return 0.5 * rec.delta_e_ext
+    return 0.5 * edge_excitation(geom, J, edge_id).delta_e_ext
 
 
 @dataclass(frozen=True)
@@ -148,6 +150,7 @@ def locate_flip(geom: BoxGeometry, J: CouplingConfig, edge_id: int,
 # two-bond critical sets
 
 _COMBOS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+_CASE_TOL = 1e-12     # relative |C1 - C2| below which the set is a cross
 
 
 @dataclass(frozen=True)
@@ -196,8 +199,7 @@ def _pair_state(geom, J, edge_b, edge_e, eta_b, eta_e) -> SpinPair:
 
 
 def two_bond_critical_set(geom: BoxGeometry, J: CouplingConfig,
-                          edge_b: int, edge_e: int,
-                          case_tol: float = 1e-12) -> CriticalSet2:
+                          edge_b: int, edge_e: int) -> CriticalSet2:
     if edge_b == edge_e:
         raise ValueError("edges must differ")
     jb0 = J.value(edge_b)
@@ -215,7 +217,7 @@ def two_bond_critical_set(geom: BoxGeometry, J: CouplingConfig,
     c3 = 0.5 * (F[(1, 1)] - F[(1, -1)])
     c4 = 0.5 * (F[(-1, 1)] - F[(-1, -1)])
     scale = 1.0 + max(abs(c) for c in (c1, c2, c3, c4))
-    if abs(c1 - c2) <= case_tol * scale:
+    if abs(c1 - c2) <= _CASE_TOL * scale:
         case = "cross"
         segments = (
             {"kind": "line", "orient": "vertical", "jb": c1,
@@ -407,5 +409,4 @@ def critical_contour(geom: BoxGeometry, dual, J: CouplingConfig, edge_id: int):
     """Interface between the two b-excited states; always contains b's dual edge."""
     from .walls import interface
     plus, minus = b_excited_states(geom, J, edge_id)
-    return interface(geom, dual, J, plus, minus,
-                     label=f"critical_contour:{edge_id}")
+    return interface(geom, dual, J, plus, minus)

@@ -4,8 +4,9 @@ Every experiment is a pure function of its configuration: per-edge couplings
 come from the counter-based sampler, per-sample auxiliary choices from a
 seed-sequence keyed by (master seed, sample index), and records are sorted by
 sample index before aggregation, so the report content hash is identical at
-any parallelism degree.  Hard per-sample assertions abort the run with a
-reproducer line naming (seed, sample index, config).
+any parallelism degree.  A failing per-sample hard assertion, or any other
+exception in a sample, aborts the run with a reproducer line naming (seed,
+sample index, config).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import hashlib
 import json
 import math
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -25,7 +27,7 @@ from . import excitation as exc
 from . import walls as wl
 from .disorder import (CouplingConfig, DistributionSpec, sample_couplings,
                        super_satisfy, supersatisfied_threshold)
-from .errors import ConfigError, HardAssertionFailure
+from .errors import ConfigError, HardAssertionFailure, SampleError
 from .lattice import BoxGeometry, build_box, build_dual
 from .solver import (MAX_SOLVE_WIDTH, Clamp, brute_force, solve,
                      verify_gsp)
@@ -148,6 +150,7 @@ def _validate_two_bond(cfg: ExperimentConfig) -> None:
         raise ConfigError("grid_lo must be below grid_hi")
     if cfg.width * cfg.height > 22:
         raise ConfigError("two-bond grid oracle needs at most 22 vertices")
+    _two_bond_edges(cfg, build_box(cfg.width, cfg.height))
 
 
 def _validate_contour_stats(cfg: ExperimentConfig) -> None:
@@ -256,9 +259,17 @@ def _resolve_edge(geom: BoxGeometry, spec) -> int:
                           f"{geom.width}x{geom.height}") from None
 
 
-def _default_edge(geom: BoxGeometry) -> int:
-    # a central vertical edge exists for every valid box
-    return geom.edge_by_key[("v", 0, geom.height // 2)]
+def _default_edge_key(geom: BoxGeometry) -> tuple:
+    return ("v", 0, geom.height // 2)
+
+
+def _two_bond_edges(cfg: ExperimentConfig, geom: BoxGeometry) -> tuple[int, int]:
+    b = _resolve_edge(geom, cfg.edge or ("h", 0, geom.height // 2))
+    e = _resolve_edge(geom, cfg.edge2 or _default_edge_key(geom))
+    if b == e:
+        raise ConfigError(f"two-bond map needs two different edges, got "
+                          f"{geom.edges[b].key} twice")
+    return b, e
 
 
 def _window_keys(window_width: int, window_height: int) -> list[tuple]:
@@ -332,8 +343,7 @@ def proxy_nested_volumes(cfg, index):
                             beta.signs[v + 2 * (v // small.width) + 1])
     dual = build_dual(cfg.width, cfg.height)
     iface = wl.interface_from_satisfaction(small, dual, sat_a, sat_b,
-                                           edge_ids=shared,
-                                           label="nested_volumes")
+                                           edge_ids=shared)
     return iface, frozenset()
 
 
@@ -355,8 +365,7 @@ def proxy_perturbed_exterior(cfg, index):
     sat_b = wl.satisfaction(geom, j_pert, beta)
     dual = build_dual(cfg.width, cfg.height)
     iface = wl.interface_from_satisfaction(geom, dual, sat_a, sat_b,
-                                           edge_ids=window,
-                                           label="perturbed_exterior")
+                                           edge_ids=window)
     return iface, frozenset()
 
 
@@ -382,7 +391,7 @@ def _run_solve(cfg: ExperimentConfig, i: int) -> dict:
 def _run_flip_sweep(cfg: ExperimentConfig, i: int) -> dict:
     geom = build_box(cfg.width, cfg.height)
     J = sample_couplings(geom, cfg.dist, cfg.master_seed, i)
-    b = _resolve_edge(geom, cfg.edge) if cfg.edge else _default_edge(geom)
+    b = _resolve_edge(geom, cfg.edge or _default_edge_key(geom))
     c_val = exc.critical_value(geom, J, b)
     span = max(1.0, 0.5 * (cfg.grid_hi - cfg.grid_lo))
     grid = c_val + np.linspace(-span, span, cfg.grid_points) + span * 1e-3
@@ -404,9 +413,7 @@ def _run_flip_sweep(cfg: ExperimentConfig, i: int) -> dict:
 def _run_two_bond(cfg: ExperimentConfig, i: int) -> dict:
     geom = build_box(cfg.width, cfg.height)
     J = sample_couplings(geom, cfg.dist, cfg.master_seed, i)
-    b = _resolve_edge(geom, cfg.edge) if cfg.edge else \
-        geom.edge_by_key[("h", 0, geom.height // 2)]
-    e = _resolve_edge(geom, cfg.edge2) if cfg.edge2 else _default_edge(geom)
+    b, e = _two_bond_edges(cfg, geom)
     cs = exc.two_bond_critical_set(geom, J, b, e)
     dev = abs((cs.c1 - cs.c2) - (cs.c3 - cs.c4))
     _hard(dev <= cfg.tol, f"C1-C2 != C3-C4 (deviation {dev})", cfg, i)
@@ -544,11 +551,12 @@ def _run_property_suite(cfg: ExperimentConfig, i: int) -> dict:
 
     # single-bond critical structure
     b = int(rng.integers(geom.n_edges))
-    c_val = exc.critical_value(geom, J, b)
+    rec = exc.edge_excitation(geom, J, b)
+    c_val = 0.5 * rec.delta_e_ext
     c_repl = exc.critical_value(
         geom, J.with_value(b, float(rng.normal() * 3.0)), b)
     checks["critical_value_jb_free"] = abs(c_val - c_repl) <= 1e-12
-    plus, minus = exc.b_excited_states(geom, J, b)
+    plus, minus = rec.state_a, rec.state_b
     above = solve(geom, J.with_value(b, c_val + 1e-6))
     below = solve(geom, J.with_value(b, c_val - 1e-6))
     checks["gsp_selection"] = above.same_pair(plus) and below.same_pair(minus)
@@ -787,6 +795,16 @@ def _sample_worker(payload):
     except HardAssertionFailure as exc_:
         return index, "hard_fail", {"message": str(exc_),
                                     "reproducer": exc_.reproducer}
+    except ConfigError:
+        raise
+    except Exception:
+        # any other failure is an internal error; keep it replayable
+        return index, "error", {"message": f"sample {index}: "
+                                           f"{traceback.format_exc()}",
+                                "reproducer": _reproducer(cfg, index)}
+
+
+_FAILURES = {"hard_fail": HardAssertionFailure, "error": SampleError}
 
 
 def run(config: ExperimentConfig | dict) -> RunReport:
@@ -807,9 +825,9 @@ def run(config: ExperimentConfig | dict) -> RunReport:
             raw = list(pool.map(_sample_worker, payloads, chunksize=chunk))
     raw.sort(key=lambda t: t[0])
     for index, status, payload in raw:
-        if status == "hard_fail":
-            raise HardAssertionFailure(payload["message"],
-                                       reproducer=payload["reproducer"])
+        if status != "ok":
+            raise _FAILURES[status](payload["message"],
+                                    reproducer=payload["reproducer"])
     records = [payload for _, _, payload in raw]
     aggregates, properties = _KINDS[cfg.kind].aggregate(cfg, records)
     aggregates = _jsonable({"n_samples": len(records), **aggregates})

@@ -45,7 +45,6 @@ class DualEdge(NamedTuple):
 class BoxGeometry:
     width: int
     height: int
-    periodic_horizontal: bool
     edges: tuple[Edge, ...]
     incident: tuple[tuple[int, ...], ...] = field(repr=False)
     edge_by_key: dict = field(repr=False, hash=False, compare=False)
@@ -160,7 +159,7 @@ def build_box(width: int, height: int) -> BoxGeometry:
     ev = np.array([e.v for e in edges], dtype=np.int64)
     eu.setflags(write=False)
     ev.setflags(write=False)
-    return BoxGeometry(W, H, True, tuple(edges),
+    return BoxGeometry(W, H, tuple(edges),
                        tuple(tuple(x) for x in incident), by_key, eu, ev)
 
 

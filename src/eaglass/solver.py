@@ -9,9 +9,9 @@ the returned configuration has the lexicographically smallest canonical bit
 pattern among all minimizers, and the pair is flagged as tied.
 
 Configurations are pairs modulo a global flip.  Internally one representative
-is pinned by forcing the clamp's anchor vertex (or vertex 0) to +1; the stored
-canonical form instead gives +1 to the lowest-indexed vertex not determined by
-the clamp, so equal pairs compare equal elementwise.
+is pinned by the clamp's signs (or vertex 0 at +1), entered as infinite row
+costs; the stored canonical form instead gives +1 to the lowest-indexed vertex
+not determined by the clamp, so equal pairs compare equal elementwise.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ class SpinPair:
     signs: np.ndarray = field(compare=False)
     energy: float
     tied: bool = False
-    canonical: bool = True
 
     def __post_init__(self):
         self.signs.setflags(write=False)
@@ -146,113 +145,66 @@ def _transition_column(cur, nxt, j_vert, bp, c):
     b3[:, 1, :] = (u0 == n3[:, 1, :]) | ((u1 == n3[:, 1, :]) << 1)
 
 
-class _Workspace:
-    """Per-width mask tables shared across solves."""
-
-    def __init__(self, width: int):
-        n = 1 << width
-        self.masks = np.arange(n, dtype=np.int64)
-        self.colsign = [(((self.masks >> c) & 1) * 2.0 - 1.0)
-                        for c in range(width)]
-        self.h_anchors = list(range(horizontal_edges_per_row(width)))
-        # column a: endpoint sign product of the horizontal edge anchored at a
-        if self.h_anchors:
-            self.pair_matrix = np.column_stack(
-                [self.colsign[a] * self.colsign[(a + 1) % width]
-                 for a in self.h_anchors])
-        else:
-            self.pair_matrix = np.zeros((n, 0))
+_PLANS = threading.local()
 
 
-@lru_cache(maxsize=8)
-def _workspace(width: int) -> _Workspace:
-    return _Workspace(width)
-
-
-_DP_BUFFERS = threading.local()
-
-
-def _buffers(width: int, height: int):
-    """Reused DP arrays; fresh per-solve allocation of the multi-megabyte
-    backpointer block measurably stalls repeated solves."""
-    store = getattr(_DP_BUFFERS, "store", None)
-    if store is None:
-        store = _DP_BUFFERS.store = {}
+def _plan(width: int, height: int):
+    """``(masks, pairs, cur, nxt, backptr, rowcost)`` of one box shape, kept
+    per thread; pairs[m, a] is the sign product of the horizontal edge at
+    column a in row mask m.  Reusing the multi-megabyte backpointer block
+    avoids the stall of a fresh allocation per solve."""
+    store = _PLANS.__dict__.setdefault("store", {})
     key = (width, height)
     if key not in store:
         if len(store) >= 8:
             store.clear()
         n = 1 << width
-        store[key] = (np.empty(n), np.empty(n),
+        masks = np.arange(n, dtype=np.int64)
+        sign = ((masks[:, None] >> np.arange(width)) & 1) * 2.0 - 1.0
+        a = np.arange(horizontal_edges_per_row(width))
+        store[key] = (masks, sign[:, a] * sign[:, (a + 1) % width],
+                      np.empty(n), np.empty(n),
                       np.empty((height - 1, width, n), dtype=np.uint8),
                       np.empty((n, height)))
     return store[key]
 
 
-def _row_cost_matrix(geom, J, ws, out):
-    """(2^W, H) matrix of intra-row energies, wrap edge included."""
-    # build_box numbers the horizontal edges first, row by row
-    n_h = len(ws.h_anchors)
-    j_rows = np.ascontiguousarray(
-        J.values[:n_h * geom.height].reshape(geom.height, n_h).T)
-    np.matmul(ws.pair_matrix, j_rows, out=out)
-    np.negative(out, out=out)
-    return out
-
-
-def _row_admissible(geom, forced, masks):
-    per_row: dict[int, np.ndarray] = {}
-    for v, s in forced.items():
-        c, r = geom.vertex_cr(v)
-        ok = ((masks >> c) & 1) == (1 if s > 0 else 0)
-        per_row[r] = ok if r not in per_row else (per_row[r] & ok)
-    return per_row
-
-
 def solve(geom: BoxGeometry, J: CouplingConfig, clamp: Clamp | None = None,
-          max_width: int = MAX_SOLVE_WIDTH, tie_cap: int = _TIE_CAP) -> SpinPair:
+          max_width: int = MAX_SOLVE_WIDTH) -> SpinPair:
     """Exact minimizer over configurations modulo flip respecting the clamp."""
     W, H = geom.width, geom.height
     if W > max_width:
         raise BudgetExceededError(f"width {W} exceeds solver budget {max_width}")
     forced = _forced_signs(geom, clamp)
-    ws = _workspace(W)
-    cur, nxt, backptr, rc_buf = _buffers(W, H)
-    rowcost = _row_cost_matrix(geom, J, ws, rc_buf)
-    admissible = _row_admissible(geom, forced, ws.masks)
+    masks, pairs, cur, nxt, backptr, rowcost = _plan(W, H)
+    # build_box numbers the horizontal edges first, row by row; the
+    # contiguous copy keeps the matmul's summation order fixed
+    n_h = pairs.shape[1]
+    j_rows = np.ascontiguousarray(J.values[:n_h * H].reshape(H, n_h).T)
+    np.matmul(pairs, j_rows, out=rowcost)
+    np.negative(rowcost, out=rowcost)
+    # rows contradicting a forced sign cost inf, and finite + inf = inf
+    for v, s in forced.items():
+        c, r = geom.vertex_cr(v)
+        rowcost[((masks >> c) & 1) != (s > 0), r] = np.inf
     # the vertical edges follow the horizontal ones, row by row
     vert_j = J.values[geom.n_edges - W * (H - 1):].reshape(H - 1, W)
 
     np.copyto(cur, rowcost[:, 0])
-    if 0 in admissible:
-        cur[~admissible[0]] = np.inf
-
     for r in range(H - 1):
-        bp_r = backptr[r]
         for c in range(W):
-            _transition_column(cur, nxt, float(vert_j[r, c]), bp_r[c], c)
+            _transition_column(cur, nxt, float(vert_j[r, c]), backptr[r, c], c)
             cur, nxt = nxt, cur
         cur += rowcost[:, r + 1]
-        if r + 1 in admissible:
-            cur[~admissible[r + 1]] = np.inf
 
-    dp = cur
-    best = dp.min()
+    best = cur.min()
     if not np.isfinite(best):
         raise RuntimeError("no admissible configuration (unsatisfiable clamp?)")
-    finals = [int(m) for m in np.flatnonzero(dp == best)]
-
-    configs = _enumerate_optimal(backptr, finals, W, H, tie_cap)
-    tied = len(configs) > 1
-    best_signs = None
-    best_pat = None
-    for rows in configs:
-        signs = _rows_to_signs(rows, W)
-        canon = canonicalize(geom, signs, clamp)
-        pat = _pattern(canon)
-        if best_pat is None or pat < best_pat:
-            best_pat, best_signs = pat, canon
-    return SpinPair(geom, best_signs, energy(geom, J, best_signs), tied=tied)
+    configs = _enumerate_optimal(backptr, np.flatnonzero(cur == best).tolist())
+    signs = min((canonicalize(geom, _rows_to_signs(rows, W), clamp)
+                 for rows in configs), key=_pattern)
+    return SpinPair(geom, signs, energy(geom, J, signs),
+                    tied=len(configs) > 1)
 
 
 def _rows_to_signs(rows, W):
@@ -260,42 +212,28 @@ def _rows_to_signs(rows, W):
     return (2 * bits - 1).astype(np.int8).ravel()
 
 
-def _enumerate_optimal(backptr, finals, W, H, cap):
-    """All optimal row-mask sequences, deduplicated; raises past the cap."""
-
-    def prev_masks(rt, mask):
-        states = {mask}
-        for c in reversed(range(W)):
-            bit = 1 << c
-            nxt = set()
-            bp = backptr[rt][c]
-            for st in states:
-                ch = bp[st]
-                if ch & 1:
-                    nxt.add(st & ~bit)
-                if ch & 2:
-                    nxt.add(st | bit)
-            states = nxt
-        return states
-
-    results = []
-    seen = set()
-
-    def expand(r, mask, suffix):
-        if len(results) > cap:
-            raise BudgetExceededError("tie degeneracy exceeds enumeration cap")
-        if r == 0:
-            rows = (mask,) + suffix
-            if rows not in seen:
-                seen.add(rows)
-                results.append(rows)
-            return
-        for prev in sorted(prev_masks(r - 1, mask)):
-            expand(r - 1, prev, (mask,) + suffix)
-
-    for m in finals:
-        expand(H - 1, m, ())
-    return results
+def _enumerate_optimal(backptr, finals):
+    """Every optimal row-mask sequence, grown from the top row down; raises
+    past ``_TIE_CAP`` of them (a partial sequence always completes)."""
+    seqs = [(m,) for m in finals]
+    for r in reversed(range(backptr.shape[0])):
+        grown = []
+        for seq in seqs:
+            states = {seq[0]}
+            for c in reversed(range(backptr.shape[1])):
+                bit, bp, prev = 1 << c, backptr[r, c], set()
+                for st in states:
+                    ch = bp[st]     # one lookup: numpy scalar reads are slow
+                    if ch & 1:
+                        prev.add(st & ~bit)
+                    if ch & 2:
+                        prev.add(st | bit)
+                states = prev
+            grown.extend((p,) + seq for p in states)
+            if len(grown) > _TIE_CAP:
+                raise BudgetExceededError("tie degeneracy exceeds enumeration cap")
+        seqs = grown
+    return seqs
 
 
 # --------------------------------------------------------------------------

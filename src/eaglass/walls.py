@@ -36,7 +36,6 @@ class Interface:
     geom: BoxGeometry
     dual: DualGeometry
     edge_ids: frozenset[int]
-    label: str = ""
 
     @property
     def dual_vertices(self) -> frozenset[int]:
@@ -52,7 +51,7 @@ class Interface:
 
 
 def interface_from_satisfaction(geom, dual, sat_a, sat_b,
-                                edge_ids=None, label="") -> Interface:
+                                edge_ids=None) -> Interface:
     sat_a = np.asarray(sat_a, dtype=bool)
     sat_b = np.asarray(sat_b, dtype=bool)
     differ = sat_a ^ sat_b
@@ -60,15 +59,15 @@ def interface_from_satisfaction(geom, dual, sat_a, sat_b,
         ids = np.flatnonzero(differ)
     else:
         ids = [eid for eid in edge_ids if differ[eid]]
-    return Interface(geom, dual, frozenset(int(i) for i in ids), label)
+    return Interface(geom, dual, frozenset(int(i) for i in ids))
 
 
 def interface(geom: BoxGeometry, dual: DualGeometry, J: CouplingConfig,
-              spins_a, spins_b, edge_ids=None, label="") -> Interface:
+              spins_a, spins_b, edge_ids=None) -> Interface:
     """Symmetric difference of the satisfaction sets of two configurations."""
     return interface_from_satisfaction(
         geom, dual, satisfaction(geom, J, spins_a), satisfaction(geom, J, spins_b),
-        edge_ids=edge_ids, label=label)
+        edge_ids=edge_ids)
 
 
 @dataclass(frozen=True)
@@ -162,7 +161,9 @@ def wall_count_grid(walls, n_values, k_values, dual: DualGeometry) -> WallCountG
 
 
 @dataclass(frozen=True)
-class BoundReport:
+class CheckReport:
+    """Violations found by one wall check; it passes when there are none."""
+
     violations: tuple[dict, ...]
 
     @property
@@ -170,7 +171,7 @@ class BoundReport:
         return not self.violations
 
 
-def wall_bound_check(grid: WallCountGrid) -> BoundReport:
+def wall_bound_check(grid: WallCountGrid) -> CheckReport:
     """Check N_{n,k} - N_{n,0} >= -2k on every grid entry."""
     if 0 not in grid.k_values:
         raise ConfigError("grid must contain the k=0 row")
@@ -181,20 +182,11 @@ def wall_bound_check(grid: WallCountGrid) -> BoundReport:
             if grid.count(n, k) - base < -2 * k:
                 violations.append({"n": n, "k": k, "N_nk": grid.count(n, k),
                                    "N_n0": base})
-    return BoundReport(tuple(violations))
-
-
-@dataclass(frozen=True)
-class TetherReport:
-    violations: tuple[dict, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
+    return CheckReport(tuple(violations))
 
 
 def no_double_tether_check(walls, dual: DualGeometry,
-                           excluded_dual_edges=()) -> TetherReport:
+                           excluded_dual_edges=()) -> CheckReport:
     """Assert tethered walls are pairwise vertex-disjoint and that no wall
     joins two distinct dual-x-axis vertices by a dual path.
 
@@ -230,11 +222,11 @@ def no_double_tether_check(walls, dual: DualGeometry,
                 violations.append({"kind": "x_axis_join", "wall": wi,
                                    "vertices": (verts[0], verts[1]),
                                    "path_edges": tuple(path)})
-    return TetherReport(tuple(violations))
+    return CheckReport(tuple(violations))
 
 
 def interface_cycle_check(iface: Interface, dual: DualGeometry,
-                          excluded_dual_edges=()) -> TetherReport:
+                          excluded_dual_edges=()) -> CheckReport:
     """Assert no dual circuit lies entirely inside the interface.
 
     Flipping the region a circuit encloses is admissible for both exact
@@ -256,7 +248,7 @@ def interface_cycle_check(iface: Interface, dual: DualGeometry,
         else:
             uf.union(d.a, d.b)
             placed.append(eid)
-    return TetherReport(tuple(violations))
+    return CheckReport(tuple(violations))
 
 
 def _dual_path(dual, edge_ids, a, b):

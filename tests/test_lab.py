@@ -37,6 +37,14 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         make("uniqueness_probe", n_pairs=[])
     with pytest.raises(ConfigError):
+        make("two_bond_map", width=3, height=3, edge="h:0,1", edge2="h:0,1")
+    with pytest.raises(ConfigError):
+        make("two_bond_map", width=3, height=3, edge="v:0,1")  # = edge2 default
+    with pytest.raises(ConfigError):
+        make("two_bond_map", width=3, height=3, edge2="h:5,0")  # not in box
+    with pytest.raises(ConfigError):
+        make("two_bond_map", width=1, height=3)  # default edge is horizontal
+    with pytest.raises(ConfigError):
         run(dict(kind="solve", width=3, height=3, subset_budget=0))
     with pytest.raises(ConfigError):
         run(dict(kind="solve", width=3, height=3, dual_budget=0))
@@ -211,6 +219,25 @@ def test_cli_hard_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert code == 2
     err = capsys.readouterr().err
     assert "REPRODUCER" in err
+
+
+def test_cli_internal_error_exit_code(capsys, monkeypatch):
+    import eaglass.lab as lab
+
+    def boom(cfg, i):
+        raise RuntimeError("synthetic internal error")
+
+    monkeypatch.setitem(lab._KINDS, "solve",
+                        lab._KINDS["solve"]._replace(sample=boom))
+    code = cli_main(["solve", "--width", "3", "--height", "3", "--samples",
+                     "2", "--seed", "4"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "RuntimeError: synthetic internal error" in err
+    line, = [ln for ln in err.splitlines() if ln.startswith("REPRODUCER ")]
+    rep = json.loads(line[len("REPRODUCER "):])
+    assert rep["seed"] == 4 and rep["sample"] == 0
+    assert rep["config"]["kind"] == "solve"
 
 
 # content hashes of one small config per kind (samples=3, master_seed=7);

@@ -212,3 +212,33 @@ def test_monotone_clamped_energy():
                 assert clamped.energy == free.energy
             else:
                 assert clamped.energy > free.energy
+
+
+def test_ties_match_bruteforce():
+    # couplings in {-1, 0, 1} make most optima degenerate, so this drives the
+    # tie traceback and its canonical choice against the oracle
+    rng = np.random.default_rng(77)
+    n_tied = 0
+    for w in range(1, 5):
+        g = build_box(w, 4)
+        for i in range(80):
+            J = CouplingConfig(g, rng.integers(-1, 2, g.n_edges).astype(float),
+                               {})
+            cl = None
+            if i % 2:
+                k = int(rng.integers(2, 5))
+                verts = rng.choice(g.n_vertices, size=k, replace=False)
+                cl = Clamp(tuple(int(v) for v in verts),
+                           (1,) + tuple(int(s) for s in rng.choice([1, -1], k - 1)))
+            a = solve(g, J, cl)
+            b = brute_force(g, J, cl)
+            assert np.array_equal(a.signs, b.signs), (w, i, cl)
+            assert a.tied == b.tied and a.energy == b.energy
+            n_tied += a.tied
+    assert n_tied >= 160
+
+
+def test_tie_cap():
+    g = build_box(4, 4)
+    with pytest.raises(BudgetExceededError):
+        solve(g, hand_couplings(g, 0.0))  # 2^15 optimal configurations

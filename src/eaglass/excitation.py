@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 from math import fsum
 
 import numpy as np
@@ -173,28 +174,20 @@ class CriticalSet2:
 
 
 def _pair_state(geom, J, edge_b, edge_e, eta_b, eta_e) -> SpinPair:
-    """Minimizer subject to the two endpoint-product constraints."""
+    """Minimizer subject to the two endpoint-product constraints: the best
+    solve over every clamp of the endpoints that meets both products.  On an
+    exact tie the first clamp wins, the one with e.u signed like b.u."""
     b = geom.edges[edge_b]
     e = geom.edges[edge_e]
-    bs, es = {b.u, b.v}, {e.u, e.v}
-    shared = bs & es
-    if len(shared) == 2:
-        raise ValueError("edges share both endpoints")
-    if shared:
-        (w,) = shared
-        sigma = {b.u: 1}
-        sigma[b.v] = eta_b * sigma[b.u]
-        if e.u in sigma:
-            sigma[e.v] = eta_e * sigma[e.u]
-        else:
-            sigma[e.u] = eta_e * sigma[e.v]
-        return solve(geom, J, Clamp(tuple(sigma), tuple(sigma.values())))
+    verts = list(dict.fromkeys((b.u, b.v, e.u, e.v)))
     best = None
-    for t in (1, -1):
-        clamp = Clamp((b.u, b.v, e.u, e.v), (1, eta_b, t, t * eta_e))
-        cand = solve(geom, J, clamp)
-        if best is None or cand.energy < best.energy:
-            best = cand
+    for rest in product((1, -1), repeat=len(verts) - 1):
+        sigma = dict(zip(verts, (1,) + rest))
+        if (sigma[b.u] * sigma[b.v] == eta_b
+                and sigma[e.u] * sigma[e.v] == eta_e):
+            cand = solve(geom, J, Clamp(verts, (1,) + rest))
+            if best is None or cand.energy < best.energy:
+                best = cand
     return best
 
 

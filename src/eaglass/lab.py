@@ -153,10 +153,18 @@ def _validate_two_bond(cfg: ExperimentConfig) -> None:
     _two_bond_edges(cfg, build_box(cfg.width, cfg.height))
 
 
+def _validate_flip_sweep(cfg: ExperimentConfig) -> None:
+    _validate_box(cfg)
+    geom = build_box(cfg.width, cfg.height)
+    _resolve_edge(geom, cfg.edge or _default_edge_key(geom))
+
+
 def _validate_contour_stats(cfg: ExperimentConfig) -> None:
     _validate_box(cfg)
     if cfg.width < 3:
         raise ConfigError("contour_stats needs width >= 3")
+    if cfg.edge:
+        _resolve_edge(build_box(cfg.width, cfg.height), cfg.edge)
 
 
 def _validate_wall_stats(cfg: ExperimentConfig) -> None:
@@ -171,8 +179,11 @@ def _validate_wall_stats(cfg: ExperimentConfig) -> None:
     n_cap = half - 1 if cfg.proxy == "nested_volumes" else half
     if max(cfg.n_list) > n_cap:
         raise ConfigError(f"segment n exceeds cap {n_cap} for this proxy")
-    if cfg.proxy == "excited_pair" and cfg.width < 3:
-        raise ConfigError("excited_pair proxy needs width >= 3")
+    if cfg.proxy == "excited_pair":
+        if cfg.width < 3:
+            raise ConfigError("excited_pair proxy needs width >= 3")
+        if cfg.edge:
+            _resolve_edge(build_box(cfg.width, cfg.height), cfg.edge)
     if cfg.proxy == "nested_volumes":
         if cfg.width % 2 == 0:
             raise ConfigError("nested_volumes proxy needs odd width")
@@ -375,10 +386,9 @@ def proxy_perturbed_exterior(cfg, index):
 
 def _run_solve(cfg: ExperimentConfig, i: int) -> dict:
     geom = build_box(cfg.width, cfg.height)
-    dual = build_dual(cfg.width, cfg.height)
     J = sample_couplings(geom, cfg.dist, cfg.master_seed, i)
     gsp = solve(geom, J)
-    report = verify_gsp(geom, dual, J, gsp,
+    report = verify_gsp(geom, J, gsp,
                         max_subset_size=cfg.subset_budget,
                         max_dual_len=cfg.dual_budget)
     _hard(report.passed, "ground state fails finite-volume verification", cfg, i)
@@ -447,14 +457,11 @@ def _run_two_bond(cfg: ExperimentConfig, i: int) -> dict:
 
 def _run_contour_stats(cfg: ExperimentConfig, i: int) -> dict:
     b, iface = _flip_contour(cfg, i)
-    dual = iface.dual
     _hard(b in iface.edge_ids, "contour misses the flipped edge's dual", cfg, i)
-    walls = wl.domain_walls(iface, dual)
-    tether = wl.no_double_tether_check(walls, dual, excluded_dual_edges={b})
-    _hard(tether.passed, "tethered-wall structure violated", cfg, i)
-    cyc = wl.interface_cycle_check(iface, dual, excluded_dual_edges={b})
-    _hard(cyc.passed, "dual circuit inside contour avoiding the flipped edge",
-          cfg, i)
+    walls = wl.domain_walls(iface)
+    cyc = wl.interface_cycle_check(iface, excluded_dual_edges={b})
+    _hard(cyc.passed, "closed dual contour inside contour avoiding the "
+          f"flipped edge: {cyc.violations}", cfg, i)
     return {"sample": i, "edge": b, "contour_size": len(iface.edge_ids),
             "n_walls": len(walls),
             "n_tethered": sum(1 for w in walls if w.tethered)}
@@ -468,15 +475,13 @@ def _run_wall_stats(cfg: ExperimentConfig, i: int) -> dict:
         iface, excluded = proxy_nested_volumes(cfg, i)
     else:
         iface, excluded = proxy_perturbed_exterior(cfg, i)
-    dual = iface.dual
-    walls = wl.domain_walls(iface, dual)
-    grid = wl.wall_count_grid(walls, cfg.n_list, cfg.k_list, dual)
+    walls = wl.domain_walls(iface)
+    grid = wl.wall_count_grid(walls, cfg.n_list, cfg.k_list, iface.dual)
     bound = wl.wall_bound_check(grid)
     _hard(bound.passed, f"wall count bound violated: {bound.violations}", cfg, i)
-    tether = wl.no_double_tether_check(walls, dual, excluded_dual_edges=excluded)
-    _hard(tether.passed, f"tether structure violated: {tether.violations}", cfg, i)
-    cyc = wl.interface_cycle_check(iface, dual, excluded_dual_edges=excluded)
-    _hard(cyc.passed, f"dual circuit inside interface: {cyc.violations}", cfg, i)
+    cyc = wl.interface_cycle_check(iface, excluded_dual_edges=excluded)
+    _hard(cyc.passed, f"closed dual contour inside interface: {cyc.violations}",
+          cfg, i)
     record = {"sample": i, "proxy": cfg.proxy,
               "interface_size": len(iface.edge_ids),
               "n_walls": len(walls),
@@ -546,7 +551,7 @@ def _run_property_suite(cfg: ExperimentConfig, i: int) -> dict:
         checks["oracle_equivalence"] = (gsp.same_pair(oracle)
                                         and abs(gsp.energy - oracle.energy)
                                         <= 1e-12 * (1 + abs(gsp.energy)))
-    report = verify_gsp(geom, dual, J, gsp, cfg.subset_budget, cfg.dual_budget)
+    report = verify_gsp(geom, J, gsp, cfg.subset_budget, cfg.dual_budget)
     checks["gsp_verified"] = report.passed
 
     # single-bond critical structure
@@ -578,9 +583,8 @@ def _run_property_suite(cfg: ExperimentConfig, i: int) -> dict:
         abs(r12.delta_e_ext - r12b.delta_e_ext) <= cfg.tol
         and r12.state_a.same_pair(r12b.state_a)
         and r12.state_b.same_pair(r12b.state_b))
-    clamped_report = verify_gsp(geom, dual, J, r12.state_a,
-                                cfg.subset_budget, cfg.dual_budget,
-                                exclude=a_set)
+    clamped_report = verify_gsp(geom, J, r12.state_a, cfg.subset_budget,
+                                cfg.dual_budget, exclude=a_set)
     checks["clamped_gsp_off_A"] = clamped_report.passed
 
     # super-satisfaction forces the edge in every ground state
@@ -744,7 +748,8 @@ _KINDS = {
                                        prop="gsp_verified"),
                    _validate_verified),
     "flip_sweep": _Kind(_run_flip_sweep, partial(
-        _aggregate_mean_se, key="critical_value", prop="single_flip")),
+        _aggregate_mean_se, key="critical_value", prop="single_flip"),
+        _validate_flip_sweep),
     "two_bond_map": _Kind(_run_two_bond, _aggregate_two_bond,
                           _validate_two_bond),
     "contour_stats": _Kind(_run_contour_stats, _aggregate_contour_stats,

@@ -9,6 +9,10 @@ The dual lattice puts one vertex at each plaquette center, including the row of
 centers just below the bottom spin row (the dual x-axis) and just above the top
 row, so that every primal edge has a dual edge with both endpoints present.
 Dual coordinates are kept as doubled integers to stay exact.
+
+Closing the dual x-axis into one ground vertex turns every flip boundary (a
+dual circuit, or a dual path between two dual-x-axis vertices) into a simple
+cycle of the closed dual.
 """
 
 from __future__ import annotations
@@ -86,8 +90,9 @@ class DualGeometry:
     height: int
     dual_edges: tuple[DualEdge, ...]
     dual_x_axis: tuple[int, ...]
-    adjacency: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
-    # adjacency[dv] = ((dual edge id, other dual vertex), ...)
+    # closed[eid] = endpoints of dual edge eid, with every dual-x-axis vertex
+    # replaced by the ground vertex n_dual_vertices
+    closed: tuple[tuple[int, int], ...] = field(repr=False)
 
     @property
     def n_dual_vertices(self) -> int:
@@ -107,9 +112,6 @@ class DualGeometry:
         c, rd = self.dual_vertex_cr(dv)
         off = -((self.width - 1) // 2)
         return (2 * (c + off) + 1, 2 * rd - 1)
-
-    def primal_edge_of(self, dual_edge_id: int) -> int:
-        return dual_edge_id  # bijection by construction
 
 
 def horizontal_edges_per_row(width: int) -> int:
@@ -187,14 +189,11 @@ def build_dual(width: int, height: int) -> DualGeometry:
             # horizontal dual segment at height row + 1/2
             duals.append(DualEdge(e.id, dvid(e.col - 1, e.row + 1), dvid(e.col, e.row + 1)))
 
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(W * (H + 1))]
-    for d in duals:
-        adjacency[d.a].append((d.id, d.b))
-        if d.b != d.a:
-            adjacency[d.b].append((d.id, d.a))
-    x_axis = tuple(dvid(c, 0) for c in range(W))
-    return DualGeometry(W, H, tuple(duals), x_axis,
-                        tuple(tuple(x) for x in adjacency))
+    # dual row 0 holds ids 0..W-1, so the x-axis test is ``dv < W``
+    ground = W * (H + 1)
+    closed = tuple((ground if d.a < W else d.a, ground if d.b < W else d.b)
+                   for d in duals)
+    return DualGeometry(W, H, tuple(duals), tuple(range(W)), closed)
 
 
 def connected_subsets(geom: BoxGeometry, max_size: int,
@@ -255,68 +254,42 @@ def dual_circuits_and_paths(dual: DualGeometry, max_len: int,
                             ) -> Iterator[tuple[str, tuple[int, ...]]]:
     """Stream ("circuit", edge ids) and ("path", edge ids) items.
 
-    Circuits are vertex-simple dual cycles (self-loops excluded; the W=2
-    doubled dual edge does form a 2-circuit around the cylinder).  Paths are
-    vertex-simple and begin and end at distinct dual-x-axis vertices.  Each
-    item appears once, in a canonical orientation.
+    Items are the simple cycles of the closed dual with at most ``max_len``
+    edges, self-loops excluded (the W=2 doubled dual edge is a 2-circuit).  A
+    cycle through the ground vertex is a path between two distinct x-axis
+    vertices, which have degree <= 1.  Each item appears once.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
+    ground = dual.n_dual_vertices
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(ground + 1)]
+    for eid, (a, b) in enumerate(dual.closed):
+        if a != b:
+            adj[a].append((eid, b))
+            adj[b].append((eid, a))
     emitted = 0
-
-    def emit(kind, seq):
-        nonlocal emitted
-        emitted += 1
-        if emitted > budget:
-            raise BudgetExceededError(
-                f"dual_circuits_and_paths exceeded budget of {budget} items")
-        return kind, tuple(seq)
-
-    n = dual.n_dual_vertices
-    adj = dual.adjacency
-
-    # --- circuits: root = smallest vertex on the cycle ---------------------
-    def circuits_from(root):
-        # path_v: vertex sequence, path_e: edge ids
+    # root = smallest vertex on the cycle; path_v: vertices, path_e: edge ids
+    for root in range(ground):
         stack = [(root, [root], [])]
         while stack:
             v, path_v, path_e = stack.pop()
             for eid, w in adj[v]:
-                if eid in path_e or w == v:
+                if eid in path_e:
                     continue
-                if w == root and len(path_e) >= 1:
-                    if len(path_e) + 1 < 2:
-                        continue
-                    # canonical orientation: for 2-circuits order the two
-                    # parallel edges; longer circuits fix second < last vertex
-                    if len(path_e) + 1 == 2:
-                        if path_e[0] < eid:
-                            yield emit("circuit", path_e + [eid])
-                    elif path_v[1] < v:
-                        yield emit("circuit", path_e + [eid])
+                if w == root:
+                    # canonical orientation: for 2-cycles order the two
+                    # parallel edges; longer cycles fix second < last vertex
+                    if (path_e[0] < eid if len(path_e) == 1
+                            else path_v[1] < v):
+                        emitted += 1
+                        if emitted > budget:
+                            raise BudgetExceededError(
+                                "dual_circuits_and_paths exceeded budget "
+                                f"of {budget} items")
+                        kind = "path" if ground in path_v else "circuit"
+                        yield kind, tuple(path_e + [eid])
                     continue
                 if w < root or w in path_v:
                     continue
                 if len(path_e) + 1 < max_len:
                     stack.append((w, path_v + [w], path_e + [eid]))
-
-    x_axis = set(dual.dual_x_axis)
-
-    def paths_from(a):
-        stack = [(a, {a}, [])]
-        while stack:
-            v, used, path_e = stack.pop()
-            for eid, w in adj[v]:
-                if w == v or w in used:
-                    continue
-                if w in x_axis:
-                    if w > a:
-                        yield emit("path", path_e + [eid])
-                    continue
-                if len(path_e) + 1 < max_len:
-                    stack.append((w, used | {w}, path_e + [eid]))
-
-    for root in range(n):
-        yield from circuits_from(root)
-    for a in dual.dual_x_axis:
-        yield from paths_from(a)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .disorder import CouplingConfig
-from .lattice import (BoxGeometry, DualGeometry, build_box, build_dual,
+from .lattice import (BoxGeometry, build_box, build_dual,
                       connected_subsets, dual_circuits_and_paths,
                       horizontal_edges_per_row)
 
@@ -338,8 +338,8 @@ def _dual_flip_sets(width, height, max_len):
             for kind, eids in dual_circuits_and_paths(dual, max_len)]
 
 
-def verify_gsp(geom: BoxGeometry, dual: DualGeometry, J: CouplingConfig,
-               spins, max_subset_size: int = 3, max_dual_len: int = 6,
+def verify_gsp(geom: BoxGeometry, J: CouplingConfig, spins,
+               max_subset_size: int = 3, max_dual_len: int = 6,
                exclude: tuple[int, ...] = ()) -> GspReport:
     """Report every finite-volume ground-state-property violation.
 

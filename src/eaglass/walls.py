@@ -37,15 +37,6 @@ class Interface:
     dual: DualGeometry
     edge_ids: frozenset[int]
 
-    @property
-    def dual_vertices(self) -> frozenset[int]:
-        out = set()
-        for eid in self.edge_ids:
-            d = self.dual.dual_edges[eid]
-            out.add(d.a)
-            out.add(d.b)
-        return frozenset(out)
-
     def is_empty(self) -> bool:
         return not self.edge_ids
 
@@ -95,8 +86,9 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def domain_walls(iface: Interface, dual: DualGeometry) -> list[DomainWall]:
+def domain_walls(iface: Interface) -> list[DomainWall]:
     """Partition an interface into connected components of the dual graph."""
+    dual = iface.dual
     uf = _UnionFind()
     for eid in iface.edge_ids:
         d = dual.dual_edges[eid]
@@ -185,79 +177,40 @@ def wall_bound_check(grid: WallCountGrid) -> CheckReport:
     return CheckReport(tuple(violations))
 
 
-def no_double_tether_check(walls, dual: DualGeometry,
-                           excluded_dual_edges=()) -> CheckReport:
-    """Assert tethered walls are pairwise vertex-disjoint and that no wall
-    joins two distinct dual-x-axis vertices by a dual path.
-
-    ``excluded_dual_edges`` removes edges whose flip region necessarily meets
-    a clamped set (the clamped edge of a critical contour): joins that exist
-    only through them are legitimate and not reported.
-    """
-    excluded = frozenset(excluded_dual_edges)
-    x_axis = set(dual.dual_x_axis)
-    violations = []
-
-    tethered = [w for w in walls if w.tethered]
-    for i in range(len(tethered)):
-        for j in range(i + 1, len(tethered)):
-            common = tethered[i].dual_vertices & tethered[j].dual_vertices
-            if common:
-                violations.append({"kind": "shared_vertex",
-                                   "walls": (i, j),
-                                   "vertices": tuple(sorted(common))})
-
-    for wi, w in enumerate(walls):
-        allowed = sorted(w.edge_ids - excluded)
-        uf = _UnionFind()
-        for eid in allowed:
-            d = dual.dual_edges[eid]
-            uf.union(d.a, d.b)
-        by_root: dict[int, list[int]] = {}
-        for v in sorted(w.dual_vertices & x_axis):
-            by_root.setdefault(uf.find(v) if v in uf.parent else v, []).append(v)
-        for root, verts in by_root.items():
-            if len(verts) > 1:
-                path = _dual_path(dual, allowed, verts[0], verts[1])
-                violations.append({"kind": "x_axis_join", "wall": wi,
-                                   "vertices": (verts[0], verts[1]),
-                                   "path_edges": tuple(path)})
-    return CheckReport(tuple(violations))
-
-
-def interface_cycle_check(iface: Interface, dual: DualGeometry,
+def interface_cycle_check(iface: Interface,
                           excluded_dual_edges=()) -> CheckReport:
-    """Assert no dual circuit lies entirely inside the interface.
+    """Assert the interface holds no closed dual contour: no dual circuit and
+    no dual path joining two dual-x-axis vertices.
 
-    Flipping the region a circuit encloses is admissible for both exact
-    source states (given clamp-crossing edges are excluded), so a circuit
-    inside the interface would make a strictly positive sum equal its own
-    negation.  Detected as a cycle of the interface's dual subgraph.
+    Flipping the region such a contour encloses is admissible for both exact
+    source states, so a contour inside the interface would make a strictly
+    positive sum equal its own negation.  Both kinds are cycles of the closed
+    dual, found by one union-find.  ``excluded_dual_edges`` removes edges
+    whose flip region necessarily meets a clamped set (the clamped edge of a
+    critical contour): contours through them are legitimate.
     """
-    excluded = frozenset(excluded_dual_edges)
+    closed = iface.dual.closed
     uf = _UnionFind()
     violations = []
-    allowed = sorted(iface.edge_ids - excluded)
     placed = []
-    for eid in allowed:
-        d = dual.dual_edges[eid]
-        if d.a == d.b or uf.find(d.a) == uf.find(d.b):
-            cycle = _dual_path(dual, placed, d.a, d.b) if d.a != d.b else []
-            violations.append({"kind": "interface_cycle", "closing_edge": eid,
-                               "cycle_edges": tuple(cycle) + (eid,)})
+    for eid in sorted(iface.edge_ids - frozenset(excluded_dual_edges)):
+        a, b = closed[eid]
+        if uf.find(a) == uf.find(b):
+            violations.append({"kind": "closed_contour", "closing_edge": eid,
+                               "edges": _path(closed, placed, a, b) + (eid,)})
         else:
-            uf.union(d.a, d.b)
+            uf.union(a, b)
             placed.append(eid)
     return CheckReport(tuple(violations))
 
 
-def _dual_path(dual, edge_ids, a, b):
+def _path(closed, edge_ids, a, b) -> tuple[int, ...]:
     """BFS path (as dual edge ids) from a to b inside the given edge set."""
     adj: dict[int, list[tuple[int, int]]] = {}
     for eid in edge_ids:
-        d = dual.dual_edges[eid]
-        adj.setdefault(d.a, []).append((eid, d.b))
-        adj.setdefault(d.b, []).append((eid, d.a))
+        u, v = closed[eid]
+        adj.setdefault(u, []).append((eid, v))
+        adj.setdefault(v, []).append((eid, u))
     prev = {a: None}
     queue = [a]
     while queue:
@@ -268,14 +221,12 @@ def _dual_path(dual, edge_ids, a, b):
             if w not in prev:
                 prev[w] = (eid, v)
                 queue.append(w)
-    if b not in prev:
-        return []
     path = []
     v = b
     while prev[v] is not None:
         eid, v = prev[v]
         path.append(eid)
-    return path[::-1]
+    return tuple(path[::-1])
 
 
 def dump_interface_csv(iface: Interface, walls, path) -> None:

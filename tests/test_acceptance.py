@@ -57,12 +57,11 @@ def test_criterion_1_oracle_equivalence():
 
 def test_criterion_2_gsp_verification():
     g = build_box(5, 5)
-    d = build_dual(5, 5)
     violations = 0
     for i in range(200):
         J = sample_couplings(g, GAUSS, SEED + 2, i)
         gsp = solve(g, J)
-        rep = verify_gsp(g, d, J, gsp, max_subset_size=3, max_dual_len=6)
+        rep = verify_gsp(g, J, gsp, max_subset_size=3, max_dual_len=6)
         violations += len(rep.violations)
     report("2 GSP verification", violations == 0,
            f"200 instances, {violations} violations")
@@ -91,7 +90,6 @@ def test_criterion_3_critical_value():
 
 def test_criterion_4_exterior_energy_properties():
     g = build_box(4, 4)
-    d = build_dual(4, 4)
     worst_add = worst_invar = 0.0
     clamped_violations = 0
     for i in range(100):
@@ -115,7 +113,7 @@ def test_criterion_4_exterior_energy_properties():
         assert r12.state_a.same_pair(r12b.state_a), i
         assert r12.state_b.same_pair(r12b.state_b), i
         worst_invar = max(worst_invar, abs(r12.delta_e_ext - r12b.delta_e_ext))
-        rep = verify_gsp(g, d, J, r12.state_a, max_subset_size=3,
+        rep = verify_gsp(g, J, r12.state_a, max_subset_size=3,
                          max_dual_len=6, exclude=verts)
         clamped_violations += len(rep.violations)
     report("4 exterior energy properties",

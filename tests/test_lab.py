@@ -45,6 +45,15 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         make("two_bond_map", width=1, height=3)  # default edge is horizontal
     with pytest.raises(ConfigError):
+        make("flip_sweep", width=3, height=2)  # default v:0,1 not in box
+    with pytest.raises(ConfigError):
+        make("flip_sweep", edge="h:9,0")
+    with pytest.raises(ConfigError):
+        make("contour_stats", edge="v:0,9")
+    with pytest.raises(ConfigError):
+        make("wall_stats", width=7, height=7, proxy="excited_pair",
+             n_list=[1], k_list=[0], edge="h:0,9")
+    with pytest.raises(ConfigError):
         run(dict(kind="solve", width=3, height=3, subset_budget=0))
     with pytest.raises(ConfigError):
         run(dict(kind="solve", width=3, height=3, dual_budget=0))

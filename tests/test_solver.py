@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from eaglass.disorder import CouplingConfig, DistributionSpec, sample_couplings
 from eaglass.errors import BudgetExceededError
-from eaglass.lattice import build_box, build_dual
+from eaglass.lattice import build_box
 from eaglass.solver import (Clamp, brute_force, canonicalize, energy, solve,
                             verify_gsp)
 
@@ -163,35 +163,32 @@ def test_budget_errors():
 
 def test_verify_gsp_ferromagnet():
     g = build_box(3, 3)
-    d = build_dual(3, 3)
     J = hand_couplings(g, 1.0)
     all_up = np.ones(9, dtype=np.int8)
-    rep = verify_gsp(g, d, J, all_up, max_subset_size=4, max_dual_len=6)
+    rep = verify_gsp(g, J, all_up, max_subset_size=4, max_dual_len=6)
     assert rep.passed
     flipped = all_up.copy()
     flipped[4] = -1
-    rep2 = verify_gsp(g, d, J, flipped, max_subset_size=2, max_dual_len=4)
+    rep2 = verify_gsp(g, J, flipped, max_subset_size=2, max_dual_len=4)
     assert not rep2.passed
     assert any(v.kind == "subset" and v.items == (4,) for v in rep2.violations)
 
 
 def test_verify_gsp_solver_output_sweep():
     g = build_box(5, 5)
-    d = build_dual(5, 5)
     for i in range(40):
         J = sample_couplings(g, GAUSS, 555, i)
         sp = solve(g, J)
-        rep = verify_gsp(g, d, J, sp, max_subset_size=3, max_dual_len=6)
+        rep = verify_gsp(g, J, sp, max_subset_size=3, max_dual_len=6)
         assert rep.passed, rep.violations
 
 
 def test_verify_gsp_exclusion():
     g = build_box(3, 3)
-    d = build_dual(3, 3)
     J = sample_couplings(g, GAUSS, 13, 0)
     cl = Clamp.opposite_pair(0, 4)
     sp = solve(g, J, cl)
-    rep = verify_gsp(g, d, J, sp, max_subset_size=3, max_dual_len=6,
+    rep = verify_gsp(g, J, sp, max_subset_size=3, max_dual_len=6,
                      exclude=(0, 4))
     assert rep.passed, rep.violations
     assert rep.checked_duals == 0  # dual flips skipped for clamped states

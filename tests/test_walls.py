@@ -80,14 +80,14 @@ def test_single_flip_walls():
     # interior vertex: the four surrounding dual edges, untethered
     mid = base.copy()
     mid[12] = -mid[12]
-    walls = wl.domain_walls(wl.interface(g, d, J, base, mid), d)
+    walls = wl.domain_walls(wl.interface(g, d, J, base, mid))
     assert len(walls) == 1
     assert len(walls[0].edge_ids) == 4
     assert not walls[0].tethered
     # bottom-row vertex: three dual edges, tethered
     bot = base.copy()
     bot[2] = -bot[2]
-    walls_b = wl.domain_walls(wl.interface(g, d, J, base, bot), d)
+    walls_b = wl.domain_walls(wl.interface(g, d, J, base, bot))
     assert len(walls_b) == 1
     assert len(walls_b[0].edge_ids) == 3
     assert walls_b[0].tethered
@@ -95,7 +95,7 @@ def test_single_flip_walls():
     two = base.copy()
     two[2] = -two[2]
     two[22] = -two[22]
-    walls_2 = wl.domain_walls(wl.interface(g, d, J, base, two), d)
+    walls_2 = wl.domain_walls(wl.interface(g, d, J, base, two))
     assert len(walls_2) == 2
 
 
@@ -108,7 +108,7 @@ def test_wall_decomposition_matches_flood_fill(idx):
     rng = np.random.default_rng(idx + 1)
     a, b = random_signs(rng, 16), random_signs(rng, 16)
     iface = wl.interface(g, d, J, a, b)
-    walls = wl.domain_walls(iface, d)
+    walls = wl.domain_walls(iface)
     assert {w.edge_ids for w in walls} == flood_fill_walls(iface, d)
     # walls partition the interface
     union = set()
@@ -116,6 +116,10 @@ def test_wall_decomposition_matches_flood_fill(idx):
         assert not union & w.edge_ids
         union |= w.edge_ids
     assert union == set(iface.edge_ids)
+    # components of one graph share no dual vertex
+    for i, w1 in enumerate(walls):
+        for w2 in walls[i + 1:]:
+            assert not w1.dual_vertices & w2.dual_vertices
     xs = set(d.dual_x_axis)
     for w in walls:
         assert w.tethered == bool(w.dual_vertices & xs)
@@ -155,7 +159,7 @@ def test_count_Nnk_monotone_in_n():
     a = solve(g, J).signs
     rng = np.random.default_rng(3)
     b = random_signs(rng, g.n_vertices)
-    walls = wl.domain_walls(wl.interface(g, d, J, a, b), d)
+    walls = wl.domain_walls(wl.interface(g, d, J, a, b))
     for k in (0, 1, 2):
         counts = [wl.count_Nnk(walls, n, k, d) for n in (1, 2, 3, 4)]
         assert counts == sorted(counts)
@@ -191,29 +195,27 @@ def test_no_double_tether_negative_control():
     e_up = g.edge_by_key[("h", g.abs_col(1), 0)]
     e_across = g.edge_by_key[("v", g.abs_col(2), 0)]
     e_down = g.edge_by_key[("h", g.abs_col(2), 0)]
-    wall = hand_wall(d, [e_up, e_across, e_down], True)
-    rep = wl.no_double_tether_check([wall], d)
+    iface = wl.Interface(g, d, frozenset((e_up, e_across, e_down)))
+    rep = wl.interface_cycle_check(iface)
     assert not rep.passed
-    viol = rep.violations[0]
-    assert viol["kind"] == "x_axis_join"
-    assert set(viol["path_edges"]) == {e_up, e_across, e_down}
+    assert set(rep.violations[0]["edges"]) == {e_up, e_across, e_down}
     # excluding a path edge legitimizes the join
-    rep2 = wl.no_double_tether_check([wall], d,
-                                     excluded_dual_edges={e_across})
-    assert rep2.passed
-    assert wl.no_double_tether_check([], d).passed
+    assert wl.interface_cycle_check(iface,
+                                    excluded_dual_edges={e_across}).passed
+    assert wl.interface_cycle_check(wl.Interface(g, d, frozenset())).passed
 
 
-def test_shared_vertex_violation_detected():
-    g = build_box(5, 4)
-    d = build_dual(5, 4)
-    e1 = g.edge_by_key[("h", g.abs_col(1), 0)]
-    e2 = g.edge_by_key[("h", g.abs_col(2), 0)]
-    shared = g.edge_by_key[("v", g.abs_col(2), 0)]
-    w1 = hand_wall(d, [e1, shared], True)
-    w2 = hand_wall(d, [e2, shared], True)
-    rep = wl.no_double_tether_check([w1, w2], d)
-    assert any(v["kind"] == "shared_vertex" for v in rep.violations)
+def closed_contour_oracle(iface):
+    """Flood-fill oracle on the open dual: a closed contour exists iff some
+    component holds a circuit (edges != vertices - 1) or two dual-x-axis
+    vertices."""
+    dual = iface.dual
+    xs = set(dual.dual_x_axis)
+    for comp in flood_fill_walls(iface, dual):
+        verts = {v for eid in comp for v in dual.dual_edges[eid][1:]}
+        if len(comp) != len(verts) - 1 or len(verts & xs) > 1:
+            return True
+    return False
 
 
 def test_interface_cycle_check():
@@ -225,14 +227,40 @@ def test_interface_cycle_check():
     mid = base.copy()
     mid[12] = -mid[12]
     iface = wl.interface(g, d, J, base, mid)
-    rep = wl.interface_cycle_check(iface, d)
+    rep = wl.interface_cycle_check(iface)
     assert not rep.passed
-    assert len(rep.violations[0]["cycle_edges"]) == 4
+    assert len(rep.violations[0]["edges"]) == 4
     # excluding one cycle edge makes the rest a tree
     one = next(iter(iface.edge_ids))
-    assert wl.interface_cycle_check(iface, d, excluded_dual_edges={one}).passed
+    assert wl.interface_cycle_check(iface, excluded_dual_edges={one}).passed
     assert wl.interface_cycle_check(
-        wl.Interface(g, d, frozenset()), d).passed
+        wl.Interface(g, d, frozenset())).passed
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(2, 5), st.integers(0, 10**6))
+def test_cycle_check_matches_oracle(w, h, idx):
+    g = build_box(w, h)
+    d = build_dual(w, h)
+    J = sample_couplings(g, GAUSS, 71, idx)
+    rng = np.random.default_rng(idx)
+    base = solve(g, J).signs
+    flipped = base * random_signs(rng, g.n_vertices)
+    iface = wl.interface(g, d, J, base, flipped)
+    edges = sorted(iface.edge_ids)
+    excluded = {int(e) for e in rng.permutation(edges)[:rng.integers(3)]}
+    rep = wl.interface_cycle_check(iface, excluded_dual_edges=excluded)
+    allowed = set(edges) - excluded
+    assert rep.passed == (
+        not closed_contour_oracle(wl.Interface(g, d, frozenset(allowed))))
+    # every witness is a cycle of the closed dual inside the allowed edges
+    for viol in rep.violations:
+        assert set(viol["edges"]) <= allowed
+        degree = {}
+        for eid in viol["edges"]:
+            for v in d.closed[eid]:
+                degree[v] = degree.get(v, 0) + 1
+        assert set(degree.values()) == {2}
 
 
 def test_interface_csv_dump(tmp_path):
@@ -243,7 +271,7 @@ def test_interface_csv_dump(tmp_path):
     other = base.copy()
     other[7] = -other[7]
     iface = wl.interface(g, d, J, base, other)
-    walls = wl.domain_walls(iface, d)
+    walls = wl.domain_walls(iface)
     path = tmp_path / "iface.csv"
     wl.dump_interface_csv(iface, walls, path)
     lines = path.read_text().strip().splitlines()

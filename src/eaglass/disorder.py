@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from hashlib import blake2b
 from statistics import NormalDist
 
@@ -76,12 +76,10 @@ def _edge_uniform(master_seed: int, sample_index: int, key: tuple) -> float:
     return ((u64 >> 11) + 0.5) * 2.0**-53
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CouplingConfig:
     geom: BoxGeometry
-    values: np.ndarray = field(compare=False)
-    provenance: dict = field(compare=False)
-    modifications: tuple = ()
+    values: np.ndarray
 
     def __post_init__(self):
         if len(self.values) != self.geom.n_edges:
@@ -94,19 +92,13 @@ class CouplingConfig:
         return float(self.values[edge_id])
 
     def with_value(self, edge_id: int, new_value: float) -> "CouplingConfig":
-        vals = self.values.copy()
-        old = float(vals[edge_id])
-        vals[edge_id] = new_value
-        vals.setflags(write=False)
-        return replace(self, values=vals,
-                       provenance={**self.provenance, "modified": True},
-                       modifications=self.modifications + ((edge_id, old, float(new_value)),))
+        return self.with_values({edge_id: new_value})
 
     def with_values(self, updates: dict[int, float]) -> "CouplingConfig":
-        cfg = self
-        for eid, val in sorted(updates.items()):
-            cfg = cfg.with_value(eid, val)
-        return cfg
+        vals = self.values.copy()
+        for eid, val in updates.items():
+            vals[eid] = val
+        return CouplingConfig(self.geom, vals)
 
 
 def sample_couplings(geom: BoxGeometry, dist: DistributionSpec,
@@ -114,9 +106,7 @@ def sample_couplings(geom: BoxGeometry, dist: DistributionSpec,
     vals = np.empty(geom.n_edges, dtype=np.float64)
     for e in geom.edges:
         vals[e.id] = dist.from_uniform(_edge_uniform(master_seed, sample_index, e.key))
-    return CouplingConfig(geom, vals,
-                          {"dist": dist.to_dict(), "master_seed": master_seed,
-                           "sample_index": sample_index})
+    return CouplingConfig(geom, vals)
 
 
 def supersatisfied_threshold(J: CouplingConfig, edge_id: int) -> float:
@@ -133,18 +123,14 @@ def supersatisfied_threshold(J: CouplingConfig, edge_id: int) -> float:
     return min(sums)
 
 
-def super_satisfy(J: CouplingConfig, edge_id: int, sign: int,
-                  margin: float | None = None) -> CouplingConfig:
-    """Replace J_b with sign * (threshold + margin), forcing the edge's
-    relative sign in every ground state pair."""
+def super_satisfy(J: CouplingConfig, edge_id: int,
+                  sign: int) -> CouplingConfig:
+    """Replace J_b with sign * (threshold + 1e-6 * (1 + threshold)), forcing
+    the edge's relative sign in every ground state pair."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     thr = supersatisfied_threshold(J, edge_id)
-    if margin is None:
-        margin = 1e-6 * (1.0 + thr)
-    if not margin > 0:
-        raise ValueError("margin must be > 0")
-    return J.with_value(edge_id, sign * (thr + margin))
+    return J.with_value(edge_id, sign * (thr + 1e-6 * (1.0 + thr)))
 
 
 def save_couplings_csv(J: CouplingConfig, path) -> None:
@@ -174,4 +160,4 @@ def load_couplings_csv(geom: BoxGeometry, path) -> CouplingConfig:
             vals[eid] = float(row["value"])
     if np.any(np.isnan(vals)):
         raise ValueError("missing edges in CSV")
-    return CouplingConfig(geom, vals, {"loaded": str(path)})
+    return CouplingConfig(geom, vals)

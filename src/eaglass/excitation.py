@@ -27,11 +27,11 @@ from .disorder import CouplingConfig
 from .errors import BudgetExceededError
 from .lattice import BoxGeometry
 from .solver import Clamp, SpinPair, _spin_products, solve
+from .walls import Interface, interface
 
 
 @dataclass(frozen=True)
 class ExcitationRecord:
-    a_vertices: tuple[int, ...]
     clamp_a: Clamp
     clamp_b: Clamp
     state_a: SpinPair
@@ -55,16 +55,16 @@ def interior_hamiltonian(geom: BoxGeometry, J: CouplingConfig, clamp: Clamp) -> 
     return -fsum((J.values * prod)[prod != 0])
 
 
-def excitation(geom: BoxGeometry, J: CouplingConfig, a_vertices,
+def excitation(geom: BoxGeometry, J: CouplingConfig,
                eta: Clamp, eta_prime: Clamp) -> ExcitationRecord:
-    a = tuple(sorted(a_vertices))
-    if tuple(eta.vertices) != a or tuple(eta_prime.vertices) != a:
-        raise ValueError("clamps must live on the set A")
+    """Excitation from eta to eta_prime on their common vertex set A."""
+    if eta.vertices != eta_prime.vertices:
+        raise ValueError("clamps must live on the same set A")
     state_a = solve(geom, J, eta)
     state_b = solve(geom, J, eta_prime)
     delta_e = state_a.energy - state_b.energy
     h = interior_hamiltonian(geom, J, eta) - interior_hamiltonian(geom, J, eta_prime)
-    return ExcitationRecord(a, eta, eta_prime, state_a, state_b,
+    return ExcitationRecord(eta, eta_prime, state_a, state_b,
                             delta_e, h, delta_e - h)
 
 
@@ -72,15 +72,8 @@ def edge_excitation(geom: BoxGeometry, J: CouplingConfig, edge_id: int
                     ) -> ExcitationRecord:
     """Excitation from the edge's +_b clamp (equal endpoints) to its -_b one."""
     e = geom.edges[edge_id]
-    return excitation(geom, J, (e.u, e.v),
-                      Clamp.equal_pair(e.u, e.v), Clamp.opposite_pair(e.u, e.v))
-
-
-def b_excited_states(geom: BoxGeometry, J: CouplingConfig, edge_id: int
-                     ) -> tuple[SpinPair, SpinPair]:
-    """The minimizers with the edge's endpoint product forced +1 / -1."""
-    rec = edge_excitation(geom, J, edge_id)
-    return rec.state_a, rec.state_b
+    return excitation(geom, J, Clamp.equal_pair(e.u, e.v),
+                      Clamp.opposite_pair(e.u, e.v))
 
 
 def critical_value(geom: BoxGeometry, J: CouplingConfig, edge_id: int) -> float:
@@ -115,8 +108,7 @@ def flip_census(geom: BoxGeometry, J: CouplingConfig, edge_id: int,
                       trans[0] if len(trans) == 1 else None)
 
 
-def locate_flip(geom: BoxGeometry, J: CouplingConfig, edge_id: int,
-                iterations: int = 60, bound: float = 1e12
+def locate_flip(geom: BoxGeometry, J: CouplingConfig, edge_id: int
                 ) -> tuple[float, float]:
     """Certified enclosure of the critical value by doubling plus bisection.
 
@@ -130,13 +122,13 @@ def locate_flip(geom: BoxGeometry, J: CouplingConfig, edge_id: int,
     lo, hi = -1.0, 1.0
     while label(lo) > 0:
         lo *= 2.0
-        if lo < -bound:
+        if lo < -1e12:
             raise BudgetExceededError("no lower bracket for flip point")
     while label(hi) < 0:
         hi *= 2.0
-        if hi > bound:
+        if hi > 1e12:
             raise BudgetExceededError("no upper bracket for flip point")
-    for _ in range(iterations):
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -164,7 +156,6 @@ class CriticalSet2:
     c4: float
     case_kind: str                    # "cross" | "positive_diag" | "negative_diag"
     segments: tuple[dict, ...]
-    states: dict = field(compare=False)   # (eta_b, eta_e) -> SpinPair
     f_values: dict = field(compare=False)  # (eta_b, eta_e) -> float
 
     def to_json_dict(self) -> dict:
@@ -197,11 +188,9 @@ def two_bond_critical_set(geom: BoxGeometry, J: CouplingConfig,
         raise ValueError("edges must differ")
     jb0 = J.value(edge_b)
     je0 = J.value(edge_e)
-    states = {}
     f_values = {}
     for eta_b, eta_e in _COMBOS:
         st = _pair_state(geom, J, edge_b, edge_e, eta_b, eta_e)
-        states[(eta_b, eta_e)] = st
         # exterior part: strip the two constrained couplings from the energy
         f_values[(eta_b, eta_e)] = st.energy + jb0 * eta_b + je0 * eta_e
     F = f_values
@@ -249,7 +238,7 @@ def two_bond_critical_set(geom: BoxGeometry, J: CouplingConfig,
              "separates": ["-b-e", "+b+e"]},
         )
     return CriticalSet2(edge_b, edge_e, c1, c2, c3, c4, case, segments,
-                        states, f_values)
+                        f_values)
 
 
 def analytic_label(cs: CriticalSet2, jb: float, je: float) -> tuple[int, int]:
@@ -326,17 +315,11 @@ class ConsistencyReport:
     checks: tuple[dict, ...]
     max_abs_err: float
 
-    def passed(self, tol: float = 1e-9) -> bool:
-        return self.max_abs_err <= tol
-
 
 def consistency_check(geom: BoxGeometry, J: CouplingConfig,
-                      edge_b: int, edge_e: int,
-                      cs: CriticalSet2 | None = None) -> ConsistencyReport:
+                      cs: CriticalSet2) -> ConsistencyReport:
     """Recompute single-bond critical values in each region of the other
     coupling and compare with the piecewise formulas of the critical set."""
-    if cs is None:
-        cs = two_bond_critical_set(geom, J, edge_b, edge_e)
     delta = 1.0 + 0.1 * (abs(cs.c1) + abs(cs.c2) + abs(cs.c3) + abs(cs.c4))
     lo_e, hi_e = min(cs.c3, cs.c4), max(cs.c3, cs.c4)
     lo_b, hi_b = min(cs.c1, cs.c2), max(cs.c1, cs.c2)
@@ -349,13 +332,13 @@ def consistency_check(geom: BoxGeometry, J: CouplingConfig,
             reps_b.append(("middle", 0.5 * (lo_b + hi_b)))
     checks = []
     for region, je in reps_e:
-        got = critical_value(geom, J.with_value(edge_e, je), edge_b)
+        got = critical_value(geom, J.with_value(cs.edge_e, je), cs.edge_b)
         want = expected_critical_b(cs, je)
         checks.append({"edge": "b", "region": region, "other_value": je,
                        "recomputed": got, "expected": want,
                        "abs_err": abs(got - want)})
     for region, jb in reps_b:
-        got = critical_value(geom, J.with_value(edge_b, jb), edge_e)
+        got = critical_value(geom, J.with_value(cs.edge_b, jb), cs.edge_e)
         want = expected_critical_e(cs, jb)
         checks.append({"edge": "e", "region": region, "other_value": jb,
                        "recomputed": got, "expected": want,
@@ -398,8 +381,11 @@ def grid_labels_enumeration(geom: BoxGeometry, J: CouplingConfig,
     return out
 
 
-def critical_contour(geom: BoxGeometry, dual, J: CouplingConfig, edge_id: int):
-    """Interface between the two b-excited states; always contains b's dual edge."""
-    from .walls import interface
-    plus, minus = b_excited_states(geom, J, edge_id)
-    return interface(geom, dual, J, plus, minus)
+def critical_contour(geom: BoxGeometry, J: CouplingConfig,
+                     edge_id: int) -> Interface:
+    """Interface between the minimizers with the edge's endpoint product
+    forced +1 and -1; always contains the edge's dual."""
+    e = geom.edges[edge_id]
+    plus = solve(geom, J, Clamp.equal_pair(e.u, e.v))
+    minus = solve(geom, J, Clamp.opposite_pair(e.u, e.v))
+    return interface(geom, J, plus, minus)

@@ -28,7 +28,7 @@ from . import walls as wl
 from .disorder import (CouplingConfig, DistributionSpec, sample_couplings,
                        super_satisfy, supersatisfied_threshold)
 from .errors import ConfigError, HardAssertionFailure, SampleError
-from .lattice import BoxGeometry, build_box, build_dual
+from .lattice import BoxGeometry, build_box
 from .solver import (MAX_SOLVE_WIDTH, Clamp, brute_force, solve,
                      verify_gsp)
 
@@ -199,18 +199,22 @@ def _validate_wall_stats(cfg: ExperimentConfig) -> None:
         raise ConfigError("k_list exceeds box height")
 
 
-def _validate_ladder(cfg: ExperimentConfig) -> None:
+def _validate_convergence(cfg: ExperimentConfig) -> None:
+    if len(cfg.n_list) < 1:
+        raise ConfigError("convergence requires a non-empty n_list")
+    if list(cfg.n_list) != sorted(set(cfg.n_list)):
+        raise ConfigError("n_list must be strictly increasing")
+    _validate_ladder(cfg, cfg.n_list)
+
+
+def _validate_uniqueness_probe(cfg: ExperimentConfig) -> None:
+    if not cfg.n_pairs:
+        raise ConfigError("uniqueness_probe requires n_pairs")
+    _validate_ladder(cfg, [n for pair in cfg.n_pairs for n in pair])
+
+
+def _validate_ladder(cfg: ExperimentConfig, ns) -> None:
     """Nested square boxes of half-width n around a fixed window."""
-    if cfg.kind == "convergence":
-        if len(cfg.n_list) < 1:
-            raise ConfigError("convergence requires a non-empty n_list")
-        if list(cfg.n_list) != sorted(set(cfg.n_list)):
-            raise ConfigError("n_list must be strictly increasing")
-        ns = list(cfg.n_list)
-    else:
-        if not cfg.n_pairs:
-            raise ConfigError("uniqueness_probe requires n_pairs")
-        ns = [n for pair in cfg.n_pairs for n in pair]
     n_min, n_max = min(ns), max(ns)
     if n_min < 1:
         raise ConfigError("box index n must be >= 1")
@@ -314,7 +318,6 @@ def _window_signatures(cfg: ExperimentConfig, i: int, ns) -> tuple[list, dict]:
 def _flip_contour(cfg: ExperimentConfig, i: int):
     """An edge and its critical contour."""
     geom = build_box(cfg.width, cfg.height)
-    dual = build_dual(cfg.width, cfg.height)
     J = sample_couplings(geom, cfg.dist, cfg.master_seed, i)
     if cfg.edge:
         b = _resolve_edge(geom, cfg.edge)
@@ -323,7 +326,7 @@ def _flip_contour(cfg: ExperimentConfig, i: int):
         # invariant under rotations of the cylinder
         col = int(_sample_rng(cfg, i, tag=3).integers(geom.width))
         b = geom.edge_by_key[("h", geom.abs_col(col), 0)]
-    return b, exc.critical_contour(geom, dual, J, b)
+    return b, exc.critical_contour(geom, J, b)
 
 
 # --------------------------------------------------------------------------
@@ -352,10 +355,7 @@ def proxy_nested_volumes(cfg, index):
     v = np.arange(small.n_vertices)
     sat_b = wl.satisfaction(small, j_small,
                             beta.signs[v + 2 * (v // small.width) + 1])
-    dual = build_dual(cfg.width, cfg.height)
-    iface = wl.interface_from_satisfaction(small, dual, sat_a, sat_b,
-                                           edge_ids=shared)
-    return iface, frozenset()
+    return wl.interface_from_satisfaction(small, sat_a, sat_b, shared)
 
 
 def proxy_perturbed_exterior(cfg, index):
@@ -369,15 +369,12 @@ def proxy_perturbed_exterior(cfg, index):
     window = np.flatnonzero(np.maximum(geom.eu, geom.ev) // geom.width <= band)
     vals = j_alt.values.copy()
     vals[window] = j_base.values[window]
-    j_pert = CouplingConfig(geom, vals, {"perturbed_from": index, "band": band})
+    j_pert = CouplingConfig(geom, vals)
     alpha = solve(geom, j_base)
     beta = solve(geom, j_pert)
     sat_a = wl.satisfaction(geom, j_base, alpha)
     sat_b = wl.satisfaction(geom, j_pert, beta)
-    dual = build_dual(cfg.width, cfg.height)
-    iface = wl.interface_from_satisfaction(geom, dual, sat_a, sat_b,
-                                           edge_ids=window)
-    return iface, frozenset()
+    return wl.interface_from_satisfaction(geom, sat_a, sat_b, window)
 
 
 # --------------------------------------------------------------------------
@@ -446,7 +443,7 @@ def _run_two_bond(cfg: ExperimentConfig, i: int) -> dict:
     _hard(mismatches == 0,
           f"{mismatches} grid cells disagree with the analytic critical set",
           cfg, i)
-    cons = exc.consistency_check(geom, J, b, e, cs)
+    cons = exc.consistency_check(geom, J, cs)
     _hard(cons.max_abs_err <= cfg.tol,
           f"piecewise critical-value identity off by {cons.max_abs_err}", cfg, i)
     return {"sample": i, "critical_set": cs.to_json_dict(),
@@ -468,13 +465,14 @@ def _run_contour_stats(cfg: ExperimentConfig, i: int) -> dict:
 
 
 def _run_wall_stats(cfg: ExperimentConfig, i: int) -> dict:
+    excluded = ()
     if cfg.proxy == "excited_pair":
         b, iface = _flip_contour(cfg, i)
-        excluded = frozenset((b,))
+        excluded = (b,)
     elif cfg.proxy == "nested_volumes":
-        iface, excluded = proxy_nested_volumes(cfg, i)
+        iface = proxy_nested_volumes(cfg, i)
     else:
-        iface, excluded = proxy_perturbed_exterior(cfg, i)
+        iface = proxy_perturbed_exterior(cfg, i)
     walls = wl.domain_walls(iface)
     grid = wl.wall_count_grid(walls, cfg.n_list, cfg.k_list, iface.dual)
     bound = wl.wall_bound_check(grid)
@@ -540,7 +538,6 @@ def _random_clamp(rng, vertices) -> Clamp:
 
 def _run_property_suite(cfg: ExperimentConfig, i: int) -> dict:
     geom = build_box(cfg.width, cfg.height)
-    dual = build_dual(cfg.width, cfg.height)
     J = sample_couplings(geom, cfg.dist, cfg.master_seed, i)
     rng = _sample_rng(cfg, i, tag=5)
     checks = {}
@@ -569,16 +566,16 @@ def _run_property_suite(cfg: ExperimentConfig, i: int) -> dict:
     # exterior energy difference properties on a random small set
     a_set = _connected_random_set(geom, rng, 2 + int(rng.integers(3)))
     cl1, cl2, cl3 = (_random_clamp(rng, a_set) for _ in range(3))
-    r12 = exc.excitation(geom, J, a_set, cl1, cl2)
-    r23 = exc.excitation(geom, J, a_set, cl2, cl3)
-    r13 = exc.excitation(geom, J, a_set, cl1, cl3)
+    r12 = exc.excitation(geom, J, cl1, cl2)
+    r23 = exc.excitation(geom, J, cl2, cl3)
+    r13 = exc.excitation(geom, J, cl1, cl3)
     checks["additivity"] = abs(r12.delta_e_ext + r23.delta_e_ext
                                - r13.delta_e_ext) <= cfg.tol
-    r21 = exc.excitation(geom, J, a_set, cl2, cl1)
+    r21 = exc.excitation(geom, J, cl2, cl1)
     checks["antisymmetry"] = abs(r12.delta_e_ext + r21.delta_e_ext) <= cfg.tol
     inner = exc.interior_edges(geom, a_set)
     J_re = J.with_values({eid: float(rng.normal() * 2.0) for eid in inner})
-    r12b = exc.excitation(geom, J_re, a_set, cl1, cl2)
+    r12b = exc.excitation(geom, J_re, cl1, cl2)
     checks["interior_independence"] = (
         abs(r12.delta_e_ext - r12b.delta_e_ext) <= cfg.tol
         and r12.state_a.same_pair(r12b.state_a)
@@ -601,18 +598,18 @@ def _run_property_suite(cfg: ExperimentConfig, i: int) -> dict:
     rng.shuffle(probes)
     ok = True
     for p in probes[:max(1, cfg.probes)]:
-        contour = exc.critical_contour(geom, dual, J_ss, p)
+        contour = exc.critical_contour(geom, J_ss, p)
         ok = ok and f not in contour.edge_ids
     checks["supersatisfied_not_in_contours"] = ok
 
     # interface sanity
     checks["self_interface_empty"] = \
-        wl.interface(geom, dual, J, gsp, gsp).is_empty()
+        wl.interface(geom, J, gsp, gsp).is_empty()
     sa, sb, sc = (np.where(rng.integers(2, size=geom.n_vertices) > 0, 1, -1)
                   .astype(np.int8) for _ in range(3))
-    iab = wl.interface(geom, dual, J, sa, sb).edge_ids
-    ibc = wl.interface(geom, dual, J, sb, sc).edge_ids
-    iac = wl.interface(geom, dual, J, sa, sc).edge_ids
+    iab = wl.interface(geom, J, sa, sb).edge_ids
+    ibc = wl.interface(geom, J, sb, sc).edge_ids
+    iac = wl.interface(geom, J, sa, sc).edge_ids
     checks["interface_triangle"] = iac <= (iab | ibc)
 
     for name, passed in checks.items():
@@ -757,9 +754,9 @@ _KINDS = {
     "wall_stats": _Kind(_run_wall_stats, _aggregate_wall_stats,
                         _validate_wall_stats),
     "convergence": _Kind(_run_convergence, _aggregate_convergence,
-                         _validate_ladder),
+                         _validate_convergence),
     "uniqueness_probe": _Kind(_run_uniqueness, _aggregate_uniqueness,
-                              _validate_ladder),
+                              _validate_uniqueness_probe),
     "property_suite": _Kind(_run_property_suite, _aggregate_property_suite,
                             _validate_verified),
 }
@@ -793,8 +790,7 @@ class RunReport:
 
 
 def _sample_worker(payload):
-    core, index = payload
-    cfg = ExperimentConfig.from_dict(core)
+    cfg, index = payload
     try:
         return index, "ok", _jsonable(_KINDS[cfg.kind].sample(cfg, index))
     except HardAssertionFailure as exc_:
@@ -821,7 +817,7 @@ def run(config: ExperimentConfig | dict) -> RunReport:
         validate_config(cfg)
     start = time.monotonic()
     core = cfg.core_dict()
-    payloads = [(core, i) for i in range(cfg.samples)]
+    payloads = [(cfg, i) for i in range(cfg.samples)]
     if cfg.parallel <= 1:
         raw = [_sample_worker(p) for p in payloads]
     else:

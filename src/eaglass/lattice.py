@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import BudgetExceededError
 
-DEFAULT_ENUM_BUDGET = 10**7
+ENUM_BUDGET = 10**7     # most items one enumeration may emit
 
 
 class Edge(NamedTuple):
@@ -196,13 +196,13 @@ def build_dual(width: int, height: int) -> DualGeometry:
     return DualGeometry(W, H, tuple(duals), tuple(range(W)), closed)
 
 
-def connected_subsets(geom: BoxGeometry, max_size: int,
-                      budget: int = DEFAULT_ENUM_BUDGET) -> Iterator[tuple[int, ...]]:
+def connected_subsets(geom: BoxGeometry, max_size: int
+                      ) -> Iterator[tuple[int, ...]]:
     """Stream every connected vertex subset of size <= max_size exactly once.
 
     Enumeration grows subsets from their minimum vertex using an exclusive
     extension set, so no subset is produced twice.  Raises BudgetExceededError
-    if more than ``budget`` subsets would be emitted.
+    if more than ``ENUM_BUDGET`` subsets would be emitted.
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
@@ -219,9 +219,9 @@ def connected_subsets(geom: BoxGeometry, max_size: int,
     def emit(subset):
         nonlocal emitted
         emitted += 1
-        if emitted > budget:
+        if emitted > ENUM_BUDGET:
             raise BudgetExceededError(
-                f"connected_subsets exceeded budget of {budget} items")
+                f"connected_subsets exceeded budget of {ENUM_BUDGET} items")
         return tuple(sorted(subset))
 
     def extend(root, subset, ext, seen):
@@ -249,15 +249,15 @@ def connected_subsets(geom: BoxGeometry, max_size: int,
             yield from extend(v, [v], ext, set(ext) | {v})
 
 
-def dual_circuits_and_paths(dual: DualGeometry, max_len: int,
-                            budget: int = DEFAULT_ENUM_BUDGET
+def dual_circuits_and_paths(dual: DualGeometry, max_len: int
                             ) -> Iterator[tuple[str, tuple[int, ...]]]:
     """Stream ("circuit", edge ids) and ("path", edge ids) items.
 
     Items are the simple cycles of the closed dual with at most ``max_len``
     edges, self-loops excluded (the W=2 doubled dual edge is a 2-circuit).  A
     cycle through the ground vertex is a path between two distinct x-axis
-    vertices, which have degree <= 1.  Each item appears once.
+    vertices, which have degree <= 1.  Each item appears once; more than
+    ``ENUM_BUDGET`` items raise BudgetExceededError.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -282,10 +282,10 @@ def dual_circuits_and_paths(dual: DualGeometry, max_len: int,
                     if (path_e[0] < eid if len(path_e) == 1
                             else path_v[1] < v):
                         emitted += 1
-                        if emitted > budget:
+                        if emitted > ENUM_BUDGET:
                             raise BudgetExceededError(
                                 "dual_circuits_and_paths exceeded budget "
-                                f"of {budget} items")
+                                f"of {ENUM_BUDGET} items")
                         kind = "path" if ground in path_v else "circuit"
                         yield kind, tuple(path_e + [eid])
                     continue

@@ -169,12 +169,13 @@ def _plan(width: int, height: int):
     return store[key]
 
 
-def solve(geom: BoxGeometry, J: CouplingConfig, clamp: Clamp | None = None,
-          max_width: int = MAX_SOLVE_WIDTH) -> SpinPair:
+def solve(geom: BoxGeometry, J: CouplingConfig,
+          clamp: Clamp | None = None) -> SpinPair:
     """Exact minimizer over configurations modulo flip respecting the clamp."""
     W, H = geom.width, geom.height
-    if W > max_width:
-        raise BudgetExceededError(f"width {W} exceeds solver budget {max_width}")
+    if W > MAX_SOLVE_WIDTH:
+        raise BudgetExceededError(
+            f"width {W} exceeds solver budget {MAX_SOLVE_WIDTH}")
     forced = _forced_signs(geom, clamp)
     masks, pairs, cur, nxt, backptr, rowcost = _plan(W, H)
     # build_box numbers the horizontal edges first, row by row; the

@@ -21,7 +21,7 @@ import numpy as np
 
 from .disorder import CouplingConfig
 from .errors import ConfigError
-from .lattice import BoxGeometry, DualGeometry
+from .lattice import BoxGeometry, DualGeometry, build_dual
 from .solver import SpinPair
 
 
@@ -34,31 +34,30 @@ def satisfaction(geom: BoxGeometry, J: CouplingConfig, spins) -> np.ndarray:
 @dataclass(frozen=True)
 class Interface:
     geom: BoxGeometry
-    dual: DualGeometry
     edge_ids: frozenset[int]
+
+    @property
+    def dual(self) -> DualGeometry:
+        return build_dual(self.geom.width, self.geom.height)
 
     def is_empty(self) -> bool:
         return not self.edge_ids
 
 
-def interface_from_satisfaction(geom, dual, sat_a, sat_b,
-                                edge_ids=None) -> Interface:
-    sat_a = np.asarray(sat_a, dtype=bool)
-    sat_b = np.asarray(sat_b, dtype=bool)
-    differ = sat_a ^ sat_b
-    if edge_ids is None:
-        ids = np.flatnonzero(differ)
-    else:
-        ids = [eid for eid in edge_ids if differ[eid]]
-    return Interface(geom, dual, frozenset(int(i) for i in ids))
+def interface_from_satisfaction(geom: BoxGeometry, sat_a, sat_b,
+                                edge_ids=slice(None)) -> Interface:
+    """Edges among ``edge_ids`` (default: all) satisfied on one side only."""
+    keep = np.zeros(geom.n_edges, dtype=bool)
+    keep[edge_ids] = True
+    differ = np.asarray(sat_a, dtype=bool) ^ np.asarray(sat_b, dtype=bool)
+    return Interface(geom, frozenset(np.flatnonzero(differ & keep).tolist()))
 
 
-def interface(geom: BoxGeometry, dual: DualGeometry, J: CouplingConfig,
-              spins_a, spins_b, edge_ids=None) -> Interface:
+def interface(geom: BoxGeometry, J: CouplingConfig,
+              spins_a, spins_b) -> Interface:
     """Symmetric difference of the satisfaction sets of two configurations."""
     return interface_from_satisfaction(
-        geom, dual, satisfaction(geom, J, spins_a), satisfaction(geom, J, spins_b),
-        edge_ids=edge_ids)
+        geom, satisfaction(geom, J, spins_a), satisfaction(geom, J, spins_b))
 
 
 @dataclass(frozen=True)

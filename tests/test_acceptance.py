@@ -13,7 +13,7 @@ from eaglass import excitation as exc
 from eaglass import walls as wl
 from eaglass.disorder import DistributionSpec, sample_couplings, super_satisfy
 from eaglass.lab import run, validate_summary
-from eaglass.lattice import build_box, build_dual
+from eaglass.lattice import build_box
 from eaglass.solver import Clamp, brute_force, solve, verify_gsp
 
 GAUSS = DistributionSpec("gaussian", sigma=1.0)
@@ -81,9 +81,9 @@ def test_criterion_3_critical_value():
         rng = np.random.default_rng((SEED + 3, i))
         c2 = exc.critical_value(g, J.with_value(b, float(rng.normal() * 4)), b)
         worst_invar = max(worst_invar, abs(c - c2))
-        plus, minus = exc.b_excited_states(g, J, b)
-        assert solve(g, J.with_value(b, c + 1e-6)).same_pair(plus), i
-        assert solve(g, J.with_value(b, c - 1e-6)).same_pair(minus), i
+        rec = exc.edge_excitation(g, J, b)
+        assert solve(g, J.with_value(b, c + 1e-6)).same_pair(rec.state_a), i
+        assert solve(g, J.with_value(b, c - 1e-6)).same_pair(rec.state_b), i
     report("3 critical value", worst_bisect <= 1e-9 and worst_invar <= 1e-12,
            f"max |C-bisect|={worst_bisect:.2e}, max drift={worst_invar:.2e}")
 
@@ -101,14 +101,14 @@ def test_criterion_4_exterior_energy_properties():
         clamps = [Clamp(verts, (1,) + tuple(int(rng.integers(2)) * 2 - 1
                                             for _ in range(k - 1)))
                   for _ in range(3)]
-        r12 = exc.excitation(g, J, verts, clamps[0], clamps[1])
-        r23 = exc.excitation(g, J, verts, clamps[1], clamps[2])
-        r13 = exc.excitation(g, J, verts, clamps[0], clamps[2])
+        r12 = exc.excitation(g, J, clamps[0], clamps[1])
+        r23 = exc.excitation(g, J, clamps[1], clamps[2])
+        r13 = exc.excitation(g, J, clamps[0], clamps[2])
         worst_add = max(worst_add, abs(r12.delta_e_ext + r23.delta_e_ext
                                        - r13.delta_e_ext))
         updates = {eid: float(rng.normal() * 2)
                    for eid in exc.interior_edges(g, verts)}
-        r12b = exc.excitation(g, J.with_values(updates), verts,
+        r12b = exc.excitation(g, J.with_values(updates),
                               clamps[0], clamps[1])
         assert r12.state_a.same_pair(r12b.state_a), i
         assert r12.state_b.same_pair(r12b.state_b), i
@@ -146,7 +146,7 @@ def _two_bond_sweep(adjacent, seed, n_instances):
                 if want != (int(oracle[ix, iy, 0]), int(oracle[ix, iy, 1])):
                     mismatches += 1
         worst_cons = max(worst_cons,
-                         exc.consistency_check(g, J, b, e, cs).max_abs_err)
+                         exc.consistency_check(g, J, cs).max_abs_err)
     return worst_cross, worst_cons, mismatches
 
 
@@ -163,7 +163,6 @@ def test_criterion_5_two_bond_geometry():
 
 def test_criterion_6_super_satisfaction():
     g = build_box(5, 5)
-    d = build_dual(5, 5)
     band = 2
     bottom_edges = [e.id for e in g.edges
                     if max(g.vertex_cr(e.u)[1], g.vertex_cr(e.v)[1]) <= 1]
@@ -181,7 +180,7 @@ def test_criterion_6_super_satisfaction():
                   if e.id != f and not {e.u, e.v} & {fe.u, fe.v}]
         picks = rng.choice(len(probes), size=10, replace=False)
         for p in picks:
-            contour = exc.critical_contour(g, d, J_ss, int(probes[p]))
+            contour = exc.critical_contour(g, J_ss, int(probes[p]))
             contour_ok &= f not in contour.edge_ids
         # pair proxy: same couplings in the bottom band, redrawn above
         alt = sample_couplings(g, GAUSS, SEED + 6, i + (1 << 32))
@@ -192,10 +191,10 @@ def test_criterion_6_super_satisfaction():
                 vals[e.id] = J_ss.values[e.id]
                 window.append(e.id)
         from eaglass.disorder import CouplingConfig
-        J_pert = CouplingConfig(g, vals, {})
+        J_pert = CouplingConfig(g, vals)
         beta = solve(g, J_pert)
         iface = wl.interface_from_satisfaction(
-            g, d, wl.satisfaction(g, J_ss, gsp),
+            g, wl.satisfaction(g, J_ss, gsp),
             wl.satisfaction(g, J_pert, beta), edge_ids=window)
         proxy_ok &= f not in iface.edge_ids
     report("6 super-satisfaction", forced_ok and contour_ok and proxy_ok,

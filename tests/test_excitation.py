@@ -5,8 +5,9 @@ import pytest
 
 from eaglass import excitation as exc
 from eaglass.disorder import CouplingConfig, DistributionSpec, sample_couplings
-from eaglass.lattice import build_box, build_dual
+from eaglass.lattice import build_box
 from eaglass.solver import Clamp, brute_force, solve
+from eaglass.walls import interface
 
 GAUSS = DistributionSpec("gaussian", sigma=1.0)
 TOL = 1e-9
@@ -16,7 +17,7 @@ def test_identity_clamps_give_zero():
     g = build_box(3, 3)
     J = sample_couplings(g, GAUSS, 1, 0)
     cl = Clamp.equal_pair(0, 1)
-    rec = exc.excitation(g, J, (0, 1), cl, cl)
+    rec = exc.excitation(g, J, cl, cl)
     assert rec.delta_e == 0.0
     assert rec.h_interior == 0.0
     assert rec.delta_e_ext == 0.0
@@ -24,8 +25,8 @@ def test_identity_clamps_give_zero():
 
 def test_single_edge_box_decomposition():
     g = build_box(1, 2)
-    J = CouplingConfig(g, np.array([0.7]), {})
-    rec = exc.excitation(g, J, (0, 1),
+    J = CouplingConfig(g, np.array([0.7]))
+    rec = exc.excitation(g, J,
                          Clamp.equal_pair(0, 1), Clamp.opposite_pair(0, 1))
     assert math.isclose(rec.delta_e, -2 * 0.7)
     assert math.isclose(rec.h_interior, -2 * 0.7)
@@ -40,7 +41,7 @@ def test_record_matches_bruteforce_oracle():
     e = g.edges[b]
     a_set = (e.u, e.v)
     plus, minus = Clamp.equal_pair(*a_set), Clamp.opposite_pair(*a_set)
-    rec = exc.excitation(g, J, a_set, plus, minus)
+    rec = exc.excitation(g, J, plus, minus)
     # oracle: exhaustive clamped enumeration plus direct interior sums
     bf_plus = brute_force(g, J, plus)
     bf_minus = brute_force(g, J, minus)
@@ -90,7 +91,7 @@ def test_critical_value_zero_when_exterior_decoupled():
     g = build_box(3, 3)
     vals = np.zeros(g.n_edges)
     vals[6] = 1.3
-    J = CouplingConfig(g, vals, {})
+    J = CouplingConfig(g, vals)
     assert abs(exc.critical_value(g, J, 6)) <= 1e-15
 
 
@@ -100,9 +101,9 @@ def test_gsp_selection_around_critical_value():
         J = sample_couplings(g, GAUSS, 11, i)
         b = g.edge_by_key[("h", 0, 2)]
         c = exc.critical_value(g, J, b)
-        plus, minus = exc.b_excited_states(g, J, b)
-        assert solve(g, J.with_value(b, c + 1e-6)).same_pair(plus)
-        assert solve(g, J.with_value(b, c - 1e-6)).same_pair(minus)
+        rec = exc.edge_excitation(g, J, b)
+        assert solve(g, J.with_value(b, c + 1e-6)).same_pair(rec.state_a)
+        assert solve(g, J.with_value(b, c - 1e-6)).same_pair(rec.state_b)
 
 
 def test_flip_census_single_transition():
@@ -173,7 +174,7 @@ def test_two_bond_decoupled_cross():
     vals = np.zeros(g.n_edges)
     b, e = g.edge_by_key[("h", 0, 1)], g.edge_by_key[("v", 0, 1)]
     vals[b], vals[e] = 0.5, -0.3
-    J = CouplingConfig(g, vals, {})
+    J = CouplingConfig(g, vals)
     cs = exc.two_bond_critical_set(g, J, b, e)
     assert cs.case_kind == "cross"
     for c in (cs.c1, cs.c2, cs.c3, cs.c4):
@@ -204,7 +205,8 @@ def test_two_bond_grid_against_enumeration(adjacent):
 def test_consistency_identities(adjacent):
     for i in range(6):
         g, J, b, e = _two_bond_instance(55, i, adjacent)
-        rep = exc.consistency_check(g, J, b, e)
+        cs = exc.two_bond_critical_set(g, J, b, e)
+        rep = exc.consistency_check(g, J, cs)
         assert rep.max_abs_err <= TOL, rep.checks
 
 
@@ -247,11 +249,11 @@ def test_additivity_and_antisymmetry():
         clamps = [Clamp(verts, (1,) + tuple(int(rng.integers(2)) * 2 - 1
                                             for _ in verts[1:]))
                   for _ in range(3)]
-        r12 = exc.excitation(g, J, verts, clamps[0], clamps[1])
-        r23 = exc.excitation(g, J, verts, clamps[1], clamps[2])
-        r13 = exc.excitation(g, J, verts, clamps[0], clamps[2])
+        r12 = exc.excitation(g, J, clamps[0], clamps[1])
+        r23 = exc.excitation(g, J, clamps[1], clamps[2])
+        r13 = exc.excitation(g, J, clamps[0], clamps[2])
         assert abs(r12.delta_e_ext + r23.delta_e_ext - r13.delta_e_ext) <= TOL
-        r21 = exc.excitation(g, J, verts, clamps[1], clamps[0])
+        r21 = exc.excitation(g, J, clamps[1], clamps[0])
         assert abs(r12.delta_e_ext + r21.delta_e_ext) <= TOL
 
 
@@ -263,10 +265,10 @@ def test_interior_independence():
         verts = (0, 1, 4, 3)
         cl1 = Clamp(verts, (1, 1, -1, 1))
         cl2 = Clamp(verts, (1, -1, -1, -1))
-        rec = exc.excitation(g, J, verts, cl1, cl2)
+        rec = exc.excitation(g, J, cl1, cl2)
         updates = {eid: float(rng.normal() * 2)
                    for eid in exc.interior_edges(g, verts)}
-        rec2 = exc.excitation(g, J.with_values(updates), verts, cl1, cl2)
+        rec2 = exc.excitation(g, J.with_values(updates), cl1, cl2)
         assert rec.state_a.same_pair(rec2.state_a)
         assert rec.state_b.same_pair(rec2.state_b)
         assert abs(rec.delta_e_ext - rec2.delta_e_ext) <= TOL
@@ -278,9 +280,9 @@ def test_negating_one_coupling_preserves_exterior():
     J = sample_couplings(g, GAUSS, 404, 0)
     b = 3
     e = g.edges[b]
-    rec = exc.excitation(g, J, (e.u, e.v), Clamp.equal_pair(e.u, e.v),
+    rec = exc.excitation(g, J, Clamp.equal_pair(e.u, e.v),
                          Clamp.opposite_pair(e.u, e.v))
-    rec2 = exc.excitation(g, J.with_value(b, -J.value(b)), (e.u, e.v),
+    rec2 = exc.excitation(g, J.with_value(b, -J.value(b)),
                           Clamp.equal_pair(e.u, e.v),
                           Clamp.opposite_pair(e.u, e.v))
     assert abs(rec.delta_e_ext - rec2.delta_e_ext) <= TOL
@@ -288,23 +290,32 @@ def test_negating_one_coupling_preserves_exterior():
     assert rec.state_b.same_pair(rec2.state_b)
 
 
+def test_excitation_rejects_clamps_on_different_sets():
+    g = build_box(3, 3)
+    J = sample_couplings(g, GAUSS, 1, 0)
+    with pytest.raises(ValueError):
+        exc.excitation(g, J, Clamp.equal_pair(0, 1), Clamp.equal_pair(0, 3))
+    with pytest.raises(ValueError):
+        exc.excitation(g, J, Clamp((0, 1, 4), (1, 1, -1)),
+                       Clamp.opposite_pair(0, 1))
+
+
 def test_contour_contains_edge_dual():
     g = build_box(1, 2)
-    d = build_dual(1, 2)
-    J = CouplingConfig(g, np.array([1.1]), {})
-    iface = exc.critical_contour(g, d, J, 0)
+    J = CouplingConfig(g, np.array([1.1]))
+    iface = exc.critical_contour(g, J, 0)
     assert iface.edge_ids == frozenset({0})
 
-    g3 = build_box(3, 3)
-    d3 = build_dual(3, 3)
-    J3 = sample_couplings(g3, GAUSS, 1, 9)
-    b = g3.edge_by_key[("v", 0, 0)]
-    iface3 = exc.critical_contour(g3, d3, J3, b)
-    assert b in iface3.edge_ids
-    # oracle: recompute from brute-force clamped states
-    e = g3.edges[b]
-    bp = brute_force(g3, J3, Clamp.equal_pair(e.u, e.v))
-    bm = brute_force(g3, J3, Clamp.opposite_pair(e.u, e.v))
-    from eaglass.walls import interface
-    want = interface(g3, d3, J3, bp, bm).edge_ids
-    assert iface3.edge_ids == want
+    # every edge of a few samples, wrap edges and degenerate widths included
+    for w, h in ((3, 3), (4, 3), (2, 4)):
+        g = build_box(w, h)
+        for i in range(3):
+            J = sample_couplings(g, GAUSS, 1, 9 + i)
+            for e in g.edges:
+                iface = exc.critical_contour(g, J, e.id)
+                assert e.id in iface.edge_ids
+                # oracle: recompute from brute-force clamped states
+                bp = brute_force(g, J, Clamp.equal_pair(e.u, e.v))
+                bm = brute_force(g, J, Clamp.opposite_pair(e.u, e.v))
+                assert iface.edge_ids == interface(g, J, bp, bm).edge_ids, \
+                    (w, h, i, e.id)

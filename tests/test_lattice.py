@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eaglass import lattice
 from eaglass.errors import BudgetExceededError
 from eaglass.lattice import (build_box, build_dual, connected_subsets,
                              dual_circuits_and_paths, horizontal_edges_per_row)
@@ -147,10 +148,11 @@ def test_connected_subsets_exact(w, h, max_size):
     assert set(got) == brute_connected_subsets(g, max_size)
 
 
-def test_connected_subsets_budget():
+def test_connected_subsets_budget(monkeypatch):
     g = build_box(4, 4)
+    monkeypatch.setattr(lattice, "ENUM_BUDGET", 10)
     with pytest.raises(BudgetExceededError):
-        list(connected_subsets(g, 4, budget=10))
+        list(connected_subsets(g, 4))
 
 
 def brute_circuits_and_paths(d, max_len):

@@ -12,7 +12,7 @@ GAUSS = DistributionSpec("gaussian", sigma=1.0)
 
 
 def hand_couplings(geom, value=1.0):
-    return CouplingConfig(geom, np.full(geom.n_edges, float(value)), {})
+    return CouplingConfig(geom, np.full(geom.n_edges, float(value)))
 
 
 def test_energy_examples():
@@ -33,7 +33,7 @@ def test_energy_flip_invariant():
 
 def test_solve_single_edge():
     g = build_box(1, 2)
-    J = CouplingConfig(g, np.array([-2.0]), {})
+    J = CouplingConfig(g, np.array([-2.0]))
     sp = solve(g, J)
     assert sp.energy == -2.0
     assert sp.signs[0] * sp.signs[1] == -1
@@ -74,7 +74,7 @@ def test_clamp_covering_all_vertices():
 
 def test_tie_flag_and_lex_policy():
     g = build_box(1, 2)
-    J = CouplingConfig(g, np.array([0.0]), {})
+    J = CouplingConfig(g, np.array([0.0]))
     sp = solve(g, J)
     bf = brute_force(g, J)
     assert sp.tied and bf.tied
@@ -142,7 +142,7 @@ def test_clamp_survives_huge_couplings():
         g = build_box(w, h)
         for idx in range(45):
             base = sample_couplings(g, GAUSS, 1031, idx)
-            J = CouplingConfig(g, base.values * 1e31, {})
+            J = CouplingConfig(g, base.values * 1e31)
             verts = rng.choice(g.n_vertices, size=3, replace=False)
             signs = [1] + [int(s) for s in rng.choice([1, -1], size=2)]
             cl = Clamp(tuple(int(v) for v in verts), tuple(signs))
@@ -157,8 +157,9 @@ def test_budget_errors():
     J = sample_couplings(g, GAUSS, 0, 0)
     with pytest.raises(BudgetExceededError):
         brute_force(g, J)  # 30 vertices
+    wide = build_box(17, 2)
     with pytest.raises(BudgetExceededError):
-        solve(g, J, max_width=4)
+        solve(wide, sample_couplings(wide, GAUSS, 0, 0))
 
 
 def test_verify_gsp_ferromagnet():
@@ -219,8 +220,7 @@ def test_ties_match_bruteforce():
     for w in range(1, 5):
         g = build_box(w, 4)
         for i in range(80):
-            J = CouplingConfig(g, rng.integers(-1, 2, g.n_edges).astype(float),
-                               {})
+            J = CouplingConfig(g, rng.integers(-1, 2, g.n_edges).astype(float))
             cl = None
             if i % 2:
                 k = int(rng.integers(2, 5))

@@ -45,49 +45,46 @@ def random_signs(rng, n):
 
 def test_interface_identity_and_symmetry():
     g = build_box(4, 4)
-    d = build_dual(4, 4)
     J = sample_couplings(g, GAUSS, 3, 1)
     rng = np.random.default_rng(0)
     a, b = random_signs(rng, 16), random_signs(rng, 16)
-    assert wl.interface(g, d, J, a, a).is_empty()
-    ab = wl.interface(g, d, J, a, b).edge_ids
-    ba = wl.interface(g, d, J, b, a).edge_ids
+    assert wl.interface(g, J, a, a).is_empty()
+    ab = wl.interface(g, J, a, b).edge_ids
+    ba = wl.interface(g, J, b, a).edge_ids
     assert ab == ba
     # global flips of either argument change nothing
-    assert wl.interface(g, d, J, -a, b).edge_ids == ab
-    assert wl.interface(g, d, J, a, -b).edge_ids == ab
+    assert wl.interface(g, J, -a, b).edge_ids == ab
+    assert wl.interface(g, J, a, -b).edge_ids == ab
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6))
 def test_interface_triangle_property(idx):
     g = build_box(3, 4)
-    d = build_dual(3, 4)
     J = sample_couplings(g, GAUSS, 19, idx)
     rng = np.random.default_rng(idx)
     a, b, c = (random_signs(rng, 12) for _ in range(3))
-    iab = wl.interface(g, d, J, a, b).edge_ids
-    ibc = wl.interface(g, d, J, b, c).edge_ids
-    iac = wl.interface(g, d, J, a, c).edge_ids
+    iab = wl.interface(g, J, a, b).edge_ids
+    ibc = wl.interface(g, J, b, c).edge_ids
+    iac = wl.interface(g, J, a, c).edge_ids
     assert iac <= (iab | ibc)
 
 
 def test_single_flip_walls():
     g = build_box(5, 5)
-    d = build_dual(5, 5)
     J = sample_couplings(g, GAUSS, 23, 0)
     base = solve(g, J).signs
     # interior vertex: the four surrounding dual edges, untethered
     mid = base.copy()
     mid[12] = -mid[12]
-    walls = wl.domain_walls(wl.interface(g, d, J, base, mid))
+    walls = wl.domain_walls(wl.interface(g, J, base, mid))
     assert len(walls) == 1
     assert len(walls[0].edge_ids) == 4
     assert not walls[0].tethered
     # bottom-row vertex: three dual edges, tethered
     bot = base.copy()
     bot[2] = -bot[2]
-    walls_b = wl.domain_walls(wl.interface(g, d, J, base, bot))
+    walls_b = wl.domain_walls(wl.interface(g, J, base, bot))
     assert len(walls_b) == 1
     assert len(walls_b[0].edge_ids) == 3
     assert walls_b[0].tethered
@@ -95,7 +92,7 @@ def test_single_flip_walls():
     two = base.copy()
     two[2] = -two[2]
     two[22] = -two[22]
-    walls_2 = wl.domain_walls(wl.interface(g, d, J, base, two))
+    walls_2 = wl.domain_walls(wl.interface(g, J, base, two))
     assert len(walls_2) == 2
 
 
@@ -107,7 +104,7 @@ def test_wall_decomposition_matches_flood_fill(idx):
     J = sample_couplings(g, GAUSS, 29, idx)
     rng = np.random.default_rng(idx + 1)
     a, b = random_signs(rng, 16), random_signs(rng, 16)
-    iface = wl.interface(g, d, J, a, b)
+    iface = wl.interface(g, J, a, b)
     walls = wl.domain_walls(iface)
     assert {w.edge_ids for w in walls} == flood_fill_walls(iface, d)
     # walls partition the interface
@@ -159,7 +156,7 @@ def test_count_Nnk_monotone_in_n():
     a = solve(g, J).signs
     rng = np.random.default_rng(3)
     b = random_signs(rng, g.n_vertices)
-    walls = wl.domain_walls(wl.interface(g, d, J, a, b))
+    walls = wl.domain_walls(wl.interface(g, J, a, b))
     for k in (0, 1, 2):
         counts = [wl.count_Nnk(walls, n, k, d) for n in (1, 2, 3, 4)]
         assert counts == sorted(counts)
@@ -190,19 +187,18 @@ def test_wall_bound_check():
 
 def test_no_double_tether_negative_control():
     g = build_box(5, 4)
-    d = build_dual(5, 4)
     # a dual path joining two X* vertices: up, across, down
     e_up = g.edge_by_key[("h", g.abs_col(1), 0)]
     e_across = g.edge_by_key[("v", g.abs_col(2), 0)]
     e_down = g.edge_by_key[("h", g.abs_col(2), 0)]
-    iface = wl.Interface(g, d, frozenset((e_up, e_across, e_down)))
+    iface = wl.Interface(g, frozenset((e_up, e_across, e_down)))
     rep = wl.interface_cycle_check(iface)
     assert not rep.passed
     assert set(rep.violations[0]["edges"]) == {e_up, e_across, e_down}
     # excluding a path edge legitimizes the join
     assert wl.interface_cycle_check(iface,
                                     excluded_dual_edges={e_across}).passed
-    assert wl.interface_cycle_check(wl.Interface(g, d, frozenset())).passed
+    assert wl.interface_cycle_check(wl.Interface(g, frozenset())).passed
 
 
 def closed_contour_oracle(iface):
@@ -220,13 +216,12 @@ def closed_contour_oracle(iface):
 
 def test_interface_cycle_check():
     g = build_box(5, 5)
-    d = build_dual(5, 5)
     J = sample_couplings(g, GAUSS, 23, 0)
     base = solve(g, J).signs
     # a single interior flip produces a 4-cycle: the check must catch it
     mid = base.copy()
     mid[12] = -mid[12]
-    iface = wl.interface(g, d, J, base, mid)
+    iface = wl.interface(g, J, base, mid)
     rep = wl.interface_cycle_check(iface)
     assert not rep.passed
     assert len(rep.violations[0]["edges"]) == 4
@@ -234,7 +229,7 @@ def test_interface_cycle_check():
     one = next(iter(iface.edge_ids))
     assert wl.interface_cycle_check(iface, excluded_dual_edges={one}).passed
     assert wl.interface_cycle_check(
-        wl.Interface(g, d, frozenset())).passed
+        wl.Interface(g, frozenset())).passed
 
 
 @settings(max_examples=200, deadline=None)
@@ -246,13 +241,13 @@ def test_cycle_check_matches_oracle(w, h, idx):
     rng = np.random.default_rng(idx)
     base = solve(g, J).signs
     flipped = base * random_signs(rng, g.n_vertices)
-    iface = wl.interface(g, d, J, base, flipped)
+    iface = wl.interface(g, J, base, flipped)
     edges = sorted(iface.edge_ids)
     excluded = {int(e) for e in rng.permutation(edges)[:rng.integers(3)]}
     rep = wl.interface_cycle_check(iface, excluded_dual_edges=excluded)
     allowed = set(edges) - excluded
     assert rep.passed == (
-        not closed_contour_oracle(wl.Interface(g, d, frozenset(allowed))))
+        not closed_contour_oracle(wl.Interface(g, frozenset(allowed))))
     # every witness is a cycle of the closed dual inside the allowed edges
     for viol in rep.violations:
         assert set(viol["edges"]) <= allowed
@@ -265,12 +260,11 @@ def test_cycle_check_matches_oracle(w, h, idx):
 
 def test_interface_csv_dump(tmp_path):
     g = build_box(5, 5)
-    d = build_dual(5, 5)
     J = sample_couplings(g, GAUSS, 61, 2)
     base = solve(g, J).signs
     other = base.copy()
     other[7] = -other[7]
-    iface = wl.interface(g, d, J, base, other)
+    iface = wl.interface(g, J, base, other)
     walls = wl.domain_walls(iface)
     path = tmp_path / "iface.csv"
     wl.dump_interface_csv(iface, walls, path)

@@ -82,6 +82,7 @@ class CouplingConfig:
     values: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "values", np.asarray(self.values, np.float64))
         if len(self.values) != self.geom.n_edges:
             raise ValueError("one value per edge required")
         if not np.all(np.isfinite(self.values)):

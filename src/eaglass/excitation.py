@@ -32,8 +32,6 @@ from .walls import Interface, interface
 
 @dataclass(frozen=True)
 class ExcitationRecord:
-    clamp_a: Clamp
-    clamp_b: Clamp
     state_a: SpinPair
     state_b: SpinPair
     delta_e: float
@@ -47,41 +45,39 @@ def interior_edges(geom: BoxGeometry, vertices) -> list[int]:
     return np.flatnonzero(inside[geom.eu] & inside[geom.ev]).tolist()
 
 
-def interior_hamiltonian(geom: BoxGeometry, J: CouplingConfig, clamp: Clamp) -> float:
+def interior_hamiltonian(J: CouplingConfig, clamp: Clamp) -> float:
     """Energy restricted to couplings with both endpoints in the clamp set."""
-    spin = np.zeros(geom.n_vertices)
+    spin = np.zeros(J.geom.n_vertices)
     spin[list(clamp.vertices)] = clamp.signs
-    prod = spin[geom.eu] * spin[geom.ev]      # nonzero on interior edges only
+    prod = spin[J.geom.eu] * spin[J.geom.ev]  # nonzero on interior edges only
     return -fsum((J.values * prod)[prod != 0])
 
 
-def excitation(geom: BoxGeometry, J: CouplingConfig,
-               eta: Clamp, eta_prime: Clamp) -> ExcitationRecord:
+def excitation(J: CouplingConfig, eta: Clamp,
+               eta_prime: Clamp) -> ExcitationRecord:
     """Excitation from eta to eta_prime on their common vertex set A."""
     if eta.vertices != eta_prime.vertices:
         raise ValueError("clamps must live on the same set A")
-    state_a = solve(geom, J, eta)
-    state_b = solve(geom, J, eta_prime)
+    state_a = solve(J.geom, J, eta)
+    state_b = solve(J.geom, J, eta_prime)
     delta_e = state_a.energy - state_b.energy
-    h = interior_hamiltonian(geom, J, eta) - interior_hamiltonian(geom, J, eta_prime)
-    return ExcitationRecord(eta, eta_prime, state_a, state_b,
-                            delta_e, h, delta_e - h)
+    h = interior_hamiltonian(J, eta) - interior_hamiltonian(J, eta_prime)
+    return ExcitationRecord(state_a, state_b, delta_e, h, delta_e - h)
 
 
-def edge_excitation(geom: BoxGeometry, J: CouplingConfig, edge_id: int
-                    ) -> ExcitationRecord:
+def edge_excitation(J: CouplingConfig, edge_id: int) -> ExcitationRecord:
     """Excitation from the edge's +_b clamp (equal endpoints) to its -_b one."""
-    e = geom.edges[edge_id]
-    return excitation(geom, J, Clamp.equal_pair(e.u, e.v),
+    e = J.geom.edges[edge_id]
+    return excitation(J, Clamp.equal_pair(e.u, e.v),
                       Clamp.opposite_pair(e.u, e.v))
 
 
-def critical_value(geom: BoxGeometry, J: CouplingConfig, edge_id: int) -> float:
+def critical_value(J: CouplingConfig, edge_id: int) -> float:
     """Half the exterior energy difference between the +_b and -_b states.
 
     Independent of the current value of J_b by construction.
     """
-    return 0.5 * edge_excitation(geom, J, edge_id).delta_e_ext
+    return 0.5 * edge_excitation(J, edge_id).delta_e_ext
 
 
 @dataclass(frozen=True)
@@ -92,15 +88,14 @@ class FlipCensus:
     transition_interval: tuple[float, float] | None
 
 
-def flip_census(geom: BoxGeometry, J: CouplingConfig, edge_id: int,
-                grid) -> FlipCensus:
+def flip_census(J: CouplingConfig, edge_id: int, grid) -> FlipCensus:
     """Classify the unclamped GSP at each grid value of J_b."""
     values = tuple(float(x) for x in grid)
     if list(values) != sorted(values):
         raise ValueError("grid must be sorted")
     labels = []
     for x in values:
-        gsp = solve(geom, J.with_value(edge_id, x))
+        gsp = solve(J.geom, J.with_value(edge_id, x))
         labels.append(gsp.edge_product(edge_id))
     trans = [(values[i], values[i + 1])
              for i in range(len(values) - 1) if labels[i] != labels[i + 1]]
@@ -108,8 +103,7 @@ def flip_census(geom: BoxGeometry, J: CouplingConfig, edge_id: int,
                       trans[0] if len(trans) == 1 else None)
 
 
-def locate_flip(geom: BoxGeometry, J: CouplingConfig, edge_id: int
-                ) -> tuple[float, float]:
+def locate_flip(J: CouplingConfig, edge_id: int) -> tuple[float, float]:
     """Certified enclosure of the critical value by doubling plus bisection.
 
     Independent of the exterior-energy formula: each probe is a full solve at
@@ -117,7 +111,7 @@ def locate_flip(geom: BoxGeometry, J: CouplingConfig, edge_id: int
     """
 
     def label(x: float) -> int:
-        return solve(geom, J.with_value(edge_id, x)).edge_product(edge_id)
+        return solve(J.geom, J.with_value(edge_id, x)).edge_product(edge_id)
 
     lo, hi = -1.0, 1.0
     while label(lo) > 0:
@@ -164,33 +158,32 @@ class CriticalSet2:
                 "case": self.case_kind, "segments": list(self.segments)}
 
 
-def _pair_state(geom, J, edge_b, edge_e, eta_b, eta_e) -> SpinPair:
+def _pair_state(J, edge_b, edge_e, eta_b, eta_e) -> SpinPair:
     """Minimizer subject to the two endpoint-product constraints: the best
     solve over every clamp of the endpoints that meets both products.  On an
     exact tie the first clamp wins, the one with e.u signed like b.u."""
-    b = geom.edges[edge_b]
-    e = geom.edges[edge_e]
+    b, e = J.geom.edges[edge_b], J.geom.edges[edge_e]
     verts = list(dict.fromkeys((b.u, b.v, e.u, e.v)))
     best = None
     for rest in product((1, -1), repeat=len(verts) - 1):
         sigma = dict(zip(verts, (1,) + rest))
         if (sigma[b.u] * sigma[b.v] == eta_b
                 and sigma[e.u] * sigma[e.v] == eta_e):
-            cand = solve(geom, J, Clamp(verts, (1,) + rest))
+            cand = solve(J.geom, J, Clamp(verts, (1,) + rest))
             if best is None or cand.energy < best.energy:
                 best = cand
     return best
 
 
-def two_bond_critical_set(geom: BoxGeometry, J: CouplingConfig,
-                          edge_b: int, edge_e: int) -> CriticalSet2:
+def two_bond_critical_set(J: CouplingConfig, edge_b: int,
+                          edge_e: int) -> CriticalSet2:
     if edge_b == edge_e:
         raise ValueError("edges must differ")
     jb0 = J.value(edge_b)
     je0 = J.value(edge_e)
     f_values = {}
     for eta_b, eta_e in _COMBOS:
-        st = _pair_state(geom, J, edge_b, edge_e, eta_b, eta_e)
+        st = _pair_state(J, edge_b, edge_e, eta_b, eta_e)
         # exterior part: strip the two constrained couplings from the energy
         f_values[(eta_b, eta_e)] = st.energy + jb0 * eta_b + je0 * eta_e
     F = f_values
@@ -316,8 +309,7 @@ class ConsistencyReport:
     max_abs_err: float
 
 
-def consistency_check(geom: BoxGeometry, J: CouplingConfig,
-                      cs: CriticalSet2) -> ConsistencyReport:
+def consistency_check(J: CouplingConfig, cs: CriticalSet2) -> ConsistencyReport:
     """Recompute single-bond critical values in each region of the other
     coupling and compare with the piecewise formulas of the critical set."""
     delta = 1.0 + 0.1 * (abs(cs.c1) + abs(cs.c2) + abs(cs.c3) + abs(cs.c4))
@@ -332,13 +324,13 @@ def consistency_check(geom: BoxGeometry, J: CouplingConfig,
             reps_b.append(("middle", 0.5 * (lo_b + hi_b)))
     checks = []
     for region, je in reps_e:
-        got = critical_value(geom, J.with_value(cs.edge_e, je), cs.edge_b)
+        got = critical_value(J.with_value(cs.edge_e, je), cs.edge_b)
         want = expected_critical_b(cs, je)
         checks.append({"edge": "b", "region": region, "other_value": je,
                        "recomputed": got, "expected": want,
                        "abs_err": abs(got - want)})
     for region, jb in reps_b:
-        got = critical_value(geom, J.with_value(cs.edge_b, jb), cs.edge_e)
+        got = critical_value(J.with_value(cs.edge_b, jb), cs.edge_e)
         want = expected_critical_e(cs, jb)
         checks.append({"edge": "e", "region": region, "other_value": jb,
                        "recomputed": got, "expected": want,
@@ -347,9 +339,8 @@ def consistency_check(geom: BoxGeometry, J: CouplingConfig,
                              max(c["abs_err"] for c in checks))
 
 
-def grid_labels_enumeration(geom: BoxGeometry, J: CouplingConfig,
-                            edge_b: int, edge_e: int, jb_grid, je_grid
-                            ) -> np.ndarray:
+def grid_labels_enumeration(J: CouplingConfig, edge_b: int, edge_e: int,
+                            jb_grid, je_grid) -> np.ndarray:
     """Oracle GSP labels over a (J_b, J_e) grid by exhaustive enumeration.
 
     Returns an array of shape (len(jb_grid), len(je_grid), 2) with the two
@@ -357,12 +348,12 @@ def grid_labels_enumeration(geom: BoxGeometry, J: CouplingConfig,
     Independent of the clamped-solve route: plain enumeration over all
     configurations with vertex 0 pinned.
     """
-    V = geom.n_vertices
+    V = J.geom.n_vertices
     if V - 1 > 21:
         raise BudgetExceededError("enumeration grid oracle limited to 22 vertices")
     base = np.zeros(V, dtype=np.int8)
     base[0] = 1
-    _, prod = _spin_products(geom, base, range(1, V),
+    _, prod = _spin_products(J.geom, base, range(1, V),
                              np.arange(1 << (V - 1), dtype=np.int64))
     e0 = -(prod @ J.values)
     sb = prod[:, edge_b]
@@ -381,11 +372,10 @@ def grid_labels_enumeration(geom: BoxGeometry, J: CouplingConfig,
     return out
 
 
-def critical_contour(geom: BoxGeometry, J: CouplingConfig,
-                     edge_id: int) -> Interface:
+def critical_contour(J: CouplingConfig, edge_id: int) -> Interface:
     """Interface between the minimizers with the edge's endpoint product
     forced +1 and -1; always contains the edge's dual."""
-    e = geom.edges[edge_id]
-    plus = solve(geom, J, Clamp.equal_pair(e.u, e.v))
-    minus = solve(geom, J, Clamp.opposite_pair(e.u, e.v))
-    return interface(geom, J, plus, minus)
+    e = J.geom.edges[edge_id]
+    plus = solve(J.geom, J, Clamp.equal_pair(e.u, e.v))
+    minus = solve(J.geom, J, Clamp.opposite_pair(e.u, e.v))
+    return interface(J, plus, minus)

@@ -308,10 +308,9 @@ def _window_signatures(cfg: ExperimentConfig, i: int, ns) -> tuple[list, dict]:
         if n not in sigs:
             geom = build_box(2 * n + 1, 2 * n + 1)
             J = sample_couplings(geom, cfg.dist, cfg.master_seed, i)
-            signs = solve(geom, J).signs
-            ids = [geom.edge_by_key[key] for key in keys]
-            sigs[n] = tuple(int(signs[geom.eu[e]]) * int(signs[geom.ev[e]])
-                            for e in ids)
+            gsp = solve(geom, J)
+            sigs[n] = tuple(gsp.edge_product(geom.edge_by_key[key])
+                            for key in keys)
     return keys, sigs
 
 
@@ -326,7 +325,7 @@ def _flip_contour(cfg: ExperimentConfig, i: int):
         # invariant under rotations of the cylinder
         col = int(_sample_rng(cfg, i, tag=3).integers(geom.width))
         b = geom.edge_by_key[("h", geom.abs_col(col), 0)]
-    return b, exc.critical_contour(geom, J, b)
+    return b, exc.critical_contour(J, b)
 
 
 # --------------------------------------------------------------------------
@@ -350,10 +349,10 @@ def proxy_nested_volumes(cfg, index):
     beta = solve(big, j_big)
     shared = [e.id for e in small.edges
               if not e.wrap and not (e.kind == "v" and e.col == 0)]
-    sat_a = wl.satisfaction(small, j_small, alpha)
+    sat_a = wl.satisfaction(j_small, alpha)
     # small-box vertex (c, r) sits at column c + 1 of the bigger box
     v = np.arange(small.n_vertices)
-    sat_b = wl.satisfaction(small, j_small,
+    sat_b = wl.satisfaction(j_small,
                             beta.signs[v + 2 * (v // small.width) + 1])
     return wl.interface_from_satisfaction(small, sat_a, sat_b, shared)
 
@@ -372,8 +371,8 @@ def proxy_perturbed_exterior(cfg, index):
     j_pert = CouplingConfig(geom, vals)
     alpha = solve(geom, j_base)
     beta = solve(geom, j_pert)
-    sat_a = wl.satisfaction(geom, j_base, alpha)
-    sat_b = wl.satisfaction(geom, j_pert, beta)
+    sat_a = wl.satisfaction(j_base, alpha)
+    sat_b = wl.satisfaction(j_pert, beta)
     return wl.interface_from_satisfaction(geom, sat_a, sat_b, window)
 
 
@@ -385,9 +384,7 @@ def _run_solve(cfg: ExperimentConfig, i: int) -> dict:
     geom = build_box(cfg.width, cfg.height)
     J = sample_couplings(geom, cfg.dist, cfg.master_seed, i)
     gsp = solve(geom, J)
-    report = verify_gsp(geom, J, gsp,
-                        max_subset_size=cfg.subset_budget,
-                        max_dual_len=cfg.dual_budget)
+    report = verify_gsp(J, gsp, cfg.subset_budget, cfg.dual_budget)
     _hard(report.passed, "ground state fails finite-volume verification", cfg, i)
     return {"sample": i, "energy": gsp.energy, "tied": gsp.tied,
             "pattern": "".join("+" if s > 0 else "-" for s in gsp.signs),
@@ -399,10 +396,10 @@ def _run_flip_sweep(cfg: ExperimentConfig, i: int) -> dict:
     geom = build_box(cfg.width, cfg.height)
     J = sample_couplings(geom, cfg.dist, cfg.master_seed, i)
     b = _resolve_edge(geom, cfg.edge or _default_edge_key(geom))
-    c_val = exc.critical_value(geom, J, b)
+    c_val = exc.critical_value(J, b)
     span = max(1.0, 0.5 * (cfg.grid_hi - cfg.grid_lo))
     grid = c_val + np.linspace(-span, span, cfg.grid_points) + span * 1e-3
-    census = exc.flip_census(geom, J, b, grid)
+    census = exc.flip_census(J, b, grid)
     _hard(census.n_transitions == 1,
           f"expected exactly one GSP flip, got {census.n_transitions}", cfg, i)
     lo, hi = census.transition_interval
@@ -421,13 +418,13 @@ def _run_two_bond(cfg: ExperimentConfig, i: int) -> dict:
     geom = build_box(cfg.width, cfg.height)
     J = sample_couplings(geom, cfg.dist, cfg.master_seed, i)
     b, e = _two_bond_edges(cfg, geom)
-    cs = exc.two_bond_critical_set(geom, J, b, e)
+    cs = exc.two_bond_critical_set(J, b, e)
     dev = abs((cs.c1 - cs.c2) - (cs.c3 - cs.c4))
     _hard(dev <= cfg.tol, f"C1-C2 != C3-C4 (deviation {dev})", cfg, i)
 
     xs = np.linspace(cfg.grid_lo, cfg.grid_hi, cfg.grid_points)
     ys = np.linspace(cfg.grid_lo, cfg.grid_hi, cfg.grid_points)
-    oracle = exc.grid_labels_enumeration(geom, J, b, e, xs, ys)
+    oracle = exc.grid_labels_enumeration(J, b, e, xs, ys)
     cell = max(xs[1] - xs[0], ys[1] - ys[0])
     mismatches = 0
     interior_cells = 0
@@ -443,7 +440,7 @@ def _run_two_bond(cfg: ExperimentConfig, i: int) -> dict:
     _hard(mismatches == 0,
           f"{mismatches} grid cells disagree with the analytic critical set",
           cfg, i)
-    cons = exc.consistency_check(geom, J, cs)
+    cons = exc.consistency_check(J, cs)
     _hard(cons.max_abs_err <= cfg.tol,
           f"piecewise critical-value identity off by {cons.max_abs_err}", cfg, i)
     return {"sample": i, "critical_set": cs.to_json_dict(),
@@ -544,19 +541,18 @@ def _run_property_suite(cfg: ExperimentConfig, i: int) -> dict:
 
     gsp = solve(geom, J)
     if geom.n_vertices <= 20:
-        oracle = brute_force(geom, J)
+        oracle = brute_force(J)
         checks["oracle_equivalence"] = (gsp.same_pair(oracle)
                                         and abs(gsp.energy - oracle.energy)
                                         <= 1e-12 * (1 + abs(gsp.energy)))
-    report = verify_gsp(geom, J, gsp, cfg.subset_budget, cfg.dual_budget)
+    report = verify_gsp(J, gsp, cfg.subset_budget, cfg.dual_budget)
     checks["gsp_verified"] = report.passed
 
     # single-bond critical structure
     b = int(rng.integers(geom.n_edges))
-    rec = exc.edge_excitation(geom, J, b)
+    rec = exc.edge_excitation(J, b)
     c_val = 0.5 * rec.delta_e_ext
-    c_repl = exc.critical_value(
-        geom, J.with_value(b, float(rng.normal() * 3.0)), b)
+    c_repl = exc.critical_value(J.with_value(b, float(rng.normal() * 3.0)), b)
     checks["critical_value_jb_free"] = abs(c_val - c_repl) <= 1e-12
     plus, minus = rec.state_a, rec.state_b
     above = solve(geom, J.with_value(b, c_val + 1e-6))
@@ -566,21 +562,21 @@ def _run_property_suite(cfg: ExperimentConfig, i: int) -> dict:
     # exterior energy difference properties on a random small set
     a_set = _connected_random_set(geom, rng, 2 + int(rng.integers(3)))
     cl1, cl2, cl3 = (_random_clamp(rng, a_set) for _ in range(3))
-    r12 = exc.excitation(geom, J, cl1, cl2)
-    r23 = exc.excitation(geom, J, cl2, cl3)
-    r13 = exc.excitation(geom, J, cl1, cl3)
+    r12 = exc.excitation(J, cl1, cl2)
+    r23 = exc.excitation(J, cl2, cl3)
+    r13 = exc.excitation(J, cl1, cl3)
     checks["additivity"] = abs(r12.delta_e_ext + r23.delta_e_ext
                                - r13.delta_e_ext) <= cfg.tol
-    r21 = exc.excitation(geom, J, cl2, cl1)
+    r21 = exc.excitation(J, cl2, cl1)
     checks["antisymmetry"] = abs(r12.delta_e_ext + r21.delta_e_ext) <= cfg.tol
     inner = exc.interior_edges(geom, a_set)
     J_re = J.with_values({eid: float(rng.normal() * 2.0) for eid in inner})
-    r12b = exc.excitation(geom, J_re, cl1, cl2)
+    r12b = exc.excitation(J_re, cl1, cl2)
     checks["interior_independence"] = (
         abs(r12.delta_e_ext - r12b.delta_e_ext) <= cfg.tol
         and r12.state_a.same_pair(r12b.state_a)
         and r12.state_b.same_pair(r12b.state_b))
-    clamped_report = verify_gsp(geom, J, r12.state_a, cfg.subset_budget,
+    clamped_report = verify_gsp(J, r12.state_a, cfg.subset_budget,
                                 cfg.dual_budget, exclude=a_set)
     checks["clamped_gsp_off_A"] = clamped_report.passed
 
@@ -598,18 +594,17 @@ def _run_property_suite(cfg: ExperimentConfig, i: int) -> dict:
     rng.shuffle(probes)
     ok = True
     for p in probes[:max(1, cfg.probes)]:
-        contour = exc.critical_contour(geom, J_ss, p)
+        contour = exc.critical_contour(J_ss, p)
         ok = ok and f not in contour.edge_ids
     checks["supersatisfied_not_in_contours"] = ok
 
     # interface sanity
-    checks["self_interface_empty"] = \
-        wl.interface(geom, J, gsp, gsp).is_empty()
+    checks["self_interface_empty"] = wl.interface(J, gsp, gsp).is_empty()
     sa, sb, sc = (np.where(rng.integers(2, size=geom.n_vertices) > 0, 1, -1)
                   .astype(np.int8) for _ in range(3))
-    iab = wl.interface(geom, J, sa, sb).edge_ids
-    ibc = wl.interface(geom, J, sb, sc).edge_ids
-    iac = wl.interface(geom, J, sa, sc).edge_ids
+    iab = wl.interface(J, sa, sb).edge_ids
+    ibc = wl.interface(J, sb, sc).edge_ids
+    iac = wl.interface(J, sa, sc).edge_ids
     checks["interface_triangle"] = iac <= (iab | ibc)
 
     for name, passed in checks.items():

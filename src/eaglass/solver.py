@@ -86,9 +86,22 @@ class SpinPair:
                     or np.array_equal(self.signs, -other.signs))
 
 
-def energy(geom: BoxGeometry, J: CouplingConfig, signs: np.ndarray) -> float:
+def _edge_terms(J: CouplingConfig, spins) -> np.ndarray:
+    """J_e * s_u * s_v per edge for a ``SpinPair`` or signs on J's box."""
+    geom = J.geom
+    if isinstance(spins, SpinPair):
+        if spins.geom is not geom and spins.geom != geom:
+            raise ValueError("spin pair and couplings live on different boxes")
+        spins = spins.signs
+    signs = np.asarray(spins)
+    if signs.shape != (geom.n_vertices,):
+        raise ValueError(f"{signs.shape} signs for {geom.n_vertices} vertices")
+    return J.values * signs[geom.eu] * signs[geom.ev]
+
+
+def energy(J: CouplingConfig, spins) -> float:
     """-sum of J_e * s_u * s_v over all box edges, compensated summation."""
-    return -fsum(J.values * signs[geom.eu] * signs[geom.ev])
+    return -fsum(_edge_terms(J, spins))
 
 
 def canonical_anchor(geom: BoxGeometry, clamp: Clamp | None) -> int:
@@ -171,7 +184,10 @@ def _plan(width: int, height: int):
 
 def solve(geom: BoxGeometry, J: CouplingConfig,
           clamp: Clamp | None = None) -> SpinPair:
-    """Exact minimizer over configurations modulo flip respecting the clamp."""
+    """Exact minimizer over configurations modulo flip respecting the clamp;
+    ``geom`` must be ``J.geom`` (kept because perfbench's tracer reads it)."""
+    if J.geom is not geom and J.geom != geom:
+        raise ValueError("couplings live on another box than geom")
     W, H = geom.width, geom.height
     if W > MAX_SOLVE_WIDTH:
         raise BudgetExceededError(
@@ -204,8 +220,7 @@ def solve(geom: BoxGeometry, J: CouplingConfig,
     configs = _enumerate_optimal(backptr, np.flatnonzero(cur == best).tolist())
     signs = min((canonicalize(geom, _rows_to_signs(rows, W), clamp)
                  for rows in configs), key=_pattern)
-    return SpinPair(geom, signs, energy(geom, J, signs),
-                    tied=len(configs) > 1)
+    return SpinPair(geom, signs, energy(J, signs), tied=len(configs) > 1)
 
 
 def _rows_to_signs(rows, W):
@@ -255,13 +270,13 @@ def _spin_products(geom: BoxGeometry, base: np.ndarray, free, idx: np.ndarray):
     return S, (S[:, geom.eu] * S[:, geom.ev]).astype(np.float64)
 
 
-def brute_force(geom: BoxGeometry, J: CouplingConfig,
-                clamp: Clamp | None = None) -> SpinPair:
+def brute_force(J: CouplingConfig, clamp: Clamp | None = None) -> SpinPair:
     """Exhaustive minimum over all configurations modulo flip.
 
     Same canonicalization and tie policy as ``solve``; kept independent of it
     (plain enumeration, no dynamic programming).
     """
+    geom = J.geom
     V = geom.n_vertices
     if V > MAX_BRUTE_VERTICES:
         raise BudgetExceededError(f"{V} vertices exceed brute-force budget")
@@ -295,8 +310,7 @@ def brute_force(geom: BoxGeometry, J: CouplingConfig,
                 pat = _pattern(canon)
                 if best_pat is None or pat < best_pat:
                     best_pat, best_signs = pat, canon
-    return SpinPair(geom, best_signs, energy(geom, J, best_signs),
-                    tied=n_best > 1)
+    return SpinPair(geom, best_signs, energy(J, best_signs), tied=n_best > 1)
 
 
 # --------------------------------------------------------------------------
@@ -339,7 +353,7 @@ def _dual_flip_sets(width, height, max_len):
             for kind, eids in dual_circuits_and_paths(dual, max_len)]
 
 
-def verify_gsp(geom: BoxGeometry, J: CouplingConfig, spins,
+def verify_gsp(J: CouplingConfig, spins,
                max_subset_size: int = 3, max_dual_len: int = 6,
                exclude: tuple[int, ...] = ()) -> GspReport:
     """Report every finite-volume ground-state-property violation.
@@ -348,8 +362,8 @@ def verify_gsp(geom: BoxGeometry, J: CouplingConfig, spins,
     with a non-empty ``exclude`` the dual circuit/path route is skipped too,
     since those flips are not clamp-preserving in general.
     """
-    signs = spins.signs if isinstance(spins, SpinPair) else np.asarray(spins)
-    contrib = J.values * signs[geom.eu] * signs[geom.ev]
+    geom = J.geom
+    contrib = _edge_terms(J, spins)
     excluded = frozenset(exclude)
 
     violations = []

@@ -22,13 +22,12 @@ import numpy as np
 from .disorder import CouplingConfig
 from .errors import ConfigError
 from .lattice import BoxGeometry, DualGeometry, build_dual
-from .solver import SpinPair
+from .solver import _edge_terms
 
 
-def satisfaction(geom: BoxGeometry, J: CouplingConfig, spins) -> np.ndarray:
+def satisfaction(J: CouplingConfig, spins) -> np.ndarray:
     """Boolean per edge: J_e * s_u * s_v > 0.  Invariant under global flip."""
-    signs = spins.signs if isinstance(spins, SpinPair) else np.asarray(spins)
-    return (J.values * signs[geom.eu] * signs[geom.ev]) > 0
+    return _edge_terms(J, spins) > 0
 
 
 @dataclass(frozen=True)
@@ -53,11 +52,10 @@ def interface_from_satisfaction(geom: BoxGeometry, sat_a, sat_b,
     return Interface(geom, frozenset(np.flatnonzero(differ & keep).tolist()))
 
 
-def interface(geom: BoxGeometry, J: CouplingConfig,
-              spins_a, spins_b) -> Interface:
+def interface(J: CouplingConfig, spins_a, spins_b) -> Interface:
     """Symmetric difference of the satisfaction sets of two configurations."""
     return interface_from_satisfaction(
-        geom, satisfaction(geom, J, spins_a), satisfaction(geom, J, spins_b))
+        J.geom, satisfaction(J, spins_a), satisfaction(J, spins_b))
 
 
 @dataclass(frozen=True)

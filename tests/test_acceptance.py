@@ -45,7 +45,7 @@ def test_criterion_1_oracle_equivalence():
             signs = [1] + [int(rng.integers(2)) * 2 - 1 for _ in range(k - 1)]
             clamp = Clamp(tuple(int(v) for v in verts), tuple(signs))
         a = solve(g, J, clamp)
-        b = brute_force(g, J, clamp)
+        b = brute_force(J, clamp)
         assert np.array_equal(a.signs, b.signs), (w, h, i)
         assert abs(a.energy - b.energy) <= 1e-12 * (1 + abs(a.energy))
         assert a.tied == b.tied
@@ -61,7 +61,7 @@ def test_criterion_2_gsp_verification():
     for i in range(200):
         J = sample_couplings(g, GAUSS, SEED + 2, i)
         gsp = solve(g, J)
-        rep = verify_gsp(g, J, gsp, max_subset_size=3, max_dual_len=6)
+        rep = verify_gsp(J, gsp, max_subset_size=3, max_dual_len=6)
         violations += len(rep.violations)
     report("2 GSP verification", violations == 0,
            f"200 instances, {violations} violations")
@@ -75,13 +75,13 @@ def test_criterion_3_critical_value():
         g = build_box(w, h)
         J = sample_couplings(g, GAUSS, SEED + 3, i)
         b = g.edge_by_key[("v", 0, 1)]
-        c = exc.critical_value(g, J, b)
-        lo, hi = exc.locate_flip(g, J, b)
+        c = exc.critical_value(J, b)
+        lo, hi = exc.locate_flip(J, b)
         worst_bisect = max(worst_bisect, abs(c - 0.5 * (lo + hi)))
         rng = np.random.default_rng((SEED + 3, i))
-        c2 = exc.critical_value(g, J.with_value(b, float(rng.normal() * 4)), b)
+        c2 = exc.critical_value(J.with_value(b, float(rng.normal() * 4)), b)
         worst_invar = max(worst_invar, abs(c - c2))
-        rec = exc.edge_excitation(g, J, b)
+        rec = exc.edge_excitation(J, b)
         assert solve(g, J.with_value(b, c + 1e-6)).same_pair(rec.state_a), i
         assert solve(g, J.with_value(b, c - 1e-6)).same_pair(rec.state_b), i
     report("3 critical value", worst_bisect <= 1e-9 and worst_invar <= 1e-12,
@@ -101,19 +101,19 @@ def test_criterion_4_exterior_energy_properties():
         clamps = [Clamp(verts, (1,) + tuple(int(rng.integers(2)) * 2 - 1
                                             for _ in range(k - 1)))
                   for _ in range(3)]
-        r12 = exc.excitation(g, J, clamps[0], clamps[1])
-        r23 = exc.excitation(g, J, clamps[1], clamps[2])
-        r13 = exc.excitation(g, J, clamps[0], clamps[2])
+        r12 = exc.excitation(J, clamps[0], clamps[1])
+        r23 = exc.excitation(J, clamps[1], clamps[2])
+        r13 = exc.excitation(J, clamps[0], clamps[2])
         worst_add = max(worst_add, abs(r12.delta_e_ext + r23.delta_e_ext
                                        - r13.delta_e_ext))
         updates = {eid: float(rng.normal() * 2)
                    for eid in exc.interior_edges(g, verts)}
-        r12b = exc.excitation(g, J.with_values(updates),
+        r12b = exc.excitation(J.with_values(updates),
                               clamps[0], clamps[1])
         assert r12.state_a.same_pair(r12b.state_a), i
         assert r12.state_b.same_pair(r12b.state_b), i
         worst_invar = max(worst_invar, abs(r12.delta_e_ext - r12b.delta_e_ext))
-        rep = verify_gsp(g, J, r12.state_a, max_subset_size=3,
+        rep = verify_gsp(J, r12.state_a, max_subset_size=3,
                          max_dual_len=6, exclude=verts)
         clamped_violations += len(rep.violations)
     report("4 exterior energy properties",
@@ -134,9 +134,9 @@ def _two_bond_sweep(adjacent, seed, n_instances):
     mismatches = 0
     for i in range(n_instances):
         J = sample_couplings(g, GAUSS, seed, i)
-        cs = exc.two_bond_critical_set(g, J, b, e)
+        cs = exc.two_bond_critical_set(J, b, e)
         worst_cross = max(worst_cross, abs((cs.c1 - cs.c2) - (cs.c3 - cs.c4)))
-        oracle = exc.grid_labels_enumeration(g, J, b, e, xs, xs)
+        oracle = exc.grid_labels_enumeration(J, b, e, xs, xs)
         cell = xs[1] - xs[0]
         for ix, x in enumerate(xs):
             for iy, y in enumerate(xs):
@@ -146,7 +146,7 @@ def _two_bond_sweep(adjacent, seed, n_instances):
                 if want != (int(oracle[ix, iy, 0]), int(oracle[ix, iy, 1])):
                     mismatches += 1
         worst_cons = max(worst_cons,
-                         exc.consistency_check(g, J, cs).max_abs_err)
+                         exc.consistency_check(J, cs).max_abs_err)
     return worst_cross, worst_cons, mismatches
 
 
@@ -180,7 +180,7 @@ def test_criterion_6_super_satisfaction():
                   if e.id != f and not {e.u, e.v} & {fe.u, fe.v}]
         picks = rng.choice(len(probes), size=10, replace=False)
         for p in picks:
-            contour = exc.critical_contour(g, J_ss, int(probes[p]))
+            contour = exc.critical_contour(J_ss, int(probes[p]))
             contour_ok &= f not in contour.edge_ids
         # pair proxy: same couplings in the bottom band, redrawn above
         alt = sample_couplings(g, GAUSS, SEED + 6, i + (1 << 32))
@@ -194,8 +194,8 @@ def test_criterion_6_super_satisfaction():
         J_pert = CouplingConfig(g, vals)
         beta = solve(g, J_pert)
         iface = wl.interface_from_satisfaction(
-            g, wl.satisfaction(g, J_ss, gsp),
-            wl.satisfaction(g, J_pert, beta), edge_ids=window)
+            g, wl.satisfaction(J_ss, gsp),
+            wl.satisfaction(J_pert, beta), edge_ids=window)
         proxy_ok &= f not in iface.edge_ids
     report("6 super-satisfaction", forced_ok and contour_ok and proxy_ok,
            f"100 instances, forced={forced_ok}, contours={contour_ok}, "

@@ -49,6 +49,18 @@ def test_different_realizations_compare_unequal():
     assert a != a.with_value(0, a.value(0) + 1.0)
 
 
+def test_values_are_stored_as_float64():
+    from eaglass.disorder import CouplingConfig
+    g = build_box(3, 3)
+    # integer input must not truncate later replacements
+    J = CouplingConfig(g, np.ones(g.n_edges, dtype=int))
+    assert J.with_value(0, 0.5).value(0) == 0.5
+    assert CouplingConfig(g, np.ones(g.n_edges, dtype=np.float32)
+                          ).values.dtype == np.float64
+    vals = np.ones(g.n_edges)
+    assert CouplingConfig(g, vals).values is vals
+
+
 def test_nested_boxes_share_edge_values():
     small = build_box(5, 5)
     big = build_box(7, 7)

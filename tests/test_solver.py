@@ -1,10 +1,13 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eaglass import excitation, solver, walls
 from eaglass.disorder import CouplingConfig, DistributionSpec, sample_couplings
 from eaglass.errors import BudgetExceededError
-from eaglass.lattice import build_box
+from eaglass.lattice import BoxGeometry, build_box
 from eaglass.solver import (Clamp, brute_force, canonicalize, energy, solve,
                             verify_gsp)
 
@@ -18,17 +21,17 @@ def hand_couplings(geom, value=1.0):
 def test_energy_examples():
     g = build_box(1, 2)
     J = hand_couplings(g, 1.5)
-    assert energy(g, J, np.array([1, 1], dtype=np.int8)) == -1.5
+    assert energy(J, np.array([1, 1], dtype=np.int8)) == -1.5
     g3 = build_box(3, 3)
     J3 = hand_couplings(g3, 1.0)
-    assert energy(g3, J3, np.ones(9, dtype=np.int8)) == -15.0
+    assert energy(J3, np.ones(9, dtype=np.int8)) == -15.0
 
 
 def test_energy_flip_invariant():
     g = build_box(3, 3)
     J = sample_couplings(g, GAUSS, 3, 0)
     s = solve(g, J).signs
-    assert energy(g, J, s) == energy(g, J, -s)
+    assert energy(J, s) == energy(J, -s)
 
 
 def test_solve_single_edge():
@@ -55,7 +58,7 @@ def test_clamped_ferromagnet_energy():
     J = hand_couplings(g, 1.0)
     cl = Clamp.opposite_pair(0, 1)
     sp = solve(g, J, cl)
-    bf = brute_force(g, J, cl)
+    bf = brute_force(J, cl)
     assert sp.energy == bf.energy
     broken = (sp.energy + 15.0) / 2.0
     assert broken == int(broken) and broken >= 1
@@ -65,10 +68,10 @@ def test_clamp_covering_all_vertices():
     g = build_box(2, 2)
     J = sample_couplings(g, GAUSS, 8, 0)
     cl = Clamp((0, 1, 2, 3), (1, -1, -1, 1))
-    sp = brute_force(g, J, cl)
+    sp = brute_force(J, cl)
     signs = np.array([1, -1, -1, 1], dtype=np.int8)
     assert np.array_equal(sp.signs, signs)
-    assert sp.energy == energy(g, J, signs)
+    assert sp.energy == energy(J, signs)
     assert solve(g, J, cl).same_pair(sp)
 
 
@@ -76,7 +79,7 @@ def test_tie_flag_and_lex_policy():
     g = build_box(1, 2)
     J = CouplingConfig(g, np.array([0.0]))
     sp = solve(g, J)
-    bf = brute_force(g, J)
+    bf = brute_force(J)
     assert sp.tied and bf.tied
     # lexicographically smallest canonical pattern prefers +1 first
     assert np.array_equal(sp.signs, np.array([1, 1], dtype=np.int8))
@@ -102,7 +105,7 @@ def test_solve_matches_bruteforce(w, h, idx):
     g = build_box(w, h)
     J = sample_couplings(g, GAUSS, 2025, idx)
     a = solve(g, J)
-    b = brute_force(g, J)
+    b = brute_force(J)
     assert np.array_equal(a.signs, b.signs)
     assert a.energy == b.energy
 
@@ -119,7 +122,7 @@ def test_clamped_solve_matches_bruteforce(idx, data):
                                      min_size=k - 1, max_size=k - 1))
     cl = Clamp(tuple(verts), tuple(signs))
     a = solve(g, J, cl)
-    b = brute_force(g, J, cl)
+    b = brute_force(J, cl)
     assert np.array_equal(a.signs, b.signs)
     assert a.energy == b.energy
     # clamp respected modulo flip
@@ -147,7 +150,7 @@ def test_clamp_survives_huge_couplings():
             signs = [1] + [int(s) for s in rng.choice([1, -1], size=2)]
             cl = Clamp(tuple(int(v) for v in verts), tuple(signs))
             a = solve(g, J, cl)
-            b = brute_force(g, J, cl)
+            b = brute_force(J, cl)
             assert np.array_equal(a.signs, b.signs), (w, h, idx, cl)
             assert a.energy == b.energy
 
@@ -156,7 +159,7 @@ def test_budget_errors():
     g = build_box(6, 5)
     J = sample_couplings(g, GAUSS, 0, 0)
     with pytest.raises(BudgetExceededError):
-        brute_force(g, J)  # 30 vertices
+        brute_force(J)  # 30 vertices
     wide = build_box(17, 2)
     with pytest.raises(BudgetExceededError):
         solve(wide, sample_couplings(wide, GAUSS, 0, 0))
@@ -166,11 +169,11 @@ def test_verify_gsp_ferromagnet():
     g = build_box(3, 3)
     J = hand_couplings(g, 1.0)
     all_up = np.ones(9, dtype=np.int8)
-    rep = verify_gsp(g, J, all_up, max_subset_size=4, max_dual_len=6)
+    rep = verify_gsp(J, all_up, max_subset_size=4, max_dual_len=6)
     assert rep.passed
     flipped = all_up.copy()
     flipped[4] = -1
-    rep2 = verify_gsp(g, J, flipped, max_subset_size=2, max_dual_len=4)
+    rep2 = verify_gsp(J, flipped, max_subset_size=2, max_dual_len=4)
     assert not rep2.passed
     assert any(v.kind == "subset" and v.items == (4,) for v in rep2.violations)
 
@@ -180,7 +183,7 @@ def test_verify_gsp_solver_output_sweep():
     for i in range(40):
         J = sample_couplings(g, GAUSS, 555, i)
         sp = solve(g, J)
-        rep = verify_gsp(g, J, sp, max_subset_size=3, max_dual_len=6)
+        rep = verify_gsp(J, sp, max_subset_size=3, max_dual_len=6)
         assert rep.passed, rep.violations
 
 
@@ -189,7 +192,7 @@ def test_verify_gsp_exclusion():
     J = sample_couplings(g, GAUSS, 13, 0)
     cl = Clamp.opposite_pair(0, 4)
     sp = solve(g, J, cl)
-    rep = verify_gsp(g, J, sp, max_subset_size=3, max_dual_len=6,
+    rep = verify_gsp(J, sp, max_subset_size=3, max_dual_len=6,
                      exclude=(0, 4))
     assert rep.passed, rep.violations
     assert rep.checked_duals == 0  # dual flips skipped for clamped states
@@ -228,7 +231,7 @@ def test_ties_match_bruteforce():
                 cl = Clamp(tuple(int(v) for v in verts),
                            (1,) + tuple(int(s) for s in rng.choice([1, -1], k - 1)))
             a = solve(g, J, cl)
-            b = brute_force(g, J, cl)
+            b = brute_force(J, cl)
             assert np.array_equal(a.signs, b.signs), (w, i, cl)
             assert a.tied == b.tied and a.energy == b.energy
             n_tied += a.tied
@@ -239,3 +242,41 @@ def test_tie_cap():
     g = build_box(4, 4)
     with pytest.raises(BudgetExceededError):
         solve(g, hand_couplings(g, 0.0))  # 2^15 optimal configurations
+
+
+def test_solve_rejects_couplings_of_another_box():
+    # 27 edges each: the values would land on edges of another shape
+    J = sample_couplings(build_box(9, 2), GAUSS, 0, 0)
+    with pytest.raises(ValueError):
+        solve(build_box(3, 5), J)
+
+
+def test_spins_must_live_on_the_couplings_box():
+    # a 5x3 state has 15 vertices, as many as the 3x5 box the couplings hold
+    gsp = solve(build_box(5, 3), sample_couplings(build_box(5, 3), GAUSS, 0, 0))
+    g = build_box(3, 5)
+    J = sample_couplings(g, GAUSS, 0, 0)
+    with pytest.raises(ValueError):
+        walls.interface(J, solve(g, J), gsp)
+    with pytest.raises(ValueError):
+        verify_gsp(J, gsp)
+    with pytest.raises(ValueError):
+        energy(J, gsp)
+    with pytest.raises(ValueError):
+        walls.satisfaction(J, np.ones(16, dtype=np.int8))
+
+
+def test_only_solve_takes_a_box_next_to_couplings():
+    """Couplings carry their box, so no function also takes one."""
+    both = []
+    for module in (solver, excitation, walls):
+        for name, fn in vars(module).items():
+            if (name.startswith("_") or not inspect.isfunction(fn)
+                    or fn.__module__ != module.__name__):
+                continue
+            params = inspect.signature(fn, eval_str=True).parameters.values()
+            kinds = {p.annotation for p in params} | {p.name for p in params}
+            if ({BoxGeometry, "geom"} & kinds
+                    and {CouplingConfig, "J"} & kinds):
+                both.append(f"{module.__name__}.{name}")
+    assert both == ["eaglass.solver.solve"]

@@ -48,13 +48,13 @@ def test_interface_identity_and_symmetry():
     J = sample_couplings(g, GAUSS, 3, 1)
     rng = np.random.default_rng(0)
     a, b = random_signs(rng, 16), random_signs(rng, 16)
-    assert wl.interface(g, J, a, a).is_empty()
-    ab = wl.interface(g, J, a, b).edge_ids
-    ba = wl.interface(g, J, b, a).edge_ids
+    assert wl.interface(J, a, a).is_empty()
+    ab = wl.interface(J, a, b).edge_ids
+    ba = wl.interface(J, b, a).edge_ids
     assert ab == ba
     # global flips of either argument change nothing
-    assert wl.interface(g, J, -a, b).edge_ids == ab
-    assert wl.interface(g, J, a, -b).edge_ids == ab
+    assert wl.interface(J, -a, b).edge_ids == ab
+    assert wl.interface(J, a, -b).edge_ids == ab
 
 
 @settings(max_examples=25, deadline=None)
@@ -64,9 +64,9 @@ def test_interface_triangle_property(idx):
     J = sample_couplings(g, GAUSS, 19, idx)
     rng = np.random.default_rng(idx)
     a, b, c = (random_signs(rng, 12) for _ in range(3))
-    iab = wl.interface(g, J, a, b).edge_ids
-    ibc = wl.interface(g, J, b, c).edge_ids
-    iac = wl.interface(g, J, a, c).edge_ids
+    iab = wl.interface(J, a, b).edge_ids
+    ibc = wl.interface(J, b, c).edge_ids
+    iac = wl.interface(J, a, c).edge_ids
     assert iac <= (iab | ibc)
 
 
@@ -77,14 +77,14 @@ def test_single_flip_walls():
     # interior vertex: the four surrounding dual edges, untethered
     mid = base.copy()
     mid[12] = -mid[12]
-    walls = wl.domain_walls(wl.interface(g, J, base, mid))
+    walls = wl.domain_walls(wl.interface(J, base, mid))
     assert len(walls) == 1
     assert len(walls[0].edge_ids) == 4
     assert not walls[0].tethered
     # bottom-row vertex: three dual edges, tethered
     bot = base.copy()
     bot[2] = -bot[2]
-    walls_b = wl.domain_walls(wl.interface(g, J, base, bot))
+    walls_b = wl.domain_walls(wl.interface(J, base, bot))
     assert len(walls_b) == 1
     assert len(walls_b[0].edge_ids) == 3
     assert walls_b[0].tethered
@@ -92,7 +92,7 @@ def test_single_flip_walls():
     two = base.copy()
     two[2] = -two[2]
     two[22] = -two[22]
-    walls_2 = wl.domain_walls(wl.interface(g, J, base, two))
+    walls_2 = wl.domain_walls(wl.interface(J, base, two))
     assert len(walls_2) == 2
 
 
@@ -104,7 +104,7 @@ def test_wall_decomposition_matches_flood_fill(idx):
     J = sample_couplings(g, GAUSS, 29, idx)
     rng = np.random.default_rng(idx + 1)
     a, b = random_signs(rng, 16), random_signs(rng, 16)
-    iface = wl.interface(g, J, a, b)
+    iface = wl.interface(J, a, b)
     walls = wl.domain_walls(iface)
     assert {w.edge_ids for w in walls} == flood_fill_walls(iface, d)
     # walls partition the interface
@@ -156,7 +156,7 @@ def test_count_Nnk_monotone_in_n():
     a = solve(g, J).signs
     rng = np.random.default_rng(3)
     b = random_signs(rng, g.n_vertices)
-    walls = wl.domain_walls(wl.interface(g, J, a, b))
+    walls = wl.domain_walls(wl.interface(J, a, b))
     for k in (0, 1, 2):
         counts = [wl.count_Nnk(walls, n, k, d) for n in (1, 2, 3, 4)]
         assert counts == sorted(counts)
@@ -221,7 +221,7 @@ def test_interface_cycle_check():
     # a single interior flip produces a 4-cycle: the check must catch it
     mid = base.copy()
     mid[12] = -mid[12]
-    iface = wl.interface(g, J, base, mid)
+    iface = wl.interface(J, base, mid)
     rep = wl.interface_cycle_check(iface)
     assert not rep.passed
     assert len(rep.violations[0]["edges"]) == 4
@@ -241,7 +241,7 @@ def test_cycle_check_matches_oracle(w, h, idx):
     rng = np.random.default_rng(idx)
     base = solve(g, J).signs
     flipped = base * random_signs(rng, g.n_vertices)
-    iface = wl.interface(g, J, base, flipped)
+    iface = wl.interface(J, base, flipped)
     edges = sorted(iface.edge_ids)
     excluded = {int(e) for e in rng.permutation(edges)[:rng.integers(3)]}
     rep = wl.interface_cycle_check(iface, excluded_dual_edges=excluded)
@@ -264,7 +264,7 @@ def test_interface_csv_dump(tmp_path):
     base = solve(g, J).signs
     other = base.copy()
     other[7] = -other[7]
-    iface = wl.interface(g, J, base, other)
+    iface = wl.interface(J, base, other)
     walls = wl.domain_walls(iface)
     path = tmp_path / "iface.csv"
     wl.dump_interface_csv(iface, walls, path)

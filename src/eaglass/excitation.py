@@ -26,7 +26,7 @@ import numpy as np
 from .disorder import CouplingConfig
 from .errors import BudgetExceededError
 from .lattice import BoxGeometry
-from .solver import Clamp, SpinPair, _spin_products, solve
+from .solver import Clamp, SpinPair, _spin_products, solve, solve_batch
 from .walls import Interface, interface
 
 
@@ -38,10 +38,22 @@ class ExcitationRecord:
     h_interior: float
     delta_e_ext: float
 
+    @classmethod
+    def from_states(cls, J: CouplingConfig, eta: Clamp, eta_prime: Clamp,
+                    state_a: SpinPair, state_b: SpinPair) -> "ExcitationRecord":
+        """The record of the minimizers under eta and under eta_prime."""
+        delta_e = state_a.energy - state_b.energy
+        h = interior_hamiltonian(J, eta) - interior_hamiltonian(J, eta_prime)
+        return cls(state_a, state_b, delta_e, h, delta_e - h)
+
 
 def interior_edges(geom: BoxGeometry, vertices) -> list[int]:
+    vertices = list(vertices)
+    outside = [v for v in vertices if not 0 <= v < geom.n_vertices]
+    if outside:
+        raise ValueError(f"vertices {outside} outside the box")
     inside = np.zeros(geom.n_vertices, dtype=bool)
-    inside[list(vertices)] = True
+    inside[vertices] = True
     return np.flatnonzero(inside[geom.eu] & inside[geom.ev]).tolist()
 
 
@@ -58,18 +70,19 @@ def excitation(J: CouplingConfig, eta: Clamp,
     """Excitation from eta to eta_prime on their common vertex set A."""
     if eta.vertices != eta_prime.vertices:
         raise ValueError("clamps must live on the same set A")
-    state_a = solve(J.geom, J, eta)
-    state_b = solve(J.geom, J, eta_prime)
-    delta_e = state_a.energy - state_b.energy
-    h = interior_hamiltonian(J, eta) - interior_hamiltonian(J, eta_prime)
-    return ExcitationRecord(state_a, state_b, delta_e, h, delta_e - h)
+    state_a, state_b = solve_batch([J, J], [eta, eta_prime])
+    return ExcitationRecord.from_states(J, eta, eta_prime, state_a, state_b)
+
+
+def _edge_clamps(geom: BoxGeometry, edge_id: int) -> tuple[Clamp, Clamp]:
+    """The edge's +_b clamp (equal endpoints) and its -_b clamp."""
+    e = geom.edges[edge_id]
+    return Clamp.equal_pair(e.u, e.v), Clamp.opposite_pair(e.u, e.v)
 
 
 def edge_excitation(J: CouplingConfig, edge_id: int) -> ExcitationRecord:
-    """Excitation from the edge's +_b clamp (equal endpoints) to its -_b one."""
-    e = J.geom.edges[edge_id]
-    return excitation(J, Clamp.equal_pair(e.u, e.v),
-                      Clamp.opposite_pair(e.u, e.v))
+    """Excitation from the edge's +_b clamp to its -_b one."""
+    return excitation(J, *_edge_clamps(J.geom, edge_id))
 
 
 def critical_value(J: CouplingConfig, edge_id: int) -> float:
@@ -77,7 +90,24 @@ def critical_value(J: CouplingConfig, edge_id: int) -> float:
 
     Independent of the current value of J_b by construction.
     """
-    return 0.5 * edge_excitation(J, edge_id).delta_e_ext
+    return _critical_values([(J, edge_id)])[0]
+
+
+def _edge_critical_value(J: CouplingConfig, edge_id: int, plus: SpinPair,
+                         minus: SpinPair) -> float:
+    """``critical_value(J, edge_id)`` from the +_b and -_b minimizers."""
+    return 0.5 * ExcitationRecord.from_states(
+        J, *_edge_clamps(J.geom, edge_id), plus, minus).delta_e_ext
+
+
+def _critical_values(problems) -> list[float]:
+    """``critical_value(J, edge_id)`` of each ``(J, edge_id)`` on one box,
+    from one batch of solves."""
+    states = solve_batch([J for J, _ in problems for _ in range(2)],
+                         [cl for J, edge_id in problems
+                          for cl in _edge_clamps(J.geom, edge_id)])
+    return [_edge_critical_value(J, edge_id, *states[2 * k:2 * k + 2])
+            for k, (J, edge_id) in enumerate(problems)]
 
 
 @dataclass(frozen=True)
@@ -93,10 +123,9 @@ def flip_census(J: CouplingConfig, edge_id: int, grid) -> FlipCensus:
     values = tuple(float(x) for x in grid)
     if list(values) != sorted(values):
         raise ValueError("grid must be sorted")
-    labels = []
-    for x in values:
-        gsp = solve(J.geom, J.with_value(edge_id, x))
-        labels.append(gsp.edge_product(edge_id))
+    gsps = solve_batch([J.with_value(edge_id, x) for x in values],
+                       [None] * len(values))
+    labels = [gsp.edge_product(edge_id) for gsp in gsps]
     trans = [(values[i], values[i + 1])
              for i in range(len(values) - 1) if labels[i] != labels[i + 1]]
     return FlipCensus(values, tuple(labels), len(trans),
@@ -158,21 +187,18 @@ class CriticalSet2:
                 "case": self.case_kind, "segments": list(self.segments)}
 
 
-def _pair_state(J, edge_b, edge_e, eta_b, eta_e) -> SpinPair:
-    """Minimizer subject to the two endpoint-product constraints: the best
-    solve over every clamp of the endpoints that meets both products.  On an
-    exact tie the first clamp wins, the one with e.u signed like b.u."""
-    b, e = J.geom.edges[edge_b], J.geom.edges[edge_e]
+def _pair_clamps(geom, edge_b, edge_e, eta_b, eta_e) -> list[Clamp]:
+    """Every clamp of the two edges' endpoints that meets both endpoint
+    products, the one with e.u signed like b.u first."""
+    b, e = geom.edges[edge_b], geom.edges[edge_e]
     verts = list(dict.fromkeys((b.u, b.v, e.u, e.v)))
-    best = None
+    clamps = []
     for rest in product((1, -1), repeat=len(verts) - 1):
         sigma = dict(zip(verts, (1,) + rest))
         if (sigma[b.u] * sigma[b.v] == eta_b
                 and sigma[e.u] * sigma[e.v] == eta_e):
-            cand = solve(J.geom, J, Clamp(verts, (1,) + rest))
-            if best is None or cand.energy < best.energy:
-                best = cand
-    return best
+            clamps.append(Clamp(verts, (1,) + rest))
+    return clamps
 
 
 def two_bond_critical_set(J: CouplingConfig, edge_b: int,
@@ -181,9 +207,15 @@ def two_bond_critical_set(J: CouplingConfig, edge_b: int,
         raise ValueError("edges must differ")
     jb0 = J.value(edge_b)
     je0 = J.value(edge_e)
+    groups = [_pair_clamps(J.geom, edge_b, edge_e, eta_b, eta_e)
+              for eta_b, eta_e in _COMBOS]
+    states = iter(solve_batch([J] * sum(map(len, groups)),
+                              [cl for group in groups for cl in group]))
     f_values = {}
-    for eta_b, eta_e in _COMBOS:
-        st = _pair_state(J, edge_b, edge_e, eta_b, eta_e)
+    for (eta_b, eta_e), group in zip(_COMBOS, groups):
+        # the minimizer under both product constraints is the best state
+        # over the group's clamps; on an exact tie the first clamp wins
+        st = min((next(states) for _ in group), key=lambda sp: sp.energy)
         # exterior part: strip the two constrained couplings from the energy
         f_values[(eta_b, eta_e)] = st.energy + jb0 * eta_b + je0 * eta_e
     F = f_values
@@ -322,15 +354,18 @@ def consistency_check(J: CouplingConfig, cs: CriticalSet2) -> ConsistencyReport:
             reps_e.append(("middle", 0.5 * (lo_e + hi_e)))
         if hi_b - lo_b > 1e-6:
             reps_b.append(("middle", 0.5 * (lo_b + hi_b)))
+    recomputed = iter(_critical_values(
+        [(J.with_value(cs.edge_e, je), cs.edge_b) for _, je in reps_e]
+        + [(J.with_value(cs.edge_b, jb), cs.edge_e) for _, jb in reps_b]))
     checks = []
     for region, je in reps_e:
-        got = critical_value(J.with_value(cs.edge_e, je), cs.edge_b)
+        got = next(recomputed)
         want = expected_critical_b(cs, je)
         checks.append({"edge": "b", "region": region, "other_value": je,
                        "recomputed": got, "expected": want,
                        "abs_err": abs(got - want)})
     for region, jb in reps_b:
-        got = critical_value(J.with_value(cs.edge_b, jb), cs.edge_e)
+        got = next(recomputed)
         want = expected_critical_e(cs, jb)
         checks.append({"edge": "e", "region": region, "other_value": jb,
                        "recomputed": got, "expected": want,
@@ -375,7 +410,5 @@ def grid_labels_enumeration(J: CouplingConfig, edge_b: int, edge_e: int,
 def critical_contour(J: CouplingConfig, edge_id: int) -> Interface:
     """Interface between the minimizers with the edge's endpoint product
     forced +1 and -1; always contains the edge's dual."""
-    e = J.geom.edges[edge_id]
-    plus = solve(J.geom, J, Clamp.equal_pair(e.u, e.v))
-    minus = solve(J.geom, J, Clamp.opposite_pair(e.u, e.v))
+    plus, minus = solve_batch([J, J], _edge_clamps(J.geom, edge_id))
     return interface(J, plus, minus)

@@ -29,7 +29,7 @@ from .disorder import (CouplingConfig, DistributionSpec, sample_couplings,
                        super_satisfy, supersatisfied_threshold)
 from .errors import ConfigError, HardAssertionFailure, SampleError
 from .lattice import BoxGeometry, build_box
-from .solver import (MAX_SOLVE_WIDTH, Clamp, brute_force, solve,
+from .solver import (MAX_SOLVE_WIDTH, Clamp, brute_force, solve, solve_batch,
                      verify_gsp)
 
 SCHEMA_VERSION = 1
@@ -539,7 +539,32 @@ def _run_property_suite(cfg: ExperimentConfig, i: int) -> dict:
     rng = _sample_rng(cfg, i, tag=5)
     checks = {}
 
-    gsp = solve(geom, J)
+    # draw every random choice in its fixed order, then solve all states
+    # but the two that need a critical value in one batch
+    b = int(rng.integers(geom.n_edges))
+    b_clamps = exc._edge_clamps(geom, b)
+    J_repl = J.with_value(b, float(rng.normal() * 3.0))
+    a_set = _connected_random_set(geom, rng, 2 + int(rng.integers(3)))
+    cl1, cl2, cl3 = (_random_clamp(rng, a_set) for _ in range(3))
+    inner = exc.interior_edges(geom, a_set)
+    J_re = J.with_values({eid: float(rng.normal() * 2.0) for eid in inner})
+    f = int(rng.integers(geom.n_edges))
+    s = int(rng.integers(2)) * 2 - 1
+    J_ss = super_satisfy(J, f, s)
+    fe = geom.edges[f]
+    probes = [e.id for e in geom.edges
+              if e.id != f and not {e.u, e.v} & {fe.u, fe.v}]
+    rng.shuffle(probes)
+    probe_clamps = [cl for p in probes[:max(1, cfg.probes)]
+                    for cl in exc._edge_clamps(geom, p)]
+    jobs = ([(J, None)] + [(J, cl) for cl in b_clamps]
+            + [(J_repl, cl) for cl in b_clamps]
+            + [(J, cl) for cl in (cl1, cl2, cl3)]
+            + [(J_re, cl) for cl in (cl1, cl2)]
+            + [(J_ss, None)] + [(J_ss, cl) for cl in probe_clamps])
+    (gsp, plus, minus, plus_repl, minus_repl, st1, st2, st3, st1_re, st2_re,
+     forced, *probe_states) = solve_batch(*zip(*jobs))
+
     if geom.n_vertices <= 20:
         oracle = brute_force(J)
         checks["oracle_equivalence"] = (gsp.same_pair(oracle)
@@ -549,29 +574,23 @@ def _run_property_suite(cfg: ExperimentConfig, i: int) -> dict:
     checks["gsp_verified"] = report.passed
 
     # single-bond critical structure
-    b = int(rng.integers(geom.n_edges))
-    rec = exc.edge_excitation(J, b)
-    c_val = 0.5 * rec.delta_e_ext
-    c_repl = exc.critical_value(J.with_value(b, float(rng.normal() * 3.0)), b)
+    c_val = exc._edge_critical_value(J, b, plus, minus)
+    c_repl = exc._edge_critical_value(J_repl, b, plus_repl, minus_repl)
     checks["critical_value_jb_free"] = abs(c_val - c_repl) <= 1e-12
-    plus, minus = rec.state_a, rec.state_b
-    above = solve(geom, J.with_value(b, c_val + 1e-6))
-    below = solve(geom, J.with_value(b, c_val - 1e-6))
+    above, below = solve_batch([J.with_value(b, c_val + 1e-6),
+                                J.with_value(b, c_val - 1e-6)], [None, None])
     checks["gsp_selection"] = above.same_pair(plus) and below.same_pair(minus)
 
     # exterior energy difference properties on a random small set
-    a_set = _connected_random_set(geom, rng, 2 + int(rng.integers(3)))
-    cl1, cl2, cl3 = (_random_clamp(rng, a_set) for _ in range(3))
-    r12 = exc.excitation(J, cl1, cl2)
-    r23 = exc.excitation(J, cl2, cl3)
-    r13 = exc.excitation(J, cl1, cl3)
+    record = exc.ExcitationRecord.from_states
+    r12 = record(J, cl1, cl2, st1, st2)
+    r23 = record(J, cl2, cl3, st2, st3)
+    r13 = record(J, cl1, cl3, st1, st3)
     checks["additivity"] = abs(r12.delta_e_ext + r23.delta_e_ext
                                - r13.delta_e_ext) <= cfg.tol
-    r21 = exc.excitation(J, cl2, cl1)
+    r21 = record(J, cl2, cl1, st2, st1)
     checks["antisymmetry"] = abs(r12.delta_e_ext + r21.delta_e_ext) <= cfg.tol
-    inner = exc.interior_edges(geom, a_set)
-    J_re = J.with_values({eid: float(rng.normal() * 2.0) for eid in inner})
-    r12b = exc.excitation(J_re, cl1, cl2)
+    r12b = record(J_re, cl1, cl2, st1_re, st2_re)
     checks["interior_independence"] = (
         abs(r12.delta_e_ext - r12b.delta_e_ext) <= cfg.tol
         and r12.state_a.same_pair(r12b.state_a)
@@ -580,23 +599,14 @@ def _run_property_suite(cfg: ExperimentConfig, i: int) -> dict:
                                 cfg.dual_budget, exclude=a_set)
     checks["clamped_gsp_off_A"] = clamped_report.passed
 
-    # super-satisfaction forces the edge in every ground state
-    f = int(rng.integers(geom.n_edges))
-    s = int(rng.integers(2)) * 2 - 1
-    J_ss = super_satisfy(J, f, s)
+    # super-satisfaction forces the edge in every ground state, and keeps it
+    # out of the critical contours of disjoint edges
     checks["supersatisfied_strict"] = (abs(J_ss.value(f))
                                        > supersatisfied_threshold(J_ss, f))
-    forced = solve(geom, J_ss)
     checks["supersatisfy_forces_sign"] = forced.edge_product(f) == s
-    fe = geom.edges[f]
-    probes = [e.id for e in geom.edges
-              if e.id != f and not {e.u, e.v} & {fe.u, fe.v}]
-    rng.shuffle(probes)
-    ok = True
-    for p in probes[:max(1, cfg.probes)]:
-        contour = exc.critical_contour(J_ss, p)
-        ok = ok and f not in contour.edge_ids
-    checks["supersatisfied_not_in_contours"] = ok
+    checks["supersatisfied_not_in_contours"] = all(
+        f not in wl.interface(J_ss, plus_p, minus_p).edge_ids
+        for plus_p, minus_p in zip(probe_states[::2], probe_states[1::2]))
 
     # interface sanity
     checks["self_interface_empty"] = wl.interface(J, gsp, gsp).is_empty()

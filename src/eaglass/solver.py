@@ -8,6 +8,13 @@ optimal choice, so exact ties can be enumerated and broken deterministically:
 the returned configuration has the lexicographically smallest canonical bit
 pattern among all minimizers, and the pair is flagged as tied.
 
+``solve_batch`` runs K problems on one box shape through each kernel sweep:
+the frontier gains a leading batch axis, and each problem keeps its own row
+costs, vertical couplings (broadcast as shape (K, 1, 1)) and traceback, so
+its energies and backpointers are bit-identical to a solve of its own.  A
+sweep holds at most 2^13 frontier entries (K * 2^W), so from width 13 on
+every problem runs alone; ``solve`` is the K=1 case.
+
 Configurations are pairs modulo a global flip.  Internally one representative
 is pinned by the clamp's signs (or vertex 0 at +1), entered as infinite row
 costs; the stored canonical form instead gives +1 to the lowest-indexed vertex
@@ -48,6 +55,8 @@ class Clamp:
         vs = tuple(v for v, _ in pairs)
         if len(set(vs)) != len(vs):
             raise ValueError("duplicate clamp vertices")
+        if vs[0] < 0:
+            raise ValueError(f"negative clamp vertex {vs[0]}")
         ss = tuple(int(s) for _, s in pairs)
         if any(s not in (1, -1) for s in ss):
             raise ValueError("clamp signs must be +1 or -1")
@@ -139,46 +148,54 @@ def _pattern(signs: np.ndarray) -> bytes:
 
 
 def _transition_column(cur, nxt, j_vert, bp, c):
-    """One column step of the row-to-row transition.
+    """One column step of the row-to-row transition of K problems at once.
 
-    Replaces bit c of the frontier: for each target mask the cost of the
-    vertical edge is -J * old * new; bp gets 1 / 2 / 3 for old-bit-0 optimal,
-    old-bit-1 optimal, or an exact tie.
+    ``cur``, ``nxt`` and ``bp`` have shape (K, 2^W) and ``j_vert`` shape
+    (K, 1, 1).  Replaces bit c of every frontier: for each target mask the
+    cost of the vertical edge is -J * old * new; bp gets 1 / 2 / 3 for
+    old-bit-0 optimal, old-bit-1 optimal, or an exact tie.
     """
-    hi, lo = cur.shape[0] >> (c + 1), 1 << c
-    f3 = cur.reshape(hi, 2, lo)
-    f0, f1 = f3[:, 0, :], f3[:, 1, :]
+    k, n = cur.shape
+    hi, lo = n >> (c + 1), 1 << c
+    f3 = cur.reshape(k, hi, 2, lo)
+    f0, f1 = f3[:, :, 0], f3[:, :, 1]
     t0, t1 = f0 - j_vert, f1 + j_vert   # new spin -1
     u0, u1 = f0 + j_vert, f1 - j_vert   # new spin +1
-    n3 = nxt.reshape(hi, 2, lo)
-    b3 = bp.reshape(hi, 2, lo)
-    np.minimum(t0, t1, out=n3[:, 0, :])
-    np.minimum(u0, u1, out=n3[:, 1, :])
-    b3[:, 0, :] = (t0 == n3[:, 0, :]) | ((t1 == n3[:, 0, :]) << 1)
-    b3[:, 1, :] = (u0 == n3[:, 1, :]) | ((u1 == n3[:, 1, :]) << 1)
+    n3 = nxt.reshape(k, hi, 2, lo)
+    b3 = bp.reshape(k, hi, 2, lo)
+    np.minimum(t0, t1, out=n3[:, :, 0])
+    np.minimum(u0, u1, out=n3[:, :, 1])
+    b3[:, :, 0] = (t0 == n3[:, :, 0]) | ((t1 == n3[:, :, 0]) << 1)
+    b3[:, :, 1] = (u0 == n3[:, :, 1]) | ((u1 == n3[:, :, 1]) << 1)
 
+
+# frontier entries swept together, K * 2^W: small boxes share each numpy
+# call's fixed cost, and a box of width 13 or more runs alone
+_BATCH_STATES = 1 << 13
 
 _PLANS = threading.local()
 
 
 def _plan(width: int, height: int):
     """``(masks, pairs, cur, nxt, backptr, rowcost)`` of one box shape, kept
-    per thread; pairs[m, a] is the sign product of the horizontal edge at
-    column a in row mask m.  Reusing the multi-megabyte backpointer block
-    avoids the stall of a fresh allocation per solve."""
+    per thread, with room for ``len(cur)`` problems in one sweep; pairs[m, a]
+    is the sign product of the horizontal edge at column a in row mask m.
+    Reusing the multi-megabyte backpointer block avoids the stall of a fresh
+    allocation per solve."""
     store = _PLANS.__dict__.setdefault("store", {})
     key = (width, height)
     if key not in store:
         if len(store) >= 8:
             store.clear()
         n = 1 << width
+        k = max(1, _BATCH_STATES >> width)
         masks = np.arange(n, dtype=np.int64)
         sign = ((masks[:, None] >> np.arange(width)) & 1) * 2.0 - 1.0
         a = np.arange(horizontal_edges_per_row(width))
         store[key] = (masks, sign[:, a] * sign[:, (a + 1) % width],
-                      np.empty(n), np.empty(n),
-                      np.empty((height - 1, width, n), dtype=np.uint8),
-                      np.empty((n, height)))
+                      np.empty((k, n)), np.empty((k, n)),
+                      np.empty((height - 1, width, k, n), dtype=np.uint8),
+                      np.empty((k, n, height)))
     return store[key]
 
 
@@ -188,37 +205,86 @@ def solve(geom: BoxGeometry, J: CouplingConfig,
     ``geom`` must be ``J.geom`` (kept because perfbench's tracer reads it)."""
     if J.geom is not geom and J.geom != geom:
         raise ValueError("couplings live on another box than geom")
+    return _solve_all(geom, [J], [clamp])[0]
+
+
+def solve_batch(Js: list[CouplingConfig],
+                clamps: list[Clamp | None]) -> list[SpinPair]:
+    """``solve(J.geom, J, clamp)`` for each pair of ``zip(Js, clamps)``, bit
+    for bit; all couplings live on one box, and the problems share each
+    sweep of the transfer kernel."""
+    Js, clamps = list(Js), list(clamps)
+    if len(Js) != len(clamps):
+        raise ValueError(f"{len(Js)} couplings for {len(clamps)} clamps")
+    if not Js:
+        return []
+    geom = Js[0].geom
+    if any(J.geom is not geom and J.geom != geom for J in Js):
+        raise ValueError("batched couplings live on different boxes")
+    return _solve_all(geom, Js, clamps)
+
+
+def _solve_all(geom: BoxGeometry, Js, clamps) -> list[SpinPair]:
     W, H = geom.width, geom.height
     if W > MAX_SOLVE_WIDTH:
         raise BudgetExceededError(
             f"width {W} exceeds solver budget {MAX_SOLVE_WIDTH}")
-    forced = _forced_signs(geom, clamp)
-    masks, pairs, cur, nxt, backptr, rowcost = _plan(W, H)
-    # build_box numbers the horizontal edges first, row by row; the
-    # contiguous copy keeps the matmul's summation order fixed
-    n_h = pairs.shape[1]
-    j_rows = np.ascontiguousarray(J.values[:n_h * H].reshape(H, n_h).T)
-    np.matmul(pairs, j_rows, out=rowcost)
-    np.negative(rowcost, out=rowcost)
-    # rows contradicting a forced sign cost inf, and finite + inf = inf
-    for v, s in forced.items():
-        c, r = geom.vertex_cr(v)
-        rowcost[((masks >> c) & 1) != (s > 0), r] = np.inf
-    # the vertical edges follow the horizontal ones, row by row
-    vert_j = J.values[geom.n_edges - W * (H - 1):].reshape(H - 1, W)
+    forced = [_forced_signs(geom, clamp) for clamp in clamps]
+    plan = _plan(W, H)
+    step = len(plan[2])     # the problems one sweep holds
+    out = []
+    for lo in range(0, len(Js), step):
+        chunk = range(lo, min(lo + step, len(Js)))
+        final, backptr = _sweep(geom, [Js[i] for i in chunk],
+                                [forced[i] for i in chunk], plan)
+        for k, i in enumerate(chunk):
+            out.append(_best_pair(geom, Js[i], clamps[i], backptr[:, :, k],
+                                  final[k]))
+    return out
 
-    np.copyto(cur, rowcost[:, 0])
+
+def _sweep(geom: BoxGeometry, Js, forced, plan):
+    """Run the transfer kernel over K problems of ``plan``'s shape; returns
+    the (K, 2^W) final frontier and the (H-1, W, K, 2^W) backpointers.
+    Every problem goes through the same elementwise operations as it would
+    alone, so its frontier and backpointers do not depend on the batch."""
+    masks, pairs, cur, nxt, backptr, rowcost = plan
+    W, H, K = geom.width, geom.height, len(Js)
+    cur, nxt, rowcost = cur[:K], nxt[:K], rowcost[:K]
+    # build_box numbers the horizontal edges first, row by row; one matmul
+    # per problem on a contiguous copy keeps the summation order fixed
+    n_h = pairs.shape[1]
+    for k, (J, signs) in enumerate(zip(Js, forced)):
+        j_rows = np.ascontiguousarray(J.values[:n_h * H].reshape(H, n_h).T)
+        np.matmul(pairs, j_rows, out=rowcost[k])
+        np.negative(rowcost[k], out=rowcost[k])
+        # rows contradicting a forced sign cost inf, and finite + inf = inf
+        for v, s in signs.items():
+            c, r = geom.vertex_cr(v)
+            rowcost[k, ((masks >> c) & 1) != (s > 0), r] = np.inf
+    # the vertical edges follow the horizontal ones, row by row; (K, 1, 1)
+    # per column
+    n_v = W * (H - 1)
+    vert_j = np.stack([J.values[geom.n_edges - n_v:].reshape(H - 1, W)
+                       for J in Js], axis=-1)[..., None, None]
+
+    np.copyto(cur, rowcost[:, :, 0])
     for r in range(H - 1):
         for c in range(W):
-            _transition_column(cur, nxt, float(vert_j[r, c]), backptr[r, c], c)
+            _transition_column(cur, nxt, vert_j[r, c], backptr[r, c, :K], c)
             cur, nxt = nxt, cur
-        cur += rowcost[:, r + 1]
+        cur += rowcost[:, :, r + 1]
+    return cur, backptr[:, :, :K]
 
-    best = cur.min()
+
+def _best_pair(geom: BoxGeometry, J: CouplingConfig, clamp: Clamp | None,
+               backptr, final) -> SpinPair:
+    """The canonical optimum of one problem from its swept frontier."""
+    best = final.min()
     if not np.isfinite(best):
         raise RuntimeError("no admissible configuration (unsatisfiable clamp?)")
-    configs = _enumerate_optimal(backptr, np.flatnonzero(cur == best).tolist())
-    signs = min((canonicalize(geom, _rows_to_signs(rows, W), clamp)
+    configs = _enumerate_optimal(backptr, np.flatnonzero(final == best).tolist())
+    signs = min((canonicalize(geom, _rows_to_signs(rows, geom.width), clamp)
                  for rows in configs), key=_pattern)
     return SpinPair(geom, signs, energy(J, signs), tied=len(configs) > 1)
 

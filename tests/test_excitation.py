@@ -66,6 +66,15 @@ def test_interior_hamiltonian_covers_all_inside_edges():
     assert math.isclose(exc.interior_hamiltonian(J, cl), want)
 
 
+def test_interior_edges_rejects_vertices_outside_the_box():
+    # numpy would wrap -1 to vertex 8 of the 3x3 box
+    g = build_box(3, 3)
+    with pytest.raises(ValueError):
+        exc.interior_edges(g, [-1, 8])
+    with pytest.raises(ValueError):
+        exc.interior_edges(g, [8, 9])
+
+
 def test_critical_value_against_bisection():
     for i in range(6):
         g = build_box(4, 4)

@@ -9,7 +9,7 @@ from eaglass.disorder import CouplingConfig, DistributionSpec, sample_couplings
 from eaglass.errors import BudgetExceededError
 from eaglass.lattice import BoxGeometry, build_box
 from eaglass.solver import (Clamp, brute_force, canonicalize, energy, solve,
-                            verify_gsp)
+                            solve_batch, verify_gsp)
 
 GAUSS = DistributionSpec("gaussian", sigma=1.0)
 
@@ -51,6 +51,12 @@ def test_clamp_normalization():
         Clamp((1, 1), (1, 1))
     with pytest.raises(ValueError):
         Clamp((1,), (2,))
+
+
+def test_clamp_rejects_negative_vertices():
+    # numpy would wrap -1 to the last vertex
+    with pytest.raises(ValueError):
+        Clamp((-1, 8), (1, -1))
 
 
 def test_clamped_ferromagnet_energy():
@@ -280,3 +286,104 @@ def test_only_solve_takes_a_box_next_to_couplings():
                     and {CouplingConfig, "J"} & kinds):
                 both.append(f"{module.__name__}.{name}")
     assert both == ["eaglass.solver.solve"]
+
+
+# boxes of at most 12 vertices, so couplings in {-1, 0, 1} stay far below the
+# tie cap and brute_force stays fast
+SMALL_SHAPES = [(1, 2), (2, 2), (3, 2), (4, 2), (1, 4), (2, 4), (3, 3),
+                (3, 4), (4, 3), (2, 6)]
+
+
+def _assert_same_states(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.signs, b.signs)
+        assert a.energy == b.energy and a.tied == b.tied
+
+
+def _check_drawn_batch(data, g, max_problems, tied):
+    """Draw 1..max_problems gaussian (or, with ``tied``, also {-1, 0, 1})
+    coupling sets with free, equal and opposite clamps; the batch must equal
+    one solve and one brute force per problem."""
+    Js, clamps = [], []
+    for _ in range(data.draw(st.integers(1, max_problems))):
+        if tied and data.draw(st.booleans()):
+            vals = data.draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]),
+                                      min_size=g.n_edges, max_size=g.n_edges))
+            Js.append(CouplingConfig(g, np.array(vals)))
+        else:
+            idx = data.draw(st.integers(0, 10**6))
+            Js.append(sample_couplings(g, GAUSS, 4099, idx))
+        u, v = data.draw(st.lists(st.integers(0, g.n_vertices - 1),
+                                  min_size=2, max_size=2, unique=True))
+        clamps.append(data.draw(st.sampled_from(
+            [None, Clamp.equal_pair(u, v), Clamp.opposite_pair(u, v)])))
+    batch = solve_batch(Js, clamps)
+    _assert_same_states(batch, [solve(g, J, cl) for J, cl in zip(Js, clamps)])
+    _assert_same_states(batch, [brute_force(J, cl) for J, cl in zip(Js, clamps)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_SHAPES), st.data())
+def test_solve_batch_matches_solve_and_bruteforce(shape, data):
+    _check_drawn_batch(data, build_box(*shape), max_problems=6, tied=True)
+
+
+# boxes of 16 to 24 vertices, widths 4 to 12, with gaussian couplings only,
+# far from the tie cap; at W=12 a sweep holds two problems
+MID_SHAPES = [(4, 4), (6, 3), (5, 4), (4, 5), (7, 3), (11, 2), (6, 4),
+              (8, 3), (12, 2)]
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.sampled_from(MID_SHAPES), st.data())
+def test_solve_batch_matches_solve_and_bruteforce_mid_size(shape, data):
+    _check_drawn_batch(data, build_box(*shape), max_problems=3, tied=False)
+
+
+def _mixed_problems(g, n, seed):
+    """n gaussian or {-1, 0, 1} coupling sets with free, equal and opposite
+    clamps."""
+    rng = np.random.default_rng(seed)
+    Js, clamps = [], []
+    for i in range(n):
+        if i % 3 == 2:
+            Js.append(CouplingConfig(
+                g, rng.choice([-1.0, 0.0, 1.0], g.n_edges, p=[0.4, 0.2, 0.4])))
+        else:
+            Js.append(sample_couplings(g, GAUSS, seed, i))
+        u, v = (int(x) for x in rng.choice(g.n_vertices, 2, replace=False))
+        clamps.append((None, Clamp.equal_pair(u, v),
+                       Clamp.opposite_pair(u, v))[i % 3])
+    return Js, clamps
+
+
+@pytest.mark.parametrize("w,h,n", [(7, 4, 21), (10, 2, 19)])
+def test_solve_batch_equals_single_solves(w, h, n):
+    # at W=10 a sweep holds 8 problems, so 19 problems span three sweeps
+    g = build_box(w, h)
+    Js, clamps = _mixed_problems(g, n, seed=w)
+    single = [solve(g, J, cl) for J, cl in zip(Js, clamps)]
+    assert any(sp.tied for sp in single)
+    _assert_same_states(solve_batch(Js, clamps), single)
+
+
+def test_solve_batch_rejects_bad_input():
+    g = build_box(3, 3)
+    J = sample_couplings(g, GAUSS, 0, 0)
+    other = sample_couplings(build_box(9, 2), GAUSS, 0, 0)
+    with pytest.raises(ValueError):
+        solve_batch([J, other], [None, None])
+    with pytest.raises(ValueError):
+        solve_batch([J, J], [None])
+    assert solve_batch([], []) == []
+    # one bad problem fails the batch as it fails solve
+    outside = Clamp.equal_pair(0, 9)
+    with pytest.raises(ValueError):
+        solve(g, J, outside)
+    with pytest.raises(ValueError):
+        solve_batch([J, J], [None, outside])
+    flat = build_box(4, 4)
+    zero = hand_couplings(flat, 0.0)    # 2^15 optimal configurations
+    with pytest.raises(BudgetExceededError):
+        solve_batch([hand_couplings(flat), zero], [None, None])

@@ -16,7 +16,6 @@ constrained couplings, so the C's are independent of J_b and J_e exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import product
 from math import fsum
@@ -166,6 +165,7 @@ def locate_flip(J: CouplingConfig, edge_id: int) -> tuple[float, float]:
 # two-bond critical sets
 
 _COMBOS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+_ETA_B, _ETA_E = np.array(_COMBOS).T
 _CASE_TOL = 1e-12     # relative |C1 - C2| below which the set is a cross
 
 
@@ -218,6 +218,12 @@ def two_bond_critical_set(J: CouplingConfig, edge_b: int,
         st = min((next(states) for _ in group), key=lambda sp: sp.energy)
         # exterior part: strip the two constrained couplings from the energy
         f_values[(eta_b, eta_e)] = st.energy + jb0 * eta_b + je0 * eta_e
+    return _critical_set(edge_b, edge_e, f_values)
+
+
+def _critical_set(edge_b: int, edge_e: int, f_values: dict) -> CriticalSet2:
+    """The critical set of the exterior energies ``f_values`` of the four
+    product classes, keyed by ``(eta_b, eta_e)``."""
     F = f_values
     c1 = 0.5 * (F[(1, 1)] - F[(-1, 1)])
     c2 = 0.5 * (F[(1, -1)] - F[(-1, -1)])
@@ -266,40 +272,45 @@ def two_bond_critical_set(J: CouplingConfig, edge_b: int,
                         f_values)
 
 
-def analytic_label(cs: CriticalSet2, jb: float, je: float) -> tuple[int, int]:
-    """GSP label at (jb, je) from the four exterior constants."""
-    best = None
-    best_val = -math.inf
-    for eta_b, eta_e in _COMBOS:
-        val = jb * eta_b + je * eta_e - cs.f_values[(eta_b, eta_e)]
-        if val > best_val:
-            best_val, best = val, (eta_b, eta_e)
-    return best
+def analytic_label(cs: CriticalSet2, jb, je):
+    """GSP label ``(eta_b, eta_e)`` at (jb, je) from the four exterior
+    constants.
+
+    jb and je broadcast together, and eta_b and eta_e have their shape
+    (numpy scalars for scalar input); on a tie the first of ``_COMBOS``
+    wins.
+    """
+    jb, je = np.asarray(jb, dtype=np.float64), np.asarray(je, dtype=np.float64)
+    vals = np.stack([jb * eta_b + je * eta_e - cs.f_values[(eta_b, eta_e)]
+                     for eta_b, eta_e in _COMBOS])
+    best = np.argmax(vals, axis=0)
+    return _ETA_B[best], _ETA_E[best]
 
 
-def critical_set_distance(cs: CriticalSet2, jb: float, je: float) -> float:
-    """Euclidean distance from (jb, je) to the critical set."""
+def critical_set_distance(cs: CriticalSet2, jb, je):
+    """Euclidean distance from (jb, je) to the critical set; jb and je
+    broadcast together."""
     c1, c2, c3, c4 = cs.c1, cs.c2, cs.c3, cs.c4
+    jb, je = np.asarray(jb, dtype=np.float64), np.asarray(je, dtype=np.float64)
     if cs.case_kind == "cross":
-        return min(abs(jb - c1), abs(je - c3))
-    ds = []
+        return np.minimum(np.abs(jb - c1), np.abs(je - c3))
     if cs.case_kind == "positive_diag":
-        ds.append(math.hypot(max(c1 - jb, 0.0), je - c3))
-        ds.append(math.hypot(max(jb - c2, 0.0), je - c4))
-        ds.append(math.hypot(jb - c1, max(c3 - je, 0.0)))
-        ds.append(math.hypot(jb - c2, max(je - c4, 0.0)))
         k = c1 - c3
-        t = min(max(0.5 * (jb + je + k), c2), c1)
-        ds.append(math.hypot(jb - t, je - (t - k)))
+        t = np.minimum(np.maximum(0.5 * (jb + je + k), c2), c1)
+        ds = (np.hypot(np.maximum(c1 - jb, 0.0), je - c3),
+              np.hypot(np.maximum(jb - c2, 0.0), je - c4),
+              np.hypot(jb - c1, np.maximum(c3 - je, 0.0)),
+              np.hypot(jb - c2, np.maximum(je - c4, 0.0)),
+              np.hypot(jb - t, je - (t - k)))
     else:
-        ds.append(math.hypot(max(c2 - jb, 0.0), je - c3))
-        ds.append(math.hypot(max(jb - c1, 0.0), je - c4))
-        ds.append(math.hypot(jb - c1, max(c4 - je, 0.0)))
-        ds.append(math.hypot(jb - c2, max(je - c3, 0.0)))
         s = c1 + c4
-        t = min(max(0.5 * (jb - je + s), c1), c2)
-        ds.append(math.hypot(jb - t, je - (s - t)))
-    return min(ds)
+        t = np.minimum(np.maximum(0.5 * (jb - je + s), c1), c2)
+        ds = (np.hypot(np.maximum(c2 - jb, 0.0), je - c3),
+              np.hypot(np.maximum(jb - c1, 0.0), je - c4),
+              np.hypot(jb - c1, np.maximum(c4 - je, 0.0)),
+              np.hypot(jb - c2, np.maximum(je - c3, 0.0)),
+              np.hypot(jb - t, je - (s - t)))
+    return np.minimum.reduce(ds)
 
 
 def expected_critical_b(cs: CriticalSet2, je: float) -> float:

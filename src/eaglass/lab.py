@@ -414,6 +414,20 @@ def _run_flip_sweep(cfg: ExperimentConfig, i: int) -> dict:
             "interval": [lo, hi], "n_transitions": census.n_transitions}
 
 
+def _two_bond_grid_check(cs, xs, ys, oracle) -> tuple[int, int]:
+    """``(interior_cells, mismatches)`` over the (J_b, J_e) grid ``xs`` x
+    ``ys``: the cells at least one grid step from the critical set, and
+    those of them whose analytic label differs from ``oracle``'s."""
+    cell = max(xs[1] - xs[0], ys[1] - ys[0])
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    # ~(d < cell) rather than d >= cell: a NaN distance counts as interior
+    interior = ~(exc.critical_set_distance(cs, X, Y) < cell)
+    eta_b, eta_e = exc.analytic_label(cs, X, Y)
+    wrong = (eta_b != oracle[:, :, 0]) | (eta_e != oracle[:, :, 1])
+    return (int(np.count_nonzero(interior)),
+            int(np.count_nonzero(interior & wrong)))
+
+
 def _run_two_bond(cfg: ExperimentConfig, i: int) -> dict:
     geom = build_box(cfg.width, cfg.height)
     J = sample_couplings(geom, cfg.dist, cfg.master_seed, i)
@@ -424,19 +438,8 @@ def _run_two_bond(cfg: ExperimentConfig, i: int) -> dict:
 
     xs = np.linspace(cfg.grid_lo, cfg.grid_hi, cfg.grid_points)
     ys = np.linspace(cfg.grid_lo, cfg.grid_hi, cfg.grid_points)
-    oracle = exc.grid_labels_enumeration(J, b, e, xs, ys)
-    cell = max(xs[1] - xs[0], ys[1] - ys[0])
-    mismatches = 0
-    interior_cells = 0
-    for ix, x in enumerate(xs):
-        for iy, y in enumerate(ys):
-            if exc.critical_set_distance(cs, x, y) < cell:
-                continue
-            interior_cells += 1
-            want = exc.analytic_label(cs, x, y)
-            got = (int(oracle[ix, iy, 0]), int(oracle[ix, iy, 1]))
-            if want != got:
-                mismatches += 1
+    interior_cells, mismatches = _two_bond_grid_check(
+        cs, xs, ys, exc.grid_labels_enumeration(J, b, e, xs, ys))
     _hard(mismatches == 0,
           f"{mismatches} grid cells disagree with the analytic critical set",
           cfg, i)

@@ -13,7 +13,10 @@ the frontier gains a leading batch axis, and each problem keeps its own row
 costs, vertical couplings (broadcast as shape (K, 1, 1)) and traceback, so
 its energies and backpointers are bit-identical to a solve of its own.  A
 sweep holds at most 2^13 frontier entries (K * 2^W), so from width 13 on
-every problem runs alone; ``solve`` is the K=1 case.
+every problem runs alone; ``solve`` is the K=1 case.  The row costs, one
+matrix product per problem, go to BLAS in blocks of mask rows small enough
+that OpenBLAS runs them on the calling thread: no BLAS worker wakes and
+spins through the sweep, so process-level parallelism scales on wide boxes.
 
 Configurations are pairs modulo a global flip.  Internally one representative
 is pinned by the clamp's signs (or vertex 0 at +1), entered as infinite row
@@ -243,6 +246,29 @@ def _solve_all(geom: BoxGeometry, Js, clamps) -> list[SpinPair]:
     return out
 
 
+# OpenBLAS hands a GEMM of more than 65536 * GEMM_MULTITHREAD_THRESHOLD (4)
+# multiply-adds to a second thread, which then busy-waits through the sweep
+# that follows; row costs go out in blocks of mask rows under this cutoff
+_SERIAL_GEMM = 1 << 18
+
+
+def _row_costs(pairs, J: CouplingConfig, height: int, out) -> None:
+    """``out[m, r]`` = minus the horizontal energy of row mask m in row r.
+
+    build_box numbers the horizontal edges first, row by row; matmuls on a
+    contiguous copy keep the summation order fixed.  Splitting the output
+    rows into blocks never splits a sum, so the blocks give the bits of one
+    matmul while every call stays on the calling thread.
+    """
+    n_h = pairs.shape[1]
+    j_rows = np.ascontiguousarray(
+        J.values[:n_h * height].reshape(height, n_h).T)
+    block = max(1, _SERIAL_GEMM // max(1, n_h * height))   # n_h = 0 at W=1
+    for lo in range(0, len(pairs), block):
+        np.matmul(pairs[lo:lo + block], j_rows, out=out[lo:lo + block])
+    np.negative(out, out=out)
+
+
 def _sweep(geom: BoxGeometry, Js, forced, plan):
     """Run the transfer kernel over K problems of ``plan``'s shape; returns
     the (K, 2^W) final frontier and the (H-1, W, K, 2^W) backpointers.
@@ -251,13 +277,8 @@ def _sweep(geom: BoxGeometry, Js, forced, plan):
     masks, pairs, cur, nxt, backptr, rowcost = plan
     W, H, K = geom.width, geom.height, len(Js)
     cur, nxt, rowcost = cur[:K], nxt[:K], rowcost[:K]
-    # build_box numbers the horizontal edges first, row by row; one matmul
-    # per problem on a contiguous copy keeps the summation order fixed
-    n_h = pairs.shape[1]
     for k, (J, signs) in enumerate(zip(Js, forced)):
-        j_rows = np.ascontiguousarray(J.values[:n_h * H].reshape(H, n_h).T)
-        np.matmul(pairs, j_rows, out=rowcost[k])
-        np.negative(rowcost[k], out=rowcost[k])
+        _row_costs(pairs, J, H, rowcost[k])
         # rows contradicting a forced sign cost inf, and finite + inf = inf
         for v, s in signs.items():
             c, r = geom.vertex_cr(v)

@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 from eaglass import excitation as exc
+from eaglass import lab
 from eaglass import walls as wl
 from eaglass.disorder import DistributionSpec, sample_couplings, super_satisfy
 from eaglass.lab import run, validate_summary
@@ -137,14 +138,7 @@ def _two_bond_sweep(adjacent, seed, n_instances):
         cs = exc.two_bond_critical_set(J, b, e)
         worst_cross = max(worst_cross, abs((cs.c1 - cs.c2) - (cs.c3 - cs.c4)))
         oracle = exc.grid_labels_enumeration(J, b, e, xs, xs)
-        cell = xs[1] - xs[0]
-        for ix, x in enumerate(xs):
-            for iy, y in enumerate(xs):
-                if exc.critical_set_distance(cs, x, y) < cell:
-                    continue
-                want = exc.analytic_label(cs, x, y)
-                if want != (int(oracle[ix, iy, 0]), int(oracle[ix, iy, 1])):
-                    mismatches += 1
+        mismatches += lab._two_bond_grid_check(cs, xs, xs, oracle)[1]
         worst_cons = max(worst_cons,
                          exc.consistency_check(J, cs).max_abs_err)
     return worst_cross, worst_cons, mismatches

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from eaglass import excitation as exc
+from eaglass import lab
 from eaglass.disorder import CouplingConfig, DistributionSpec, sample_couplings
 from eaglass.lattice import build_box
 from eaglass.solver import Clamp, brute_force, solve
@@ -201,13 +203,131 @@ def test_two_bond_grid_against_enumeration(adjacent):
         ys = np.linspace(-3, 3, 21)
         oracle = exc.grid_labels_enumeration(J, b, e, xs, ys)
         cell = xs[1] - xs[0]
-        for ix, x in enumerate(xs):
-            for iy, y in enumerate(ys):
-                if exc.critical_set_distance(cs, x, y) < cell:
-                    continue
-                want = exc.analytic_label(cs, x, y)
-                got = (int(oracle[ix, iy, 0]), int(oracle[ix, iy, 1]))
-                assert want == got
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        interior = ~(exc.critical_set_distance(cs, X, Y) < cell)
+        want = np.stack(exc.analytic_label(cs, X, Y), axis=-1)
+        assert interior.any()
+        np.testing.assert_array_equal(want[interior], oracle[interior])
+
+
+# Scalar reference for the two-bond grid check: the formulas of
+# ``analytic_label`` and ``critical_set_distance`` one point at a time, with
+# ``math.hypot`` and a strict ``>`` that keeps the first maximum, and the
+# per-cell loop that counts interior cells and mismatches.
+
+
+def reference_label(cs, jb, je):
+    best = None
+    best_val = -math.inf
+    for eta_b, eta_e in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        val = jb * eta_b + je * eta_e - cs.f_values[(eta_b, eta_e)]
+        if val > best_val:
+            best_val, best = val, (eta_b, eta_e)
+    return best
+
+
+def reference_distance(cs, jb, je):
+    c1, c2, c3, c4 = cs.c1, cs.c2, cs.c3, cs.c4
+    if cs.case_kind == "cross":
+        return min(abs(jb - c1), abs(je - c3))
+    ds = []
+    if cs.case_kind == "positive_diag":
+        ds.append(math.hypot(max(c1 - jb, 0.0), je - c3))
+        ds.append(math.hypot(max(jb - c2, 0.0), je - c4))
+        ds.append(math.hypot(jb - c1, max(c3 - je, 0.0)))
+        ds.append(math.hypot(jb - c2, max(je - c4, 0.0)))
+        k = c1 - c3
+        t = min(max(0.5 * (jb + je + k), c2), c1)
+        ds.append(math.hypot(jb - t, je - (t - k)))
+    else:
+        ds.append(math.hypot(max(c2 - jb, 0.0), je - c3))
+        ds.append(math.hypot(max(jb - c1, 0.0), je - c4))
+        ds.append(math.hypot(jb - c1, max(c4 - je, 0.0)))
+        ds.append(math.hypot(jb - c2, max(je - c3, 0.0)))
+        s = c1 + c4
+        t = min(max(0.5 * (jb - je + s), c1), c2)
+        ds.append(math.hypot(jb - t, je - (s - t)))
+    return min(ds)
+
+
+def reference_grid_check(cs, xs, ys, oracle):
+    """``(interior_cells, mismatches)`` cell by cell: cells closer than one
+    grid step to the critical set are skipped."""
+    cell = max(xs[1] - xs[0], ys[1] - ys[0])
+    interior_cells = mismatches = 0
+    for ix, x in enumerate(xs):
+        for iy, y in enumerate(ys):
+            if reference_distance(cs, x, y) < cell:
+                continue
+            interior_cells += 1
+            got = (int(oracle[ix, iy, 0]), int(oracle[ix, iy, 1]))
+            if reference_label(cs, x, y) != got:
+                mismatches += 1
+    return interior_cells, mismatches
+
+
+# quarter steps on [-5, 5]: with constants on quarters too, every label
+# value and every distance along an axis is exact, so the grid holds cells
+# on the rays, lines and diagonal segment (tied labels, distance 0) and
+# cells exactly one step from them
+QUARTERS = 0.25 * np.arange(-20, 21)
+_quarter = st.integers(-12, 12).map(lambda n: 0.25 * n)
+
+
+def _check_against_reference(cs, xs, ys, seed):
+    """Array and scalar calls of the two-bond helpers agree with the scalar
+    reference, and so does the harness's grid check against an oracle with
+    some labels flipped."""
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    eta_b, eta_e = exc.analytic_label(cs, X, Y)
+    dist = exc.critical_set_distance(cs, X, Y)
+    ref_label = np.array([[reference_label(cs, x, y) for y in ys]
+                          for x in xs], dtype=np.int8)
+    ref_dist = np.array([[reference_distance(cs, x, y) for y in ys]
+                         for x in xs])
+    np.testing.assert_array_equal(eta_b, ref_label[..., 0])
+    np.testing.assert_array_equal(eta_e, ref_label[..., 1])
+    # np.hypot and math.hypot may round one unit in the last place apart
+    assert (np.abs(dist - ref_dist) <= np.spacing(ref_dist)).all()
+    cell = max(xs[1] - xs[0], ys[1] - ys[0])
+    assume(((dist < cell) == (ref_dist < cell)).all())
+    # scalar calls on the critical set and at every seventh cell
+    every_7th = np.arange(dist.size).reshape(dist.shape) % 7 == 0
+    for ix, iy in zip(*np.nonzero((ref_dist == 0) | every_7th)):
+        x, y = float(xs[ix]), float(ys[iy])
+        assert exc.analytic_label(cs, x, y) == reference_label(cs, x, y)
+        d = exc.critical_set_distance(cs, x, y)
+        assert abs(d - ref_dist[ix, iy]) <= np.spacing(ref_dist[ix, iy])
+    flip = np.random.default_rng(seed).random(dist.shape) < 0.1
+    oracle = np.where(flip[..., None], -ref_label, ref_label)
+    assert (lab._two_bond_grid_check(cs, xs, ys, oracle)
+            == reference_grid_check(cs, xs, ys, oracle))
+    return ref_dist
+
+
+@pytest.mark.parametrize("kind, sign", [("cross", 0), ("positive_diag", 1),
+                                        ("negative_diag", -1)])
+@settings(max_examples=20, deadline=None)
+@given(_quarter, _quarter, _quarter, st.integers(1, 8),
+       st.integers(0, 2**32 - 1))
+def test_grid_helpers_match_reference_on_the_critical_set(kind, sign, c1, c4,
+                                                          f0, steps, seed):
+    c2 = c1 - sign * 0.25 * steps       # so C3 = C4 + C1 - C2
+    cs = exc._critical_set(0, 1, {(-1, -1): f0, (1, -1): f0 + 2 * c2,
+                                  (-1, 1): f0 + 2 * c4,
+                                  (1, 1): f0 + 2 * c4 + 2 * c1})
+    assert cs.case_kind == kind
+    ref_dist = _check_against_reference(cs, QUARTERS, QUARTERS, seed)
+    assert (ref_dist == 0).any() and (ref_dist == 0.25).any()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.floats(-4, 4), min_size=4, max_size=4),
+       st.integers(2, 25), st.integers(2, 25), st.integers(0, 2**32 - 1))
+def test_grid_helpers_match_reference(fs, nx, ny, seed):
+    cs = exc._critical_set(0, 1, dict(zip(exc._COMBOS, fs)))
+    _check_against_reference(cs, np.linspace(-3, 3, nx),
+                             np.linspace(-3, 3, ny), seed)
 
 
 @pytest.mark.parametrize("adjacent", [True, False])

@@ -387,3 +387,22 @@ def test_solve_batch_rejects_bad_input():
     zero = hand_couplings(flat, 0.0)    # 2^15 optimal configurations
     with pytest.raises(BudgetExceededError):
         solve_batch([hand_couplings(flat), zero], [None, None])
+
+
+@pytest.mark.parametrize("width, height", [(15, 15), (16, 40)])
+def test_row_costs_in_blocks_equal_one_matmul(width, height):
+    # at these shapes the row costs go out in several blocks of mask rows;
+    # together they must give the bits of one matmul
+    geom = build_box(width, height)
+    pairs = solver._plan(width, height)[1]
+    n_h = pairs.shape[1]
+    assert solver._SERIAL_GEMM // (n_h * height) < len(pairs)
+    rng = np.random.default_rng(width * height)
+    for scale in (1e-3, 1.0, 1e3):
+        J = CouplingConfig(geom, scale * rng.normal(size=geom.n_edges))
+        j_rows = np.ascontiguousarray(
+            J.values[:n_h * height].reshape(height, n_h).T)
+        want = -np.matmul(pairs, j_rows)
+        got = np.empty_like(want)
+        solver._row_costs(pairs, J, height, got)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))

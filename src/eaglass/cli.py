@@ -70,8 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> dict:
     cfg: dict = {}
     if args.config:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                cfg = json.load(fh)
+        except (OSError, ValueError) as e:
+            raise ConfigError(f"cannot read config file: {e}") from None
         if not isinstance(cfg, dict):
             raise ConfigError("config file must contain a JSON object")
     kind = _FLAG_KIND[args.command]

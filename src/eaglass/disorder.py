@@ -10,6 +10,7 @@ by nested boxes (same absolute key) receives the same value in every box.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 from hashlib import blake2b
@@ -24,6 +25,12 @@ _PERSON = b"ea-coupling"
 _NORMAL = NormalDist()
 
 
+def _is_finite_number(x) -> bool:
+    """An int or float (not a bool) that is neither infinite nor NaN."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
 @dataclass(frozen=True)
 class DistributionSpec:
     """Symmetric continuous coupling law: gaussian(sigma) or uniform(+-half_width)."""
@@ -33,6 +40,10 @@ class DistributionSpec:
     half_width: float = 1.0
 
     def __post_init__(self):
+        for name in ("sigma", "half_width"):
+            if not _is_finite_number(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite number, "
+                                  f"got {getattr(self, name)!r}")
         if self.kind == "gaussian":
             if not self.sigma > 0:
                 raise ConfigError("gaussian sigma must be > 0")

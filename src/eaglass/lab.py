@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -25,8 +26,8 @@ import numpy as np
 
 from . import excitation as exc
 from . import walls as wl
-from .disorder import (CouplingConfig, DistributionSpec, sample_couplings,
-                       super_satisfy, supersatisfied_threshold)
+from .disorder import (CouplingConfig, DistributionSpec, _is_finite_number,
+                       sample_couplings, super_satisfy, supersatisfied_threshold)
 from .errors import ConfigError, HardAssertionFailure, SampleError
 from .lattice import BoxGeometry, build_box
 from .solver import (MAX_SOLVE_WIDTH, Clamp, brute_force, solve, solve_batch,
@@ -86,11 +87,10 @@ class ExperimentConfig:
         for key in ("edge", "edge2"):
             if d.get(key) is not None:
                 d[key] = _edge_tuple(d[key])
-        for key in ("n_list", "k_list"):
-            if key in d:
-                d[key] = tuple(int(x) for x in d[key])
-        if "n_pairs" in d:
-            d["n_pairs"] = tuple((int(a), int(b)) for a, b in d["n_pairs"])
+        for key in ("n_list", "k_list", "n_pairs"):
+            if isinstance(d.get(key), list):
+                d[key] = tuple(tuple(x) if isinstance(x, list) else x
+                               for x in d[key])
         unknown = set(d) - set(ExperimentConfig.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config fields {sorted(unknown)}")
@@ -109,21 +109,64 @@ def _edge_tuple(spec) -> tuple:
             c, _, r = rest.partition(",")
             spec = (kind, int(c), int(r))
         kind, c, r = spec
-        c, r = int(c), int(r)
     except (ValueError, TypeError):
         raise ConfigError(f"bad edge spec {spec!r}; use kind:col,row") from None
+    if not (_is_int(c) and _is_int(r)):
+        raise ConfigError(f"bad edge spec {spec!r}; use kind:col,row or "
+                          "[kind, col, row] with integer col and row")
     if kind not in ("h", "v"):
         raise ConfigError(f"edge kind must be 'h' or 'v', got {kind!r}")
     return (kind, c, r)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_int_seq(x) -> bool:
+    return isinstance(x, (tuple, list)) and all(_is_int(v) for v in x)
+
+
+# the type of every config field but the edges, which _edge_tuple checks;
+# values are never converted, because the content hash serializes them as
+# given (an int grid_lo must stay an int)
+_FIELD_TYPES = (
+    (lambda x: isinstance(x, str), "a string", ("kind", "proxy")),
+    (_is_int, "an integer",
+     ("width", "height", "master_seed", "samples", "parallel", "grid_points",
+      "window_width", "window_height", "probes", "subset_budget",
+      "dual_budget")),
+    (lambda x: x is None or _is_int(x), "an integer or null",
+     ("band_height",)),
+    (_is_finite_number, "a finite number", ("grid_lo", "grid_hi", "tol")),
+    (_is_int_seq, "a list of integers", ("n_list", "k_list")),
+    (lambda x: isinstance(x, (tuple, list))
+     and all(_is_int_seq(p) and len(p) == 2 for p in x),
+     "a list of integer pairs", ("n_pairs",)),
+    (lambda x: isinstance(x, DistributionSpec), "a distribution spec",
+     ("dist",)),
+    (lambda x: x is None or isinstance(x, (str, os.PathLike)), "a path",
+     ("out",)),
+)
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
+    for is_type, expected, fields in _FIELD_TYPES:
+        for name in fields:
+            if not is_type(getattr(cfg, name)):
+                raise ConfigError(f"{name} must be {expected}, "
+                                  f"got {getattr(cfg, name)!r}")
+    for spec in (cfg.edge, cfg.edge2):
+        if spec is not None:
+            _edge_tuple(spec)
     if cfg.kind not in _KINDS:
         raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
     if cfg.samples < 1:
         raise ConfigError("sample count must be >= 1")
     if cfg.parallel < 1:
         raise ConfigError("parallelism degree must be >= 1")
+    if not -2**63 <= cfg.master_seed < 2**63:
+        raise ConfigError("master_seed must fit in a signed 64-bit integer")
     _KINDS[cfg.kind].validate(cfg)
 
 
@@ -484,7 +527,7 @@ def _run_wall_stats(cfg: ExperimentConfig, i: int) -> dict:
               "interface_size": len(iface.edge_ids),
               "n_walls": len(walls),
               "n_tethered": sum(1 for w in walls if w.tethered),
-              "counts": {f"{n},{k}": grid.count(n, k)
+              "counts": {f"{n},{k}": grid[(n, k)]
                          for n in cfg.n_list for k in cfg.k_list}}
     return record
 
@@ -695,6 +738,8 @@ def _aggregate_wall_stats(cfg: ExperimentConfig, records: list[dict]):
                                "excess": excess, "se": se_comb,
                                "z": excess / se_comb if se_comb > 0 else None,
                                "violated": violated})
+    # interface_cycle_check enforces what "no_double_tether" names (no dual
+    # path joins two dual-x-axis vertices); the name is part of the hash
     properties = [_property("wall_bound"), _property("no_double_tether"),
                   _property("subadditivity_2sigma",
                             f"{n_bad} of {len(splits)} splits beyond two "
@@ -859,44 +904,3 @@ def run(config: ExperimentConfig | dict) -> RunReport:
             json.dump(report.summary_dict(), fh, sort_keys=True, indent=1)
             fh.write("\n")
     return report
-
-
-def validate_summary(summary: dict) -> list[str]:
-    """Schema check for a summary document; returns a list of problems."""
-    problems = []
-
-    def need(key, types):
-        if key not in summary:
-            problems.append(f"missing key {key}")
-            return False
-        if not isinstance(summary[key], types):
-            problems.append(f"key {key} has wrong type")
-            return False
-        return True
-
-    if need("schema_version", int) and summary["schema_version"] != SCHEMA_VERSION:
-        problems.append("wrong schema_version")
-    if need("kind", str) and summary["kind"] not in EXPERIMENT_KINDS:
-        problems.append("unknown kind")
-    need("config", dict)
-    if need("n_samples", int) and summary["n_samples"] < 1:
-        problems.append("n_samples must be >= 1")
-    need("aggregates", dict)
-    if need("properties", list):
-        for p in summary["properties"]:
-            if not isinstance(p, dict) or "name" not in p or "passed" not in p:
-                problems.append(f"malformed property entry {p!r}")
-    if need("content_hash", str) and len(summary["content_hash"]) != 64:
-        problems.append("content_hash must be 64 hex chars")
-    need("wallclock_s", (int, float))
-    if summary.get("kind") in ("convergence", "uniqueness_probe"):
-        agg = summary.get("aggregates", {})
-        if "pairs" not in agg:
-            problems.append("missing pairs table")
-        else:
-            for row in agg["pairs"]:
-                for key in ("n_lo", "n_hi", "disagreements", "frequency",
-                            "stderr"):
-                    if key not in row:
-                        problems.append(f"pairs row missing {key}")
-    return problems

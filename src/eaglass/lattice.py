@@ -64,9 +64,6 @@ class BoxGeometry:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def vertex_id(self, c: int, r: int) -> int:
-        return r * self.width + c % self.width
-
     def vertex_cr(self, v: int) -> tuple[int, int]:
         return v % self.width, v // self.width
 
@@ -77,11 +74,6 @@ class BoxGeometry:
 
     def abs_col(self, c: int) -> int:
         return c + self.col_offset
-
-    def shift_vertex_map(self, k: int) -> list[int]:
-        """Permutation of vertex ids induced by shifting columns by k (with wrap)."""
-        W = self.width
-        return [r * W + (c + k) % W for r in range(self.height) for c in range(W)]
 
 
 @dataclass(frozen=True)
@@ -197,56 +189,32 @@ def build_dual(width: int, height: int) -> DualGeometry:
 
 
 def connected_subsets(geom: BoxGeometry, max_size: int
-                      ) -> Iterator[tuple[int, ...]]:
-    """Stream every connected vertex subset of size <= max_size exactly once.
+                      ) -> list[tuple[int, ...]]:
+    """Every connected vertex subset of size <= max_size, once each, as
+    sorted tuples in sorted order.
 
-    Enumeration grows subsets from their minimum vertex using an exclusive
-    extension set, so no subset is produced twice.  Raises BudgetExceededError
-    if more than ``ENUM_BUDGET`` subsets would be emitted.
+    Subsets of size s + 1 are those of size s grown by one neighbour; a set
+    drops the duplicates.  Raises BudgetExceededError as soon as a growing
+    level brings the count of subsets past ``ENUM_BUDGET``.
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    neighbors: list[list[int]] = [[] for _ in range(geom.n_vertices)]
+    neighbors: list[set[int]] = [set() for _ in range(geom.n_vertices)]
     for e in geom.edges:
-        if e.u != e.v:
-            neighbors[e.u].append(e.v)
-            neighbors[e.v].append(e.u)
-    for ns in neighbors:
-        ns.sort()
-
-    emitted = 0
-
-    def emit(subset):
-        nonlocal emitted
-        emitted += 1
-        if emitted > ENUM_BUDGET:
-            raise BudgetExceededError(
-                f"connected_subsets exceeded budget of {ENUM_BUDGET} items")
-        return tuple(sorted(subset))
-
-    def extend(root, subset, ext, seen):
-        # seen: vertices already in the subset or its frontier, never re-added
-        for i, w in enumerate(ext):
-            subset.append(w)
-            yield emit(subset)
-            if len(subset) < max_size:
-                new_ext = ext[i + 1:]
-                added = []
-                for u in neighbors[w]:
-                    if u > root and u not in seen:
-                        new_ext = new_ext + [u]
-                        seen.add(u)
-                        added.append(u)
-                yield from extend(root, subset, new_ext, seen)
-                for u in added:
-                    seen.discard(u)
-            subset.pop()
-
-    for v in range(geom.n_vertices):
-        yield emit([v])
-        if max_size >= 2:
-            ext = [u for u in neighbors[v] if u > v]
-            yield from extend(v, [v], ext, set(ext) | {v})
+        neighbors[e.u].add(e.v)
+        neighbors[e.v].add(e.u)
+    found = level = [frozenset((v,)) for v in range(geom.n_vertices)]
+    for _ in range(max_size - 1):
+        grown: set[frozenset[int]] = set()
+        for subset in level:
+            grown.update(subset | {w} for v in subset for w in neighbors[v]
+                         if w not in subset)
+            if len(found) + len(grown) > ENUM_BUDGET:
+                raise BudgetExceededError(
+                    f"connected_subsets exceeded budget of {ENUM_BUDGET} items")
+        level = list(grown)
+        found = found + level
+    return sorted(tuple(sorted(s)) for s in found)
 
 
 def dual_circuits_and_paths(dual: DualGeometry, max_len: int

@@ -133,20 +133,10 @@ def count_Nnk(walls, n: int, k: int, dual: DualGeometry) -> int:
     return sum(1 for w in walls if w.tethered and not hits.isdisjoint(w.dual_vertices))
 
 
-@dataclass(frozen=True)
-class WallCountGrid:
-    n_values: tuple[int, ...]
-    k_values: tuple[int, ...]
-    counts: dict  # (n, k) -> int
-
-    def count(self, n, k) -> int:
-        return self.counts[(n, k)]
-
-
-def wall_count_grid(walls, n_values, k_values, dual: DualGeometry) -> WallCountGrid:
-    counts = {(n, k): count_Nnk(walls, n, k, dual)
-              for n in n_values for k in k_values}
-    return WallCountGrid(tuple(n_values), tuple(k_values), counts)
+def wall_count_grid(walls, n_values, k_values, dual: DualGeometry) -> dict:
+    """``{(n, k): N_{n,k}}`` over every pair of the given n and k values."""
+    return {(n, k): count_Nnk(walls, n, k, dual)
+            for n in n_values for k in k_values}
 
 
 @dataclass(frozen=True)
@@ -160,17 +150,16 @@ class CheckReport:
         return not self.violations
 
 
-def wall_bound_check(grid: WallCountGrid) -> CheckReport:
-    """Check N_{n,k} - N_{n,0} >= -2k on every grid entry."""
-    if 0 not in grid.k_values:
-        raise ConfigError("grid must contain the k=0 row")
+def wall_bound_check(counts: dict) -> CheckReport:
+    """Check N_{n,k} - N_{n,0} >= -2k on every entry of a ``wall_count_grid``
+    result; violations come in (n, k) order."""
     violations = []
-    for n in grid.n_values:
-        base = grid.count(n, 0)
-        for k in grid.k_values:
-            if grid.count(n, k) - base < -2 * k:
-                violations.append({"n": n, "k": k, "N_nk": grid.count(n, k),
-                                   "N_n0": base})
+    for (n, k), count in sorted(counts.items()):
+        if (n, 0) not in counts:
+            raise ConfigError(f"grid lacks the k=0 entry for n={n}")
+        base = counts[(n, 0)]
+        if count - base < -2 * k:
+            violations.append({"n": n, "k": k, "N_nk": count, "N_n0": base})
     return CheckReport(tuple(violations))
 
 

@@ -5,7 +5,9 @@ match exactly, energies to 1e-12 * (1 + |E|), exterior-energy identities to
 1e-9, critical-value invariance to 1e-12.
 """
 
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -13,7 +15,7 @@ from eaglass import excitation as exc
 from eaglass import lab
 from eaglass import walls as wl
 from eaglass.disorder import DistributionSpec, sample_couplings, super_satisfy
-from eaglass.lab import run, validate_summary
+from eaglass.lab import run
 from eaglass.lattice import build_box
 from eaglass.solver import Clamp, brute_force, solve, verify_gsp
 
@@ -211,8 +213,10 @@ def test_criterion_7_interface_invariants():
 
 
 def test_criterion_8_wall_statistics():
+    # two processes halve the wall time; criterion 9 shows the hash does
+    # not depend on the parallelism degree
     rep = run(dict(kind="wall_stats", width=15, height=15,
-                   master_seed=SEED + 8, samples=500,
+                   master_seed=SEED + 8, samples=500, parallel=2,
                    proxy="perturbed_exterior",
                    n_list=[1, 2, 3, 4, 5, 6, 7], k_list=[0, 1, 2, 3]))
     sub = next(p for p in rep.properties if p["name"] == "subadditivity_2sigma")
@@ -246,18 +250,19 @@ def test_criterion_10_convergence_and_uniqueness(tmp_path):
                     window_width=3, window_height=2,
                     master_seed=SEED + 10, samples=200,
                     out=str(tmp_path / "conv")))
-    conv_summary = conv.summary_dict()
-    conv_problems = validate_summary(conv_summary)
+    conv_written = json.loads(Path(conv.summary_path).read_text())
     assert len(conv.aggregates["pairs"]) == 4
     uniq = run(dict(kind="uniqueness_probe", n_pairs=[[2, 3], [3, 4], [4, 5]],
                     window_width=3, window_height=2,
                     master_seed=SEED + 10, samples=200,
                     out=str(tmp_path / "uniq")))
-    uniq_problems = validate_summary(uniq.summary_dict())
+    uniq_written = json.loads(Path(uniq.summary_path).read_text())
     trend = uniq.aggregates["pairs"]
     assert [t["min_n"] for t in trend] == [2, 3, 4]
     freqs = {(p["n_lo"], p["n_hi"]): p["frequency"]
              for p in conv.aggregates["pairs"]}
     report("10 convergence/uniqueness probes",
-           conv_problems == [] and uniq_problems == [],
-           f"schema ok; window disagreement by level: {freqs}")
+           conv_written == conv.summary_dict()
+           and uniq_written == uniq.summary_dict(),
+           f"summaries written as reported; window disagreement by level: "
+           f"{freqs}")

@@ -1,10 +1,15 @@
 import json
+import math
+from pathlib import Path
 
 import pytest
 
+from eaglass import lab
 from eaglass.cli import main as cli_main
 from eaglass.errors import ConfigError, HardAssertionFailure
-from eaglass.lab import ExperimentConfig, run, validate_summary
+from eaglass.lab import EXPERIMENT_KINDS, ExperimentConfig, run
+
+PRESETS = sorted((Path(__file__).resolve().parents[1] / "presets").glob("*.json"))
 
 
 def make(kind, **kw):
@@ -20,6 +25,8 @@ def test_config_validation_errors():
         make("no_such_kind")
     with pytest.raises(ConfigError):
         make("solve", width=99)
+    with pytest.raises(ConfigError):
+        make("solve", master_seed=2**63)   # the sampler packs it in 64 bits
     with pytest.raises(ConfigError):
         make("solve", dist={"kind": "uniform", "lo": 0.9, "hi": 1.1})
     with pytest.raises(ConfigError):
@@ -119,7 +126,7 @@ def test_convergence_report(tmp_path):
     assert not rep.aggregates["insufficient_levels"]
     assert len(rep.aggregates["pairs"]) == 2
     summary = json.loads((tmp_path / "conv.summary.json").read_text())
-    assert validate_summary(summary) == []
+    assert summary == rep.summary_dict()
     lines = (tmp_path / "conv.records.jsonl").read_text().strip().splitlines()
     assert len(lines) == 6
     assert [json.loads(l)["sample"] for l in lines] == list(range(6))
@@ -167,16 +174,6 @@ def test_hard_failure_carries_reproducer(monkeypatch):
     assert rep["config"]["kind"] == "solve"
 
 
-def test_summary_schema_catches_problems():
-    assert validate_summary({}) != []
-    good = run(dict(kind="solve", width=3, height=3, samples=1,
-                    master_seed=0)).summary_dict()
-    assert validate_summary(good) == []
-    bad = dict(good)
-    bad["content_hash"] = "xyz"
-    assert validate_summary(bad) != []
-
-
 def test_cli_solve_and_exit_codes(tmp_path, capsys):
     out = tmp_path / "run1"
     code = cli_main(["solve", "--width", "3", "--height", "3", "--samples",
@@ -184,8 +181,10 @@ def test_cli_solve_and_exit_codes(tmp_path, capsys):
     assert code == 0
     printed = json.loads(capsys.readouterr().out)
     assert printed["n_samples"] == 2
+    assert printed["summary_path"] == str(tmp_path / "run1.summary.json")
     summary = json.loads((tmp_path / "run1.summary.json").read_text())
-    assert validate_summary(summary) == []
+    for key in ("kind", "n_samples", "content_hash", "properties"):
+        assert summary[key] == printed[key]
 
     code = cli_main(["solve", "--samples", "0"])
     assert code == 1
@@ -204,6 +203,81 @@ def test_cli_config_file_and_flag_override(tmp_path, capsys):
     code = cli_main(["flip-sweep", "--config", str(cfg_path)])
     assert code == 1
     capsys.readouterr()
+
+
+# config values of the wrong JSON type; each must be a config error, never
+# a traceback, a failing sample, or a silently truncated value
+MALFORMED = [
+    (dict(kind="solve", width="7"), "width-str"),
+    (dict(kind="solve", dist={"kind": "gaussian", "sigma": "1"}), "sigma-str"),
+    (dict(kind="uniqueness_probe", n_pairs=[[1, 2, 3]]), "n_pairs-triple"),
+    (dict(kind="convergence", n_list=["x"]), "n_list-str"),
+    (dict(kind="solve", samples=2.5), "samples-float"),
+    (dict(kind="solve", parallel=1.5), "parallel-float"),
+    (dict(kind="solve", width=3.0), "width-float"),
+    (dict(kind="solve", width=True), "width-bool"),
+    (dict(kind="solve", master_seed=1.5), "master_seed-float"),
+    (dict(kind="property_suite", probes=1.5), "probes-float"),
+    (dict(kind="flip_sweep", tol="x"), "tol-str"),
+    (dict(kind="two_bond_map", width=3, height=3, grid_points=11.5),
+     "grid_points-float"),
+    (dict(kind="two_bond_map", width=3, height=3, grid_hi=math.inf),
+     "grid_hi-inf"),
+    (dict(kind="solve", dist={"kind": "gaussian", "sigma": math.inf}),
+     "sigma-inf"),
+    (dict(kind="two_bond_map", width=3, height=3, tol=math.nan), "tol-nan"),
+    (dict(kind="convergence", n_list=[1.7, 2]), "n_list-float"),
+    (dict(kind="flip_sweep", edge=["v", 0.9, 1]), "edge-float"),
+    (dict(kind="solve", subset_budget=2.5), "subset_budget-float"),
+]
+
+
+@pytest.mark.parametrize("cfg", [c for c, _ in MALFORMED],
+                         ids=[name for _, name in MALFORMED])
+def test_malformed_config_values_are_config_errors(cfg, tmp_path, capsys):
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(cfg)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))    # inf and nan as Infinity and NaN
+    flag = cfg["kind"].replace("_", "-")
+    assert cli_main([flag, "--config", str(path)]) == 1
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_unreadable_config_file_is_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"kind": "solve",')
+    for name in ("bad.json", "missing.json"):
+        assert cli_main(["solve", "--config", str(tmp_path / name)]) == 1
+        assert "config error:" in capsys.readouterr().err
+
+
+def test_config_values_keep_their_type():
+    cfg = ExperimentConfig.from_dict(dict(kind="two_bond_map", width=3,
+                                          height=3, grid_lo=-3, grid_hi=3.0))
+    assert type(cfg.grid_lo) is int and type(cfg.grid_hi) is float
+    assert cfg.core_dict()["grid_lo"] == -3
+
+
+def test_every_config_field_has_a_type_check():
+    checked = {name for _, _, names in lab._FIELD_TYPES for name in names}
+    assert checked | {"edge", "edge2"} == set(
+        ExperimentConfig.__dataclass_fields__)
+
+
+def test_presets_cover_the_experiments():
+    assert len(PRESETS) == 6
+    assert {p.stem for p in PRESETS} <= set(EXPERIMENT_KINDS)
+
+
+@pytest.mark.parametrize("path", PRESETS, ids=[p.stem for p in PRESETS])
+def test_preset_runs(path, tmp_path, capsys):
+    cfg = ExperimentConfig.from_dict(json.loads(path.read_text()))
+    assert cfg.kind == path.stem
+    code = cli_main([path.stem.replace("_", "-"), "--config", str(path),
+                     "--samples", "1", "--out", str(tmp_path / "run")])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["n_samples"] == 1
 
 
 def test_cli_env_overrides(tmp_path, capsys, monkeypatch):

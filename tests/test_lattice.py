@@ -73,8 +73,8 @@ def test_box_rejects_bad_sizes():
 def test_box_invariants(w, h):
     g = build_box(w, h)
     assert g.n_vertices == w * h
-    ids = {g.vertex_id(c, r) for c in range(w) for r in range(h)}
-    assert ids == set(range(w * h))
+    cells = {g.vertex_cr(v) for v in range(g.n_vertices)}
+    assert cells == {(c, r) for c in range(w) for r in range(h)}
     per_row = horizontal_edges_per_row(w)
     assert g.n_edges == per_row * h + w * (h - 1)
     for e in g.edges:
@@ -88,13 +88,17 @@ def test_box_invariants(w, h):
 @given(st.integers(1, 5), st.integers(2, 5), st.integers(0, 6))
 def test_column_shift_is_automorphism(w, h, k):
     g = build_box(w, h)
-    perm = g.shift_vertex_map(k)
+
+    def shift(k):
+        # vertex id of (c, r) -> vertex id of (c + k mod w, r)
+        return [r * w + (c + k) % w for r in range(h) for c in range(w)]
+
+    perm = shift(k)
     mapped = {(frozenset((perm[e.u], perm[e.v])), e.kind) for e in g.edges
               if e.u != e.v}
     orig = {(frozenset((e.u, e.v)), e.kind) for e in g.edges if e.u != e.v}
     assert mapped == orig
-    ident = g.shift_vertex_map(w)
-    assert ident == list(range(g.n_vertices))
+    assert shift(w) == list(range(g.n_vertices))
 
 
 def test_dual_bijection_and_x_axis():
@@ -141,7 +145,8 @@ def test_connected_subsets_vs_bruteforce_3x3():
 @given(st.integers(1, 4), st.integers(2, 3), st.integers(1, 3))
 def test_connected_subsets_exact(w, h, max_size):
     g = build_box(w, h)
-    got = list(connected_subsets(g, max_size))
+    got = connected_subsets(g, max_size)
+    assert got == sorted(got)
     assert len(got) == len(set(got))
     for s in got:
         assert flood_fill_connected(g, s)
@@ -152,7 +157,14 @@ def test_connected_subsets_budget(monkeypatch):
     g = build_box(4, 4)
     monkeypatch.setattr(lattice, "ENUM_BUDGET", 10)
     with pytest.raises(BudgetExceededError):
-        list(connected_subsets(g, 4))
+        connected_subsets(g, 4)
+    # the budget counts every subset, the singletons included
+    n_items = len(brute_connected_subsets(g, 3))
+    monkeypatch.setattr(lattice, "ENUM_BUDGET", n_items)
+    assert len(connected_subsets(g, 3)) == n_items
+    monkeypatch.setattr(lattice, "ENUM_BUDGET", n_items - 1)
+    with pytest.raises(BudgetExceededError):
+        connected_subsets(g, 3)
 
 
 def brute_circuits_and_paths(d, max_len):

@@ -173,16 +173,18 @@ def test_count_Nnk_bounds_checked():
 
 
 def test_wall_bound_check():
-    grid = wl.WallCountGrid((1, 2), (0, 1),
-                            {(1, 0): 2, (1, 1): 0, (2, 0): 3, (2, 1): 1})
+    grid = {(1, 0): 2, (1, 1): 0, (2, 0): 3, (2, 1): 1}
     assert wl.wall_bound_check(grid).passed
-    bad = wl.WallCountGrid((1,), (0, 2),
-                           {(1, 0): 5, (1, 2): 0})
-    rep = wl.wall_bound_check(bad)
+    rep = wl.wall_bound_check({(1, 0): 5, (1, 2): 0})
     assert not rep.passed
     assert rep.violations[0]["n"] == 1 and rep.violations[0]["k"] == 2
+    # violations come in (n, k) order whatever the grid's order
+    rep = wl.wall_bound_check({(2, 3): 0, (2, 0): 9, (1, 2): 0, (1, 0): 5})
+    assert [(v["n"], v["k"]) for v in rep.violations] == [(1, 2), (2, 3)]
     with pytest.raises(ConfigError):
-        wl.wall_bound_check(wl.WallCountGrid((1,), (1,), {(1, 1): 0}))
+        wl.wall_bound_check({(1, 1): 0})
+    with pytest.raises(ConfigError):
+        wl.wall_bound_check({(1, 0): 0, (2, 1): 0})   # n=2 lacks k=0
 
 
 def test_no_double_tether_negative_control():

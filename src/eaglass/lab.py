@@ -198,6 +198,8 @@ def _validate_two_bond(cfg: ExperimentConfig) -> None:
 
 def _validate_flip_sweep(cfg: ExperimentConfig) -> None:
     _validate_box(cfg)
+    if cfg.grid_points < 2:
+        raise ConfigError("flip_sweep grid needs at least 2 points")
     geom = build_box(cfg.width, cfg.height)
     _resolve_edge(geom, cfg.edge or _default_edge_key(geom))
 

@@ -18,6 +18,13 @@ matrix product per problem, go to BLAS in blocks of mask rows small enough
 that OpenBLAS runs them on the calling thread: no BLAS worker wakes and
 spins through the sweep, so process-level parallelism scales on wide boxes.
 
+Each thread keeps one plan of arrays per box shape, and the plan remembers
+its last sweep.  A sweep of as many problems whose couplings and forced
+signs equal the last sweep's, bit for bit, on rows 0..p resumes from the
+frontiers that sweep left after row p: two solves that share their leading
+rows (the perturbed-exterior pair, the J_b scan of ``locate_flip``) sweep the
+shared rows once.
+
 Configurations are pairs modulo a global flip.  Internally one representative
 is pinned by the clamp's signs (or vertex 0 at +1), entered as infinite row
 costs; the stored canonical form instead gives +1 to the lowest-indexed vertex
@@ -179,26 +186,41 @@ _BATCH_STATES = 1 << 13
 _PLANS = threading.local()
 
 
-def _plan(width: int, height: int):
-    """``(masks, pairs, cur, nxt, backptr, rowcost)`` of one box shape, kept
-    per thread, with room for ``len(cur)`` problems in one sweep; pairs[m, a]
-    is the sign product of the horizontal edge at column a in row mask m.
-    Reusing the multi-megabyte backpointer block avoids the stall of a fresh
-    allocation per solve."""
+class _Plan:
+    """The arrays of one box shape, kept per thread, with room for
+    ``len(cur)`` problems in one sweep; pairs[m, a] is the sign product of
+    the horizontal edge at column a in row mask m.  Reusing the
+    multi-megabyte backpointer block avoids the stall of a fresh allocation
+    per solve.
+
+    ``rowcost[k, r]`` holds problem k's row costs of row r, then its
+    frontier after row r.  ``last`` remembers the sweep that last ran to its
+    end: its couplings, forced signs and start row s.  That sweep left its
+    backpointers in ``backptr`` and its frontiers in ``rowcost[:, r]`` for
+    every r >= s, so a sweep of as many problems that agrees with it on the
+    leading rows resumes from there (see ``_resume_row``)."""
+
+    def __init__(self, width: int, height: int):
+        n = 1 << width
+        k = max(1, _BATCH_STATES >> width)
+        self.masks = np.arange(n, dtype=np.int64)
+        sign = ((self.masks[:, None] >> np.arange(width)) & 1) * 2.0 - 1.0
+        a = np.arange(horizontal_edges_per_row(width))
+        self.pairs = sign[:, a] * sign[:, (a + 1) % width]
+        self.cur, self.nxt = np.empty((k, n)), np.empty((k, n))
+        self.backptr = np.empty((height - 1, width, k, n), dtype=np.uint8)
+        self.rowcost = np.empty((k, height, n))
+        self.last = None
+
+
+def _plan(width: int, height: int) -> _Plan:
+    """This thread's plan for one box shape; at most 8 shapes are kept."""
     store = _PLANS.__dict__.setdefault("store", {})
     key = (width, height)
     if key not in store:
         if len(store) >= 8:
             store.clear()
-        n = 1 << width
-        k = max(1, _BATCH_STATES >> width)
-        masks = np.arange(n, dtype=np.int64)
-        sign = ((masks[:, None] >> np.arange(width)) & 1) * 2.0 - 1.0
-        a = np.arange(horizontal_edges_per_row(width))
-        store[key] = (masks, sign[:, a] * sign[:, (a + 1) % width],
-                      np.empty((k, n)), np.empty((k, n)),
-                      np.empty((height - 1, width, k, n), dtype=np.uint8),
-                      np.empty((k, n, height)))
+        store[key] = _Plan(width, height)
     return store[key]
 
 
@@ -234,7 +256,7 @@ def _solve_all(geom: BoxGeometry, Js, clamps) -> list[SpinPair]:
             f"width {W} exceeds solver budget {MAX_SOLVE_WIDTH}")
     forced = [_forced_signs(geom, clamp) for clamp in clamps]
     plan = _plan(W, H)
-    step = len(plan[2])     # the problems one sweep holds
+    step = len(plan.cur)    # the problems one sweep holds
     out = []
     for lo in range(0, len(Js), step):
         chunk = range(lo, min(lo + step, len(Js)))
@@ -253,49 +275,104 @@ _SERIAL_GEMM = 1 << 18
 
 
 def _row_costs(pairs, J: CouplingConfig, height: int, out) -> None:
-    """``out[m, r]`` = minus the horizontal energy of row mask m in row r.
+    """``out[r, m]`` = minus the horizontal energy of row mask m in row r.
 
     build_box numbers the horizontal edges first, row by row; matmuls on a
-    contiguous copy keep the summation order fixed.  Splitting the output
-    rows into blocks never splits a sum, so the blocks give the bits of one
-    matmul while every call stays on the calling thread.
+    contiguous copy keep the summation order fixed.  Splitting the mask rows
+    into blocks never splits a sum, so the blocks give the bits of one
+    matmul while every call stays on the calling thread.  The products go
+    to the transposed view of ``out``, with the bits of a row-major output.
     """
     n_h = pairs.shape[1]
     j_rows = np.ascontiguousarray(
         J.values[:n_h * height].reshape(height, n_h).T)
     block = max(1, _SERIAL_GEMM // max(1, n_h * height))   # n_h = 0 at W=1
+    by_mask = out.T
     for lo in range(0, len(pairs), block):
-        np.matmul(pairs[lo:lo + block], j_rows, out=out[lo:lo + block])
+        np.matmul(pairs[lo:lo + block], j_rows, out=by_mask[lo:lo + block])
     np.negative(out, out=out)
 
 
-def _sweep(geom: BoxGeometry, Js, forced, plan):
+def _sweep(geom: BoxGeometry, Js, forced, plan: _Plan):
     """Run the transfer kernel over K problems of ``plan``'s shape; returns
     the (K, 2^W) final frontier and the (H-1, W, K, 2^W) backpointers.
     Every problem goes through the same elementwise operations as it would
-    alone, so its frontier and backpointers do not depend on the batch."""
-    masks, pairs, cur, nxt, backptr, rowcost = plan
+    alone, so its frontier and backpointers do not depend on the batch.
+
+    Each row's frontier is the sum of the last column step and the row's
+    costs, stored over those costs, so the frontiers stay in ``rowcost``.
+    The sweep starts at the row ``_resume_row`` gives, from the frontier the
+    last sweep left there; the backpointers above it are the last sweep's,
+    which are the same bits."""
     W, H, K = geom.width, geom.height, len(Js)
-    cur, nxt, rowcost = cur[:K], nxt[:K], rowcost[:K]
+    start = _resume_row(geom, plan, Js, forced)
+    steps, rowcost = (plan.cur[:K], plan.nxt[:K]), plan.rowcost[:K]
+    if start:       # the row costs overwrite the frontier the sweep needs
+        np.copyto(steps[0], rowcost[:, start])
     for k, (J, signs) in enumerate(zip(Js, forced)):
-        _row_costs(pairs, J, H, rowcost[k])
+        _row_costs(plan.pairs, J, H, rowcost[k])
         # rows contradicting a forced sign cost inf, and finite + inf = inf
         for v, s in signs.items():
             c, r = geom.vertex_cr(v)
-            rowcost[k, ((masks >> c) & 1) != (s > 0), r] = np.inf
+            rowcost[k, r, ((plan.masks >> c) & 1) != (s > 0)] = np.inf
+    if start:
+        np.copyto(rowcost[:, start], steps[0])
     # the vertical edges follow the horizontal ones, row by row; (K, 1, 1)
     # per column
     n_v = W * (H - 1)
     vert_j = np.stack([J.values[geom.n_edges - n_v:].reshape(H - 1, W)
                        for J in Js], axis=-1)[..., None, None]
 
-    np.copyto(cur, rowcost[:, :, 0])
-    for r in range(H - 1):
+    backptr = plan.backptr[:, :, :K]
+    cur = rowcost[:, start]
+    for r in range(start, H - 1):
         for c in range(W):
-            _transition_column(cur, nxt, vert_j[r, c], backptr[r, c, :K], c)
-            cur, nxt = nxt, cur
-        cur += rowcost[:, :, r + 1]
-    return cur, backptr[:, :, :K]
+            nxt = steps[c & 1]
+            _transition_column(cur, nxt, vert_j[r, c], backptr[r, c], c)
+            cur = nxt
+        cur = np.add(cur, rowcost[:, r + 1], out=rowcost[:, r + 1])
+    plan.last = ([J.values for J in Js], forced, start)
+    return cur, backptr
+
+
+def _resume_row(geom: BoxGeometry, plan: _Plan, Js, forced) -> int:
+    """The row a sweep of ``Js``/``forced`` can start from, 0 for a full
+    sweep; clears the plan's memory, since the sweep overwrites it.
+
+    The frontier after row p depends only on the couplings of the edges
+    with ``max(u, v) // W <= p`` and on the signs forced on rows 0..p.  If
+    every problem agrees with the last sweep's problem in its slot on rows
+    0..p, and that sweep left its frontier after row p, the sweep starts
+    there.  Couplings compare as bits, since -0.0 == 0.0; the comparison
+    stops at the first problem that rules a resume out."""
+    last, plan.last = plan.last, None
+    if last is None or len(last[0]) != len(Js):
+        return 0
+    old_js, old_forced, low = last
+    entry = _entry_rows(geom.width, geom.height)
+    need = max(low, 1) + 1      # rows that must agree for any resume
+    agree = geom.height         # rows 0..agree-1 are equal in every problem
+    for J, old, signs, old_signs in zip(Js, old_js, forced, old_forced):
+        if J.values is not old:
+            moved = entry[J.values.view(np.int64) != old.view(np.int64)]
+            if len(moved):
+                agree = min(agree, int(moved.min()))
+        if signs != old_signs:
+            for v in signs.keys() | old_signs.keys():
+                if signs.get(v) != old_signs.get(v):
+                    agree = min(agree, v // geom.width)
+        if agree < need:
+            return 0
+    return agree - 1
+
+
+@lru_cache(maxsize=32)
+def _entry_rows(width: int, height: int) -> np.ndarray:
+    """The row at which each edge's coupling enters a sweep: max(u, v) // W."""
+    geom = build_box(width, height)
+    rows = np.maximum(geom.eu, geom.ev) // width
+    rows.setflags(write=False)
+    return rows
 
 
 def _best_pair(geom: BoxGeometry, J: CouplingConfig, clamp: Clamp | None,
@@ -424,12 +501,17 @@ class GspReport:
 
 @lru_cache(maxsize=32)
 def _subset_boundaries(width, height, max_size):
+    """Each connected subset of at most ``max_size`` vertices with its
+    boundary edges; the whole box, whose flip is the global flip, has no
+    boundary and is left out."""
     geom = build_box(width, height)
     out = []
     for subset in connected_subsets(geom, max_size):
         inside = np.zeros(geom.n_vertices, dtype=bool)
         inside[list(subset)] = True
-        out.append((subset, np.flatnonzero(inside[geom.eu] != inside[geom.ev])))
+        boundary = np.flatnonzero(inside[geom.eu] != inside[geom.ev])
+        if len(boundary):
+            out.append((subset, boundary))
     return out
 
 

@@ -56,6 +56,8 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         make("flip_sweep", edge="h:9,0")
     with pytest.raises(ConfigError):
+        make("flip_sweep", grid_points=1)   # no interval can hold the flip
+    with pytest.raises(ConfigError):
         make("contour_stats", edge="v:0,9")
     with pytest.raises(ConfigError):
         make("wall_stats", width=7, height=7, proxy="excited_pair",

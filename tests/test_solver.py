@@ -1,12 +1,14 @@
 import inspect
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eaglass import excitation, solver, walls
+from eaglass import excitation, lab, solver, walls
 from eaglass.disorder import CouplingConfig, DistributionSpec, sample_couplings
 from eaglass.errors import BudgetExceededError
+from eaglass.lab import ExperimentConfig
 from eaglass.lattice import BoxGeometry, build_box
 from eaglass.solver import (Clamp, brute_force, canonicalize, energy, solve,
                             solve_batch, verify_gsp)
@@ -389,12 +391,14 @@ def test_solve_batch_rejects_bad_input():
         solve_batch([hand_couplings(flat), zero], [None, None])
 
 
-@pytest.mark.parametrize("width, height", [(15, 15), (16, 40)])
+@pytest.mark.parametrize("width, height", [(12, 30), (13, 13), (15, 15),
+                                           (16, 40)])
 def test_row_costs_in_blocks_equal_one_matmul(width, height):
-    # at these shapes the row costs go out in several blocks of mask rows;
-    # together they must give the bits of one matmul
+    # at these shapes the row costs go out in several blocks of mask rows,
+    # written through the transposed view of a block ordered by box row;
+    # together they must give the bits of one matmul ordered by mask
     geom = build_box(width, height)
-    pairs = solver._plan(width, height)[1]
+    pairs = solver._plan(width, height).pairs
     n_h = pairs.shape[1]
     assert solver._SERIAL_GEMM // (n_h * height) < len(pairs)
     rng = np.random.default_rng(width * height)
@@ -403,6 +407,239 @@ def test_row_costs_in_blocks_equal_one_matmul(width, height):
         j_rows = np.ascontiguousarray(
             J.values[:n_h * height].reshape(height, n_h).T)
         want = -np.matmul(pairs, j_rows)
-        got = np.empty_like(want)
+        got = np.empty((height, len(pairs)))    # row-major by box row
         solver._row_costs(pairs, J, height, got)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(got.T.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("width, height", [(1, 2), (1, 3), (2, 2)])
+def test_verify_gsp_skips_the_global_flip(width, height):
+    # with a subset budget of the whole box, the box itself is a connected
+    # subset; its flip is the global flip, which has no boundary and costs 0
+    g = build_box(width, height)
+    for i in range(5):
+        J = sample_couplings(g, GAUSS, 31, i)
+        sp = solve(g, J)
+        b = brute_force(J)
+        assert np.array_equal(sp.signs, b.signs) and sp.energy == b.energy
+        rep = verify_gsp(J, sp, max_subset_size=g.n_vertices)
+        assert rep.passed, rep.violations
+
+
+# --------------------------------------------------------------------------
+# a sweep resumes from the last sweep's frontier where their leading rows agree
+
+# boxes the oracle covers, then boxes whose rows 2.. hold 15 or more vertices,
+# so all-zero couplings there exceed the tie cap
+RESUME_SHAPES = [(1, 2), (3, 3), (4, 3), (3, 4), (2, 5), (2, 6), (1, 8),
+                 (5, 5), (4, 6), (3, 7)]
+
+
+def _entry_rows(g):
+    """The row at which each edge enters the sweep."""
+    return np.maximum(g.eu, g.ev) // g.width
+
+
+def _solve_and_bits(Js, clamps):
+    """``solve_batch``'s states, or "cap" if the tie cap is hit, with the
+    bytes of the final frontiers and backpointers its sweep left."""
+    try:
+        states = solve_batch(Js, clamps)
+    except BudgetExceededError:
+        states = "cap"
+    g, k = Js[0].geom, len(Js)
+    plan = solver._plan(g.width, g.height)
+    return (states, plan.rowcost[:k, -1].tobytes(),
+            plan.backptr[:, :, :k].tobytes())
+
+
+def _fresh(Js, clamps):
+    """``_solve_and_bits`` in a new thread, whose new plan sweeps every row."""
+    out = []
+    worker = threading.Thread(
+        target=lambda: out.append(_solve_and_bits(Js, clamps)))
+    worker.start()
+    worker.join()
+    return out[0]
+
+
+def _assert_same_sweeps(got, want):
+    assert got[1:] == want[1:]      # frontiers and backpointers, bit for bit
+    if "cap" in (got[0], want[0]):
+        assert got[0] == want[0]
+    else:
+        _assert_same_states(got[0], want[0])
+
+
+def _draw_values(rng, g, tied):
+    """Couplings in {-1, -0.0, 0.0, 1}, which tie, or gaussian ones.  Never
+    both in one chain: a real tie of a gaussian value and integers can
+    round apart in one summation order and not in another, so solve and
+    brute_force may then disagree on ``tied``."""
+    if tied:
+        return rng.choice([-1.0, -0.0, 0.0, 1.0], g.n_edges)
+    return rng.normal(size=g.n_edges)
+
+
+def _draw_clamp(data, g, first_row=0):
+    """No clamp, or an equal or opposite pair on rows first_row.. ."""
+    kind = data.draw(st.sampled_from(["none", "equal", "opposite"]))
+    if kind == "none":
+        return None
+    u, v = data.draw(st.lists(
+        st.integers(min(first_row, g.height - 2) * g.width, g.n_vertices - 1),
+        min_size=2, max_size=2, unique=True))
+    return (Clamp.equal_pair if kind == "equal" else Clamp.opposite_pair)(u, v)
+
+
+def _next_problem(data, rng, g, p, J, clamp, clamp_rows, tied):
+    """Couplings equal to J, bit for bit, on the edges entering rows
+    0..p-1, redrawn elsewhere, maybe with each kept 0.0 turned into -0.0;
+    the same clamp, or one drawn on rows p.. or anywhere."""
+    vals = _draw_values(rng, g, tied)
+    keep = _entry_rows(g) < p
+    vals[keep] = J.values[keep]
+    if data.draw(st.integers(0, 3)) == 0:
+        vals[keep & (vals == 0.0)] *= -1.0
+    if clamp_rows != "same":
+        clamp = _draw_clamp(data, g, p if clamp_rows == "below" else 0)
+    return CouplingConfig(g, vals), clamp
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(RESUME_SHAPES), st.integers(1, 3), st.data())
+def test_resumed_sweep_equals_a_fresh_one(shape, k, data):
+    g = build_box(*shape)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    tied = g.n_vertices <= 12 and data.draw(st.booleans())
+    Js = [CouplingConfig(g, _draw_values(rng, g, tied)) for _ in range(k)]
+    clamps = [_draw_clamp(data, g) for _ in range(k)]
+    solver._PLANS.store = {}
+    for _ in range(data.draw(st.integers(2, 4))):
+        got = _solve_and_bits(Js, clamps)
+        _assert_same_sweeps(got, _fresh(Js, clamps))
+        if got[0] != "cap" and g.n_vertices <= 12:
+            _assert_same_states(got[0], [brute_force(J, cl)
+                                         for J, cl in zip(Js, clamps)])
+        between = data.draw(st.sampled_from(
+            ["nothing", "other_shape", "eight_shapes", "tie_cap"]))
+        if between == "other_shape":
+            other = build_box(g.width + 1, 2)
+            solve(other, sample_couplings(other, GAUSS, 1, 0))
+        elif between == "eight_shapes":    # drops every plan of the thread
+            for h in range(2, 10):
+                other = build_box(2, h)
+                solve(other, sample_couplings(other, GAUSS, 1, h))
+        elif between == "tie_cap" and g.width * (g.height - 2) >= 15:
+            # rows 2.. free: the sweep ends, its traceback hits the cap, and
+            # the next problems share rows 0 and 1 with it
+            zero = _entry_rows(g) >= 2
+            Js = [CouplingConfig(g, np.where(zero, 0.0, J.values)) for J in Js]
+            with pytest.raises(BudgetExceededError):
+                solve_batch(Js, [None] * k)
+        p = data.draw(st.integers(0, g.height))     # rows the sweeps share
+        clamp_rows = data.draw(st.sampled_from(
+            ["same", "same", "below", "anywhere"]))
+        Js, clamps = zip(*[_next_problem(data, rng, g, p, J, cl, clamp_rows,
+                                         tied) for J, cl in zip(Js, clamps)])
+        Js, clamps = list(Js), list(clamps)
+
+
+def test_resume_chain_of_growing_shrinking_and_repeated_prefixes(monkeypatch):
+    # K=2 problems on a 5x7 box; each sweep keeps the last one's couplings
+    # on rows 0..p-1 and its clamped vertex 2, and redraws the rest, so the
+    # clamp's second vertex, on row 6, always lies below the shared rows
+    g = build_box(5, 7)
+    rows = _entry_rows(g)
+    steps, per_sweep = [0], []
+
+    def counted_column(*args):
+        steps[0] += 1
+        return column(*args)
+
+    column = solver._transition_column
+    monkeypatch.setattr(solver, "_transition_column", counted_column)
+    Js = [sample_couplings(g, GAUSS, 8, k) for k in range(2)]
+    solver._PLANS.store = {}
+    for i, p in enumerate((7, 5, 5, 3, 6, 6, 2, 0, 4)):
+        Js = [CouplingConfig(g, np.where(rows < p, J.values, sample_couplings(
+            g, GAUSS, 9, 2 * i + k).values)) for k, J in enumerate(Js)]
+        clamps = [Clamp((2, 30 + (i + k) % 5), (1, (-1) ** i))
+                  for k in range(2)]
+        before = steps[0]
+        got = _solve_and_bits(Js, clamps)
+        per_sweep.append((steps[0] - before) // g.width)
+        _assert_same_sweeps(got, _fresh(Js, clamps))
+    # rows swept: a sweep starts at row p-1 if the last sweep left its
+    # frontier there, else at row 0
+    assert per_sweep == [6, 2, 2, 6, 1, 1, 6, 6, 3]
+
+
+def test_resume_needs_as_many_problems_and_a_finished_sweep(monkeypatch):
+    g = build_box(4, 5)
+    J0, J1, J2 = (sample_couplings(g, GAUSS, 10, i) for i in range(3))
+    solver._PLANS.store = {}
+    solve_batch([J0, J1], [None, None])
+    solve_batch([J0], [None])       # equal to slot 0, so it resumes
+    # slot 0 equals the last sweep's problem, but slot 1 is new
+    got = _solve_and_bits([J0, J2], [None, None])
+    _assert_same_sweeps(got, _fresh([J0, J2], [None, None]))
+
+    def failing_column(*args):
+        raise RuntimeError("stop mid-sweep")
+
+    column = solver._transition_column
+    monkeypatch.setattr(solver, "_transition_column", failing_column)
+    with pytest.raises(RuntimeError):
+        solve_batch([J1, J1], [None, None])     # overwrites the row costs
+    monkeypatch.setattr(solver, "_transition_column", column)
+    got = _solve_and_bits([J0, J2], [None, None])
+    _assert_same_sweeps(got, _fresh([J0, J2], [None, None]))
+
+
+def test_resume_tells_minus_zero_from_zero():
+    # with every coupling zero the final frontier keeps signs of zero,
+    # which -0.0 couplings on the last row flip: the sweep must not take
+    # that row's frontier from a sweep of 0.0 couplings
+    g = build_box(3, 3)
+    zero = np.zeros(g.n_edges)
+    minus = np.where(_entry_rows(g) == g.height - 1, -0.0, 0.0)
+    solver._PLANS.store = {}
+    for vals in (zero, minus, zero):
+        J = CouplingConfig(g, vals)
+        _assert_same_sweeps(_solve_and_bits([J], [None]), _fresh([J], [None]))
+
+
+def test_perturbed_exterior_second_solve_sweeps_only_the_rows_below_the_band(
+        monkeypatch):
+    cfg = ExperimentConfig.from_dict(dict(
+        kind="wall_stats", width=9, height=9, proxy="perturbed_exterior",
+        n_list=[1], k_list=[0]))
+    band = cfg.height // 2
+    steps, per_solve = [0], []
+
+    def counted_column(*args):
+        steps[0] += 1
+        return column(*args)
+
+    def counted_solve(*args):
+        before = steps[0]
+        out = solve(*args)
+        per_solve.append(steps[0] - before)
+        return out
+
+    column = solver._transition_column
+    monkeypatch.setattr(solver, "_transition_column", counted_column)
+    monkeypatch.setattr(lab, "solve", counted_solve)
+    solver._PLANS.store = {}
+    lab.proxy_perturbed_exterior(cfg, 0)
+    assert per_solve == [(cfg.height - 1) * cfg.width,
+                         (cfg.height - 1 - band) * cfg.width]   # 72, 36
+
+
+def test_plan_holds_no_frontier_block():
+    # the frontiers a sweep leaves behind live in its row-cost block, so a
+    # W=15 plan holds the bytes it held before sweeps could resume
+    plan = solver._plan(15, 15)
+    assert sum(a.nbytes for a in vars(plan).values()
+               if isinstance(a, np.ndarray)) == 15_532_032

@@ -25,7 +25,7 @@ import numpy as np
 from .disorder import CouplingConfig
 from .errors import BudgetExceededError
 from .lattice import BoxGeometry
-from .solver import Clamp, SpinPair, _spin_products, solve, solve_batch
+from .solver import Clamp, SpinPair, _spin_products, solve_batch
 from .walls import Interface, interface
 
 
@@ -79,11 +79,6 @@ def _edge_clamps(geom: BoxGeometry, edge_id: int) -> tuple[Clamp, Clamp]:
     return Clamp.equal_pair(e.u, e.v), Clamp.opposite_pair(e.u, e.v)
 
 
-def edge_excitation(J: CouplingConfig, edge_id: int) -> ExcitationRecord:
-    """Excitation from the edge's +_b clamp to its -_b one."""
-    return excitation(J, *_edge_clamps(J.geom, edge_id))
-
-
 def critical_value(J: CouplingConfig, edge_id: int) -> float:
     """Half the exterior energy difference between the +_b and -_b states.
 
@@ -129,36 +124,6 @@ def flip_census(J: CouplingConfig, edge_id: int, grid) -> FlipCensus:
              for i in range(len(values) - 1) if labels[i] != labels[i + 1]]
     return FlipCensus(values, tuple(labels), len(trans),
                       trans[0] if len(trans) == 1 else None)
-
-
-def locate_flip(J: CouplingConfig, edge_id: int) -> tuple[float, float]:
-    """Certified enclosure of the critical value by doubling plus bisection.
-
-    Independent of the exterior-energy formula: each probe is a full solve at
-    a replaced J_b, classified by the endpoint sign product.
-    """
-
-    def label(x: float) -> int:
-        return solve(J.geom, J.with_value(edge_id, x)).edge_product(edge_id)
-
-    lo, hi = -1.0, 1.0
-    while label(lo) > 0:
-        lo *= 2.0
-        if lo < -1e12:
-            raise BudgetExceededError("no lower bracket for flip point")
-    while label(hi) < 0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise BudgetExceededError("no upper bracket for flip point")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if label(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
 
 
 # --------------------------------------------------------------------------

@@ -6,12 +6,15 @@ so the cost is O(height * width * 2^width); the wrap coupling enters through
 the intra-row cost, which sees the whole row mask.  Backpointers record every
 optimal choice, so exact ties can be enumerated and broken deterministically:
 the returned configuration has the lexicographically smallest canonical bit
-pattern among all minimizers, and the pair is flagged as tied.
+pattern among all minimizers, and the pair is flagged as tied.  One numpy
+traceback per sweep walks every problem's optimal configurations at once,
+a tie branching into two entries of the walk; a problem with more than
+``_TIE_CAP`` (20,000) optimal configurations raises ``BudgetExceededError``.
 
 ``solve_batch`` runs K problems on one box shape through each kernel sweep:
 the frontier gains a leading batch axis, and each problem keeps its own row
-costs, vertical couplings (broadcast as shape (K, 1, 1)) and traceback, so
-its energies and backpointers are bit-identical to a solve of its own.  A
+costs and vertical couplings (broadcast as shape (K, 1, 1)), so its energies,
+backpointers and optimum are bit-identical to a solve of its own.  A
 sweep holds at most 2^13 frontier entries (K * 2^W), so from width 13 on
 every problem runs alone; ``solve`` is the K=1 case.  The row costs, one
 matrix product per problem, go to BLAS in blocks of mask rows small enough
@@ -22,8 +25,7 @@ Each thread keeps one plan of arrays per box shape, and the plan remembers
 its last sweep.  A sweep of as many problems whose couplings and forced
 signs equal the last sweep's, bit for bit, on rows 0..p resumes from the
 frontiers that sweep left after row p: two solves that share their leading
-rows (the perturbed-exterior pair, the J_b scan of ``locate_flip``) sweep the
-shared rows once.
+rows (the perturbed-exterior pair) sweep the shared rows once.
 
 Configurations are pairs modulo a global flip.  Internally one representative
 is pinned by the clamp's signs (or vertex 0 at +1), entered as infinite row
@@ -259,12 +261,9 @@ def _solve_all(geom: BoxGeometry, Js, clamps) -> list[SpinPair]:
     step = len(plan.cur)    # the problems one sweep holds
     out = []
     for lo in range(0, len(Js), step):
-        chunk = range(lo, min(lo + step, len(Js)))
-        final, backptr = _sweep(geom, [Js[i] for i in chunk],
-                                [forced[i] for i in chunk], plan)
-        for k, i in enumerate(chunk):
-            out.append(_best_pair(geom, Js[i], clamps[i], backptr[:, :, k],
-                                  final[k]))
+        chunk = slice(lo, lo + step)
+        final, backptr = _sweep(geom, Js[chunk], forced[chunk], plan)
+        out += _best_pairs(geom, Js[chunk], clamps[chunk], backptr, final)
     return out
 
 
@@ -349,8 +348,12 @@ def _resume_row(geom: BoxGeometry, plan: _Plan, Js, forced) -> int:
     if last is None or len(last[0]) != len(Js):
         return 0
     old_js, old_forced, low = last
-    entry = _entry_rows(geom.width, geom.height)
     need = max(low, 1) + 1      # rows that must agree for any resume
+    # edge 0 enters at row 0 (row 1 at W=1), below need: unequal floats rule
+    # a resume out, and equal ones (+-0.0 too) go on to the bitwise compare
+    if Js[0].values.item(0) != old_js[0].item(0):
+        return 0
+    entry = _entry_rows(geom.width, geom.height)
     agree = geom.height         # rows 0..agree-1 are equal in every problem
     for J, old, signs, old_signs in zip(Js, old_js, forced, old_forced):
         if J.values is not old:
@@ -375,45 +378,56 @@ def _entry_rows(width: int, height: int) -> np.ndarray:
     return rows
 
 
-def _best_pair(geom: BoxGeometry, J: CouplingConfig, clamp: Clamp | None,
-               backptr, final) -> SpinPair:
-    """The canonical optimum of one problem from its swept frontier."""
-    best = final.min()
-    if not np.isfinite(best):
+# _OLD_BIT[c, code]: bit c of the state a column step came from, by its
+# backpointer code (1: old bit 0; 2, or 3 for a tie: old bit 1)
+_OLD_BIT = np.array([0, 0, 1, 1]) << np.arange(MAX_SOLVE_WIDTH)[:, None]
+
+
+def _best_pairs(geom: BoxGeometry, Js, clamps, backptr, final) -> list[SpinPair]:
+    """The canonical optimum of each problem of one sweep.
+
+    Every optimal configuration is an entry: a flat index problem * 2^W +
+    row mask, walked from the last row up one column step at a time, all
+    problems at once.  A backpointer of 3 splits an entry in two, and two
+    entries never merge, so a problem's entries are its optimal
+    configurations; their count never falls, so the walk raises as soon as
+    one problem has more than ``_TIE_CAP``."""
+    W, H, K = geom.width, geom.height, len(Js)
+    best = final.min(axis=1)
+    if not np.isfinite(best).all():
         raise RuntimeError("no admissible configuration (unsatisfiable clamp?)")
-    configs = _enumerate_optimal(backptr, np.flatnonzero(final == best).tolist())
-    signs = min((canonicalize(geom, _rows_to_signs(rows, geom.width), clamp)
-                 for rows in configs), key=_pattern)
-    return SpinPair(geom, signs, energy(J, signs), tied=len(configs) > 1)
-
-
-def _rows_to_signs(rows, W):
-    bits = (np.array(rows, dtype=np.int64)[:, None] >> np.arange(W)) & 1
-    return (2 * bits - 1).astype(np.int8).ravel()
-
-
-def _enumerate_optimal(backptr, finals):
-    """Every optimal row-mask sequence, grown from the top row down; raises
-    past ``_TIE_CAP`` of them (a partial sequence always completes)."""
-    seqs = [(m,) for m in finals]
-    for r in reversed(range(backptr.shape[0])):
-        grown = []
-        for seq in seqs:
-            states = {seq[0]}
-            for c in reversed(range(backptr.shape[1])):
-                bit, bp, prev = 1 << c, backptr[r, c], set()
-                for st in states:
-                    ch = bp[st]     # one lookup: numpy scalar reads are slow
-                    if ch & 1:
-                        prev.add(st & ~bit)
-                    if ch & 2:
-                        prev.add(st | bit)
-                states = prev
-            grown.extend((p,) + seq for p in states)
-            if len(grown) > _TIE_CAP:
+    flat = np.flatnonzero(final == best[:, None])
+    rows = np.empty((len(flat), H), dtype=np.int64)
+    for r in reversed(range(H - 1)):
+        rows[:, r + 1] = flat
+        for c in reversed(range(W)):
+            ch = backptr[r, c].take(flat)
+            # a tie: the copies take old bit 0, the originals 1 (a scan of
+            # the bytes is cheaper than a numpy reduction over few entries)
+            if 3 in ch.tobytes():
+                split = np.flatnonzero(ch == 3)
+                flat = np.concatenate((flat, flat[split]))
+                rows = np.concatenate((rows, rows[split]))
+                ch = np.concatenate((ch, np.ones(len(split), np.uint8)))
+            if len(flat) > _TIE_CAP and np.bincount(flat >> W).max() > _TIE_CAP:
                 raise BudgetExceededError("tie degeneracy exceeds enumeration cap")
-        seqs = grown
-    return seqs
+            flat = (flat & ~(1 << c)) | _OLD_BIT[c].take(ch)
+    rows[:, 0] = flat
+    prob = flat >> W
+    rows &= (1 << W) - 1
+    bits = (rows[:, :, None] >> np.arange(W)) & 1
+    signs = (2 * bits - 1).astype(np.int8).reshape(len(flat), H * W)
+    anchors = np.array([canonical_anchor(geom, cl) for cl in clamps])
+    signs[signs[np.arange(len(flat)), anchors[prob]] < 0] *= -1
+    counts = np.bincount(prob, minlength=K)
+    if len(flat) > K:   # the smallest canonical pattern of each problem
+        order = np.lexsort(np.vstack(((signs[:, ::-1] < 0).T, prob)))
+        signs = signs[order[np.searchsorted(prob[order], np.arange(K))]]
+    # energy(J, s) of each problem, bit for bit: the same products, one fsum
+    terms = (np.array([J.values for J in Js])
+             * signs[:, geom.eu] * signs[:, geom.ev])
+    return [SpinPair(geom, s, -fsum(t), tied=bool(n > 1))
+            for s, t, n in zip(signs, terms.tolist(), counts)]
 
 
 # --------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from eaglass.lab import run
 from eaglass.lattice import build_box
 from eaglass.solver import Clamp, brute_force, solve, verify_gsp
 
+from reference import edge_excitation, locate_flip
+
 GAUSS = DistributionSpec("gaussian", sigma=1.0)
 SEED = 20260810
 
@@ -79,12 +81,12 @@ def test_criterion_3_critical_value():
         J = sample_couplings(g, GAUSS, SEED + 3, i)
         b = g.edge_by_key[("v", 0, 1)]
         c = exc.critical_value(J, b)
-        lo, hi = exc.locate_flip(J, b)
+        lo, hi = locate_flip(J, b)
         worst_bisect = max(worst_bisect, abs(c - 0.5 * (lo + hi)))
         rng = np.random.default_rng((SEED + 3, i))
         c2 = exc.critical_value(J.with_value(b, float(rng.normal() * 4)), b)
         worst_invar = max(worst_invar, abs(c - c2))
-        rec = exc.edge_excitation(J, b)
+        rec = edge_excitation(J, b)
         assert solve(g, J.with_value(b, c + 1e-6)).same_pair(rec.state_a), i
         assert solve(g, J.with_value(b, c - 1e-6)).same_pair(rec.state_b), i
     report("3 critical value", worst_bisect <= 1e-9 and worst_invar <= 1e-12,

@@ -11,6 +11,8 @@ from eaglass.lattice import build_box
 from eaglass.solver import Clamp, brute_force, solve
 from eaglass.walls import interface
 
+from reference import edge_excitation, locate_flip
+
 GAUSS = DistributionSpec("gaussian", sigma=1.0)
 TOL = 1e-9
 
@@ -83,7 +85,7 @@ def test_critical_value_against_bisection():
         J = sample_couplings(g, GAUSS, 100, i)
         b = g.edge_by_key[("v", 0, 1)]
         c = exc.critical_value(J, b)
-        lo, hi = exc.locate_flip(J, b)
+        lo, hi = locate_flip(J, b)
         assert lo <= c <= hi or min(abs(c - lo), abs(c - hi)) < 1e-9
         assert abs(c - 0.5 * (lo + hi)) <= 1e-9
 
@@ -112,7 +114,7 @@ def test_gsp_selection_around_critical_value():
         J = sample_couplings(g, GAUSS, 11, i)
         b = g.edge_by_key[("h", 0, 2)]
         c = exc.critical_value(J, b)
-        rec = exc.edge_excitation(J, b)
+        rec = edge_excitation(J, b)
         assert solve(g, J.with_value(b, c + 1e-6)).same_pair(rec.state_a)
         assert solve(g, J.with_value(b, c - 1e-6)).same_pair(rec.state_b)
 

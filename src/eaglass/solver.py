@@ -1,15 +1,15 @@
 """Exact minimizers of the box Hamiltonian, with a brute-force oracle.
 
-``solve`` runs a row-by-row dynamic program over per-row spin bitmasks.  The
-row-to-row transition is factorized per column (one bit replaced at a time),
-so the cost is O(height * width * 2^width); the wrap coupling enters through
-the intra-row cost, which sees the whole row mask.  Backpointers record every
-optimal choice, so exact ties can be enumerated and broken deterministically:
-the returned configuration has the lexicographically smallest canonical bit
-pattern among all minimizers, and the pair is flagged as tied.  One numpy
-traceback per sweep walks every problem's optimal configurations at once,
-a tie branching into two entries of the walk; a problem with more than
-``_TIE_CAP`` (20,000) optimal configurations raises ``BudgetExceededError``.
+``solve`` runs a row-by-row dynamic program over per-row spin bitmasks in
+O(height * width * 2^width): each row-to-row transition is W column steps
+of a shift register, and the wrap coupling enters through the intra-row
+cost.  Backpointers record every optimal choice, so exact ties are
+enumerated and broken deterministically: the returned configuration has the
+lexicographically smallest canonical bit pattern among all minimizers, and
+the pair is flagged as tied.  One numpy traceback per sweep un-shifts every
+problem's optimal configurations at once, a tie branching into two entries;
+a problem with more than ``_TIE_CAP`` (20,000) of them raises
+``BudgetExceededError``.
 
 ``solve_batch`` runs K problems on one box shape through each kernel sweep:
 the frontier gains a leading batch axis, and each problem keeps its own row
@@ -51,6 +51,7 @@ from .lattice import (BoxGeometry, build_box, build_dual,
 MAX_SOLVE_WIDTH = 16
 MAX_BRUTE_VERTICES = 24
 _TIE_CAP = 20000
+_OLD_SPIN = np.array([0, 0, 1, 1])     # old spin bit by backpointer code
 
 
 @dataclass(frozen=True)
@@ -159,26 +160,24 @@ def _pattern(signs: np.ndarray) -> bytes:
 # transfer-matrix solver
 
 
-def _transition_column(cur, nxt, j_vert, bp, c):
-    """One column step of the row-to-row transition of K problems at once.
-
-    ``cur``, ``nxt`` and ``bp`` have shape (K, 2^W) and ``j_vert`` shape
-    (K, 1, 1).  Replaces bit c of every frontier: for each target mask the
-    cost of the vertical edge is -J * old * new; bp gets 1 / 2 / 3 for
-    old-bit-0 optimal, old-bit-1 optimal, or an exact tie.
-    """
-    k, n = cur.shape
-    hi, lo = n >> (c + 1), 1 << c
-    f3 = cur.reshape(k, hi, 2, lo)
-    f0, f1 = f3[:, :, 0], f3[:, :, 1]
-    t0, t1 = f0 - j_vert, f1 + j_vert   # new spin -1
-    u0, u1 = f0 + j_vert, f1 - j_vert   # new spin +1
-    n3 = nxt.reshape(k, hi, 2, lo)
-    b3 = bp.reshape(k, hi, 2, lo)
-    np.minimum(t0, t1, out=n3[:, :, 0])
-    np.minimum(u0, u1, out=n3[:, :, 1])
-    b3[:, :, 0] = (t0 == n3[:, :, 0]) | ((t1 == n3[:, :, 0]) << 1)
-    b3[:, :, 1] = (u0 == n3[:, :, 1]) | ((u1 == n3[:, :, 1]) << 1)
+def _transition_column(cur, nxt, j_vert, bp, scratch, flag):
+    """One column step of K problems on a shift register of the row: bit 0
+    of each mask of ``cur`` (K, 2^W), the column's old spin, is popped and
+    the new spin pushed as bit W-1 of ``nxt``, so the step reads even and
+    odd entries and writes whole halves.  The vertical edge costs
+    -J * old * new; ``bp`` gets 1 / 2 / 3 for old spin down, up, or a tie."""
+    half = cur.shape[1] >> 1
+    f0, f1 = cur[:, 0::2], cur[:, 1::2]
+    for lo, j0, j1 in ((0, np.subtract, np.add),        # new spin -1
+                       (half, np.add, np.subtract)):    # new spin +1
+        t0 = j0(f0, j_vert, out=scratch)
+        t1 = j1(f1, j_vert, out=nxt[:, lo:lo + half])
+        code = bp[:, lo:lo + half]
+        np.less_equal(t0, t1, out=code.view(bool))
+        np.greater_equal(t0, t1, out=flag.view(bool))
+        np.minimum(t0, t1, out=t1)
+        np.left_shift(flag, 1, out=flag)
+        np.bitwise_or(code, flag, out=code)
 
 
 # frontier entries swept together, K * 2^W: small boxes share each numpy
@@ -190,10 +189,12 @@ _PLANS = threading.local()
 
 class _Plan:
     """The arrays of one box shape, kept per thread, with room for
-    ``len(cur)`` problems in one sweep; pairs[m, a] is the sign product of
-    the horizontal edge at column a in row mask m.  Reusing the
-    multi-megabyte backpointer block avoids the stall of a fresh allocation
-    per solve.
+    ``len(cur)`` problems in one sweep: pairs[m, a] is the sign product of
+    the horizontal edge at column a in row mask m, and shifted[m] is
+    (m << 1) mod 2^W, for the traceback.  Reusing the multi-megabyte
+    backpointer block avoids the stall of a fresh allocation per solve, and
+    a column step keeps its temporaries in ``scratch`` and ``flag``, so it
+    allocates nothing.
 
     ``rowcost[k, r]`` holds problem k's row costs of row r, then its
     frontier after row r.  ``last`` remembers the sweep that last ran to its
@@ -205,11 +206,14 @@ class _Plan:
     def __init__(self, width: int, height: int):
         n = 1 << width
         k = max(1, _BATCH_STATES >> width)
-        self.masks = np.arange(n, dtype=np.int64)
-        sign = ((self.masks[:, None] >> np.arange(width)) & 1) * 2.0 - 1.0
+        masks = np.arange(n, dtype=np.int64)
+        sign = ((masks[:, None] >> np.arange(width)) & 1) * 2.0 - 1.0
         a = np.arange(horizontal_edges_per_row(width))
         self.pairs = sign[:, a] * sign[:, (a + 1) % width]
+        self.shifted = (masks << 1) & (n - 1)
         self.cur, self.nxt = np.empty((k, n)), np.empty((k, n))
+        self.scratch = np.empty((k, n >> 1))
+        self.flag = np.empty((k, n >> 1), dtype=np.uint8)
         self.backptr = np.empty((height - 1, width, k, n), dtype=np.uint8)
         self.rowcost = np.empty((k, height, n))
         self.last = None
@@ -262,8 +266,8 @@ def _solve_all(geom: BoxGeometry, Js, clamps) -> list[SpinPair]:
     out = []
     for lo in range(0, len(Js), step):
         chunk = slice(lo, lo + step)
-        final, backptr = _sweep(geom, Js[chunk], forced[chunk], plan)
-        out += _best_pairs(geom, Js[chunk], clamps[chunk], backptr, final)
+        _sweep(geom, Js[chunk], forced[chunk], plan)
+        out += _best_pairs(geom, Js[chunk], clamps[chunk], plan)
     return out
 
 
@@ -292,9 +296,9 @@ def _row_costs(pairs, J: CouplingConfig, height: int, out) -> None:
     np.negative(out, out=out)
 
 
-def _sweep(geom: BoxGeometry, Js, forced, plan: _Plan):
-    """Run the transfer kernel over K problems of ``plan``'s shape; returns
-    the (K, 2^W) final frontier and the (H-1, W, K, 2^W) backpointers.
+def _sweep(geom: BoxGeometry, Js, forced, plan: _Plan) -> None:
+    """Run the transfer kernel over K problems of ``plan``'s shape; their
+    final frontiers end in ``rowcost[:, -1]``, backpointers in ``backptr``.
     Every problem goes through the same elementwise operations as it would
     alone, so its frontier and backpointers do not depend on the batch.
 
@@ -313,25 +317,24 @@ def _sweep(geom: BoxGeometry, Js, forced, plan: _Plan):
         # rows contradicting a forced sign cost inf, and finite + inf = inf
         for v, s in signs.items():
             c, r = geom.vertex_cr(v)
-            rowcost[k, r, ((plan.masks >> c) & 1) != (s > 0)] = np.inf
+            rowcost[k, r].reshape(-1, 2, 1 << c)[:, int(s < 0)] = np.inf
     if start:
         np.copyto(rowcost[:, start], steps[0])
-    # the vertical edges follow the horizontal ones, row by row; (K, 1, 1)
-    # per column
+    # the vertical edges follow the horizontal ones, row by row; (K, 1) each
     n_v = W * (H - 1)
     vert_j = np.stack([J.values[geom.n_edges - n_v:].reshape(H - 1, W)
-                       for J in Js], axis=-1)[..., None, None]
+                       for J in Js], axis=-1)[..., None]
 
     backptr = plan.backptr[:, :, :K]
+    bufs = plan.scratch[:K], plan.flag[:K]
     cur = rowcost[:, start]
     for r in range(start, H - 1):
         for c in range(W):
             nxt = steps[c & 1]
-            _transition_column(cur, nxt, vert_j[r, c], backptr[r, c], c)
+            _transition_column(cur, nxt, vert_j[r, c], backptr[r, c], *bufs)
             cur = nxt
         cur = np.add(cur, rowcost[:, r + 1], out=rowcost[:, r + 1])
     plan.last = ([J.values for J in Js], forced, start)
-    return cur, backptr
 
 
 def _resume_row(geom: BoxGeometry, plan: _Plan, Js, forced) -> int:
@@ -378,49 +381,46 @@ def _entry_rows(width: int, height: int) -> np.ndarray:
     return rows
 
 
-# _OLD_BIT[c, code]: bit c of the state a column step came from, by its
-# backpointer code (1: old bit 0; 2, or 3 for a tie: old bit 1)
-_OLD_BIT = np.array([0, 0, 1, 1]) << np.arange(MAX_SOLVE_WIDTH)[:, None]
+def _best_pairs(geom: BoxGeometry, Js, clamps, plan: _Plan) -> list[SpinPair]:
+    """The canonical optimum of each problem of the sweep ``plan`` last ran.
 
-
-def _best_pairs(geom: BoxGeometry, Js, clamps, backptr, final) -> list[SpinPair]:
-    """The canonical optimum of each problem of one sweep.
-
-    Every optimal configuration is an entry: a flat index problem * 2^W +
-    row mask, walked from the last row up one column step at a time, all
-    problems at once.  A backpointer of 3 splits an entry in two, and two
-    entries never merge, so a problem's entries are its optimal
-    configurations; their count never falls, so the walk raises as soon as
-    one problem has more than ``_TIE_CAP``."""
+    Every optimal configuration is an entry, a problem offset problem * 2^W
+    and a mask, walked from the last row up, all problems at once; a column
+    step back un-shifts the mask, its old spin coming back as bit 0.  A
+    backpointer of 3 splits an entry in two, and two entries never merge, so
+    a problem's entries are its optimal configurations; their count never
+    falls, so the walk raises once one problem has more than ``_TIE_CAP``."""
     W, H, K = geom.width, geom.height, len(Js)
+    final, backptr = plan.rowcost[:K, -1], plan.backptr[:, :, :K]
     best = final.min(axis=1)
     if not np.isfinite(best).all():
         raise RuntimeError("no admissible configuration (unsatisfiable clamp?)")
     flat = np.flatnonzero(final == best[:, None])
+    off, mask = flat >> W << W, flat & ((1 << W) - 1)
     rows = np.empty((len(flat), H), dtype=np.int64)
     for r in reversed(range(H - 1)):
-        rows[:, r + 1] = flat
+        rows[:, r + 1] = mask
         for c in reversed(range(W)):
-            ch = backptr[r, c].take(flat)
+            ch = backptr[r, c].take(off | mask)
             # a tie: the copies take old bit 0, the originals 1 (a scan of
             # the bytes is cheaper than a numpy reduction over few entries)
             if 3 in ch.tobytes():
                 split = np.flatnonzero(ch == 3)
-                flat = np.concatenate((flat, flat[split]))
+                off = np.concatenate((off, off[split]))
+                mask = np.concatenate((mask, mask[split]))
                 rows = np.concatenate((rows, rows[split]))
                 ch = np.concatenate((ch, np.ones(len(split), np.uint8)))
-            if len(flat) > _TIE_CAP and np.bincount(flat >> W).max() > _TIE_CAP:
+            if len(mask) > _TIE_CAP and np.bincount(off >> W).max() > _TIE_CAP:
                 raise BudgetExceededError("tie degeneracy exceeds enumeration cap")
-            flat = (flat & ~(1 << c)) | _OLD_BIT[c].take(ch)
-    rows[:, 0] = flat
-    prob = flat >> W
-    rows &= (1 << W) - 1
+            mask = plan.shifted.take(mask) | _OLD_SPIN.take(ch)
+    rows[:, 0] = mask
+    prob = off >> W
     bits = (rows[:, :, None] >> np.arange(W)) & 1
-    signs = (2 * bits - 1).astype(np.int8).reshape(len(flat), H * W)
+    signs = (2 * bits - 1).astype(np.int8).reshape(len(mask), H * W)
     anchors = np.array([canonical_anchor(geom, cl) for cl in clamps])
-    signs[signs[np.arange(len(flat)), anchors[prob]] < 0] *= -1
+    signs[signs[np.arange(len(mask)), anchors[prob]] < 0] *= -1
     counts = np.bincount(prob, minlength=K)
-    if len(flat) > K:   # the smallest canonical pattern of each problem
+    if len(mask) > K:   # the smallest canonical pattern of each problem
         order = np.lexsort(np.vstack(((signs[:, ::-1] < 0).T, prob)))
         signs = signs[order[np.searchsorted(prob[order], np.arange(K))]]
     # energy(J, s) of each problem, bit for bit: the same products, one fsum

@@ -1,8 +1,11 @@
 """Slow, independent versions of library computations, kept for the tests to
 compare the library against.
 
-``best_pair`` is the solver's traceback as it was before it went batched: a
-walk of one problem's backpointers with Python sets.  ``locate_flip`` brackets
+``column_step`` is the solver's column step as it was before the frontier
+became a shift register: it replaces bit c of every mask in place.
+``best_pair`` is a walk of one problem's backpointers with Python sets, the
+traceback as it was before it went batched, on the shift-register layout of
+the backpointers.  ``locate_flip`` brackets
 a critical value by bisection on full re-solves, independent of the
 exterior-energy formula that ``excitation.critical_value`` uses.
 """
@@ -24,23 +27,48 @@ def rows_to_signs(rows, W):
     return (2 * bits - 1).astype(np.int8).ravel()
 
 
+def column_step(cur, nxt, j_vert, bp, c):
+    """One column step of K problems that replaces bit c of every mask.
+
+    ``cur``, ``nxt`` and ``bp`` have shape (K, 2^W) and ``j_vert`` shape
+    (K, 1, 1).  For each target mask the cost of the vertical edge is
+    -J * old * new; bp gets 1 / 2 / 3 for old-bit-0 optimal, old-bit-1
+    optimal, or an exact tie.
+    """
+    k, n = cur.shape
+    hi, lo = n >> (c + 1), 1 << c
+    f3 = cur.reshape(k, hi, 2, lo)
+    f0, f1 = f3[:, :, 0], f3[:, :, 1]
+    t0, t1 = f0 - j_vert, f1 + j_vert   # new spin -1
+    u0, u1 = f0 + j_vert, f1 - j_vert   # new spin +1
+    n3 = nxt.reshape(k, hi, 2, lo)
+    b3 = bp.reshape(k, hi, 2, lo)
+    np.minimum(t0, t1, out=n3[:, :, 0])
+    np.minimum(u0, u1, out=n3[:, :, 1])
+    b3[:, :, 0] = (t0 == n3[:, :, 0]) | ((t1 == n3[:, :, 0]) << 1)
+    b3[:, :, 1] = (u0 == n3[:, :, 1]) | ((u1 == n3[:, :, 1]) << 1)
+
+
 def enumerate_optimal(backptr, finals):
     """Every optimal row-mask sequence of one problem, grown from the top row
-    down; ``backptr`` has shape (H-1, W, 2^W).  Raises past ``_TIE_CAP`` of
-    them (a partial sequence always completes)."""
+    down; ``backptr`` has shape (H-1, W, 2^W), indexed by the shift-register
+    mask after each column step.  Stepping back from such a mask drops the
+    new spin at bit W-1 and puts the old spin back at bit 0.  Raises past
+    ``_TIE_CAP`` of them (a partial sequence always completes)."""
+    full = (1 << backptr.shape[1]) - 1
     seqs = [(m,) for m in finals]
     for r in reversed(range(backptr.shape[0])):
         grown = []
         for seq in seqs:
             states = {seq[0]}
             for c in reversed(range(backptr.shape[1])):
-                bit, bp, prev = 1 << c, backptr[r, c], set()
+                bp, prev = backptr[r, c], set()
                 for st in states:
-                    ch = bp[st]
+                    ch, shifted = bp[st], (st << 1) & full
                     if ch & 1:
-                        prev.add(st & ~bit)
+                        prev.add(shifted)
                     if ch & 2:
-                        prev.add(st | bit)
+                        prev.add(shifted | 1)
                 states = prev
             grown.extend((p,) + seq for p in states)
             if len(grown) > _TIE_CAP:

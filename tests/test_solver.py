@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -643,10 +644,85 @@ def test_perturbed_exterior_second_solve_sweeps_only_the_rows_below_the_band(
 
 def test_plan_holds_no_frontier_block():
     # the frontiers a sweep leaves behind live in its row-cost block, so a
-    # W=15 plan holds the bytes it held before sweeps could resume
+    # W=15 plan holds no (K, H, 2^W) frontier block: beyond the row costs,
+    # backpointers, pairs, traceback shift table and two frontiers, only the
+    # column step's half-frontier scratch (2^14 floats) and flag (2^14 bytes)
     plan = solver._plan(15, 15)
     assert sum(a.nbytes for a in vars(plan).values()
-               if isinstance(a, np.ndarray)) == 15_532_032
+               if isinstance(a, np.ndarray)) == 15_679_488
+
+
+# --------------------------------------------------------------------------
+# the column step pops bit 0 of every mask and pushes the new spin as bit W-1
+
+
+def _rotate_to_identity(masks, w, c):
+    """The bit-replacing kernel's mask after column step c for each
+    shift-register mask: rotated left by c + 1 bits."""
+    return ((masks << (c + 1)) | (masks >> (w - c - 1))) & ((1 << w) - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([*range(1, 13), 16]), st.integers(1, 4), st.data())
+def test_shift_register_steps_equal_the_bit_replacing_reference(w, k, data):
+    # frontiers of integers and +-0.0, which tie, or gaussian ones, with inf
+    # on the masks a forced sign rules out; couplings in {-1, -0.0, 0.0, 1}
+    # or gaussian
+    if w == 16:
+        k = min(k, 2)
+    n = 1 << w
+    masks = np.arange(n)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    front = np.where(rng.random((k, 1)) < 0.5,
+                     rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], (k, n)),
+                     rng.normal(size=(k, n)))
+    for i in range(k):
+        for c in rng.choice(w, int(rng.integers(0, min(w, 3) + 1)), False):
+            front[i, ((masks >> c) & 1) != rng.integers(2)] = np.inf
+    js = np.where(rng.random((k, 1)) < 0.5,
+                  rng.choice([-1.0, -0.0, 0.0, 1.0], (k, w)),
+                  rng.normal(size=(k, w)))
+    cur, want = front.copy(), front.copy()
+    scratch = np.full((k, n >> 1), np.nan)
+    flag = np.full((k, n >> 1), 0xFF, dtype=np.uint8)
+    for c in range(w):
+        nxt, want_nxt = np.empty_like(cur), np.empty_like(want)
+        bp = np.zeros((k, n), np.uint8)
+        want_bp = np.zeros((k, n), np.uint8)
+        solver._transition_column(cur, nxt, js[:, c, None], bp, scratch, flag)
+        reference.column_step(want, want_nxt, js[:, c, None, None], want_bp, c)
+        ident = _rotate_to_identity(masks, w, c)
+        assert np.array_equal(nxt.view(np.int64),
+                              want_nxt[:, ident].view(np.int64))
+        assert np.array_equal(bp, want_bp[:, ident])
+        cur, want = nxt, want_nxt
+    # after W steps every bit is back in place
+    assert np.array_equal(cur.view(np.int64), want.view(np.int64))
+
+
+def test_a_warm_column_step_allocates_nothing():
+    # the half-frontier temporaries and the backpointer codes go to the
+    # step's scratch buffers; at K > 1 numpy's iterator buffers tens of KiB,
+    # so only K=1 is pinned
+    w, n = 15, 1 << 15
+    frontiers = np.random.default_rng(0).normal(size=(2, 1, n))
+    bp = np.empty((w, 1, n), dtype=np.uint8)
+    scratch, flag = np.empty((1, n >> 1)), np.empty((1, n >> 1), np.uint8)
+    j_vert = np.full((1, 1), 0.5)
+
+    def row():
+        for c in range(w):
+            solver._transition_column(frontiers[c & 1], frontiers[~c & 1],
+                                      j_vert, bp[c], scratch, flag)
+
+    row()
+    tracemalloc.start()
+    try:
+        row()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024
 
 
 # --------------------------------------------------------------------------

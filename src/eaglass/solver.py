@@ -2,8 +2,8 @@
 
 ``solve`` runs a row-by-row dynamic program over per-row spin bitmasks in
 O(height * width * 2^width): each row-to-row transition is W column steps
-of a shift register, and the wrap coupling enters through the intra-row
-cost.  Backpointers record every optimal choice, so exact ties are
+of a shift register, each one ufunc call per operation over both new-spin
+halves, and the wrap coupling enters through the intra-row cost.  Backpointers record every optimal choice, so exact ties are
 enumerated and broken deterministically: the returned configuration has the
 lexicographically smallest canonical bit pattern among all minimizers, and
 the pair is flagged as tied.  One numpy traceback per sweep un-shifts every
@@ -160,24 +160,22 @@ def _pattern(signs: np.ndarray) -> bytes:
 # transfer-matrix solver
 
 
-def _transition_column(cur, nxt, j_vert, bp, scratch, flag):
+def _transition_column(cur, nxt, j_pm, bp, scratch, flag):
     """One column step of K problems on a shift register of the row: bit 0
     of each mask of ``cur`` (K, 2^W), the column's old spin, is popped and
-    the new spin pushed as bit W-1 of ``nxt``, so the step reads even and
-    odd entries and writes whole halves.  The vertical edge costs
-    -J * old * new; ``bp`` gets 1 / 2 / 3 for old spin down, up, or a tie."""
-    half = cur.shape[1] >> 1
-    f0, f1 = cur[:, 0::2], cur[:, 1::2]
-    for lo, j0, j1 in ((0, np.subtract, np.add),        # new spin -1
-                       (half, np.add, np.subtract)):    # new spin +1
-        t0 = j0(f0, j_vert, out=scratch)
-        t1 = j1(f1, j_vert, out=nxt[:, lo:lo + half])
-        code = bp[:, lo:lo + half]
-        np.less_equal(t0, t1, out=code.view(bool))
-        np.greater_equal(t0, t1, out=flag.view(bool))
-        np.minimum(t0, t1, out=t1)
-        np.left_shift(flag, 1, out=flag)
-        np.bitwise_or(code, flag, out=code)
+    the new spin pushed as bit W-1 of ``nxt``.  The vertical edge costs
+    -J * old * new; ``j_pm`` (K, 2, 1) holds -J and +J for a new spin down
+    and up, and x - J is x + (-J) in IEEE arithmetic, so one add and one
+    subtract cover both halves.  ``bp`` gets 1 / 2 / 3 for old spin down,
+    up, or a tie, via the (K, 2^W) buffers ``scratch`` and ``flag``."""
+    k, half = len(cur), cur.shape[1] >> 1
+    np.add(cur[:, None, 0::2], j_pm, out=scratch.reshape(k, 2, half))
+    np.subtract(cur[:, None, 1::2], j_pm, out=nxt.reshape(k, 2, half))
+    np.less_equal(scratch, nxt, out=bp.view(bool))
+    np.greater_equal(scratch, nxt, out=flag.view(bool))
+    np.minimum(scratch, nxt, out=nxt)
+    np.add(flag, flag, out=flag)
+    np.bitwise_or(bp, flag, out=bp)
 
 
 # frontier entries swept together, K * 2^W: small boxes share each numpy
@@ -192,9 +190,10 @@ class _Plan:
     ``len(cur)`` problems in one sweep: pairs[m, a] is the sign product of
     the horizontal edge at column a in row mask m, and shifted[m] is
     (m << 1) mod 2^W, for the traceback.  Reusing the multi-megabyte
-    backpointer block avoids the stall of a fresh allocation per solve, and
-    a column step keeps its temporaries in ``scratch`` and ``flag``, so it
-    allocates nothing.
+    backpointer block avoids the stall of a fresh allocation per solve.  A
+    column step writes its new-spin sums and codes to the (K, 2^W) ``scratch``
+    and ``flag``: at K=1 it allocates nothing, and at K>1 only its two
+    broadcast adds take numpy iterator buffers (132 KB each at W=7, K=64).
 
     ``rowcost[k, r]`` holds problem k's row costs of row r, then its
     frontier after row r.  ``last`` remembers the sweep that last ran to its
@@ -211,11 +210,12 @@ class _Plan:
         a = np.arange(horizontal_edges_per_row(width))
         self.pairs = sign[:, a] * sign[:, (a + 1) % width]
         self.shifted = (masks << 1) & (n - 1)
-        self.cur, self.nxt = np.empty((k, n)), np.empty((k, n))
-        self.scratch = np.empty((k, n >> 1))
-        self.flag = np.empty((k, n >> 1), dtype=np.uint8)
+        # the big blocks first, onto the pages the temporaries above freed
         self.backptr = np.empty((height - 1, width, k, n), dtype=np.uint8)
         self.rowcost = np.empty((k, height, n))
+        self.cur, self.nxt = np.empty((k, n)), np.empty((k, n))
+        self.scratch = np.empty((k, n))
+        self.flag = np.empty((k, n), dtype=np.uint8)
         self.last = None
 
 
@@ -320,10 +320,11 @@ def _sweep(geom: BoxGeometry, Js, forced, plan: _Plan) -> None:
             rowcost[k, r].reshape(-1, 2, 1 << c)[:, int(s < 0)] = np.inf
     if start:
         np.copyto(rowcost[:, start], steps[0])
-    # the vertical edges follow the horizontal ones, row by row; (K, 1) each
+    # the vertical edges follow the horizontal ones, row by row
     n_v = W * (H - 1)
     vert_j = np.stack([J.values[geom.n_edges - n_v:].reshape(H - 1, W)
-                       for J in Js], axis=-1)[..., None]
+                       for J in Js], axis=-1)
+    j_pm = np.stack((-vert_j, vert_j), axis=-1)[..., None]
 
     backptr = plan.backptr[:, :, :K]
     bufs = plan.scratch[:K], plan.flag[:K]
@@ -331,7 +332,7 @@ def _sweep(geom: BoxGeometry, Js, forced, plan: _Plan) -> None:
     for r in range(start, H - 1):
         for c in range(W):
             nxt = steps[c & 1]
-            _transition_column(cur, nxt, vert_j[r, c], backptr[r, c], *bufs)
+            _transition_column(cur, nxt, j_pm[r, c], backptr[r, c], *bufs)
             cur = nxt
         cur = np.add(cur, rowcost[:, r + 1], out=rowcost[:, r + 1])
     plan.last = ([J.values for J in Js], forced, start)
@@ -514,55 +515,54 @@ class GspReport:
 
 
 @lru_cache(maxsize=32)
-def _subset_boundaries(width, height, max_size):
-    """Each connected subset of at most ``max_size`` vertices with its
-    boundary edges; the whole box, whose flip is the global flip, has no
-    boundary and is left out."""
+def _gsp_table(width, height, max_subset_size, max_dual_len):
+    """``verify_gsp``'s flips as (kind, items): each connected subset but the
+    whole box, whose flip is the global flip, then each dual circuit and
+    path.  ``member[i]`` marks subset i's vertices; ``groups`` pairs the
+    positions of the flips of L boundary edges with their edge ids, (N_L, L)."""
     geom = build_box(width, height)
-    out = []
-    for subset in connected_subsets(geom, max_size):
-        inside = np.zeros(geom.n_vertices, dtype=bool)
-        inside[list(subset)] = True
-        boundary = np.flatnonzero(inside[geom.eu] != inside[geom.ev])
-        if len(boundary):
-            out.append((subset, boundary))
-    return out
-
-
-@lru_cache(maxsize=32)
-def _dual_flip_sets(width, height, max_len):
-    dual = build_dual(width, height)
-    return [(kind, np.array(eids, dtype=np.int64))
-            for kind, eids in dual_circuits_and_paths(dual, max_len)]
+    subsets = [s for s in connected_subsets(geom, max_subset_size)
+               if len(s) < geom.n_vertices]
+    member = np.zeros((len(subsets), geom.n_vertices), dtype=bool)
+    for i, subset in enumerate(subsets):
+        member[i, list(subset)] = True
+    duals = list(dual_circuits_and_paths(build_dual(width, height),
+                                         max_dual_len))
+    cuts = [np.flatnonzero(row)
+            for row in member[:, geom.eu] != member[:, geom.ev]]
+    cuts += [np.array(eids, dtype=np.int64) for _, eids in duals]
+    lengths = np.array([len(cut) for cut in cuts])
+    positions = [np.flatnonzero(lengths == n) for n in set(lengths.tolist())]
+    groups = [(pos, np.stack([cuts[i] for i in pos])) for pos in positions]
+    return [("subset", s) for s in subsets] + duals, member, groups
 
 
 def verify_gsp(J: CouplingConfig, spins,
                max_subset_size: int = 3, max_dual_len: int = 6,
                exclude: tuple[int, ...] = ()) -> GspReport:
-    """Report every finite-volume ground-state-property violation.
+    """Report every finite-volume ground-state-property violation: a flip
+    whose boundary terms J_e * s_u * s_v sum to <= 0, subsets first, then
+    dual sets.  Flips of L boundary edges are summed in one ``sum(axis=1)``,
+    which adds each row as a 1-D sum of that flip would.
 
     Subsets S intersecting ``exclude`` (a clamp's vertex set) are skipped;
     with a non-empty ``exclude`` the dual circuit/path route is skipped too,
-    since those flips are not clamp-preserving in general.
+    since those flips are not clamp-preserving in general.  A vertex of
+    ``exclude`` outside the box raises ``ValueError``.
     """
     geom = J.geom
     contrib = _edge_terms(J, spins)
-    excluded = frozenset(exclude)
-
-    violations = []
-    n_sub = 0
-    for subset, bids in _subset_boundaries(geom.width, geom.height, max_subset_size):
-        if excluded and not excluded.isdisjoint(subset):
-            continue
-        n_sub += 1
-        val = float(contrib[bids].sum())
-        if val <= 0.0:
-            violations.append(GspViolation("subset", subset, val))
-    n_dual = 0
-    if not excluded:
-        for kind, eids in _dual_flip_sets(geom.width, geom.height, max_dual_len):
-            n_dual += 1
-            val = float(contrib[eids].sum())
-            if val <= 0.0:
-                violations.append(GspViolation(kind, tuple(int(i) for i in eids), val))
-    return GspReport(n_sub, n_dual, tuple(violations))
+    excluded = np.fromiter(exclude, dtype=np.int64)
+    if ((excluded < 0) | (excluded >= geom.n_vertices)).any():
+        raise ValueError(f"excluded vertices {tuple(exclude)} outside box")
+    flips, member, groups = _gsp_table(geom.width, geom.height,
+                                       max_subset_size, max_dual_len)
+    values = np.empty(len(flips))
+    for pos, eids in groups:
+        values[pos] = contrib[eids].sum(axis=1)
+    checked = np.full(len(flips), not len(excluded))   # no dual set if any
+    checked[:len(member)] = ~member[:, excluded].any(axis=1)
+    n_sub = int(checked[:len(member)].sum())
+    violations = tuple(GspViolation(*flips[i], float(values[i]))
+                       for i in np.flatnonzero(checked & (values <= 0.0)))
+    return GspReport(n_sub, int(checked.sum()) - n_sub, violations)

@@ -123,20 +123,20 @@ def _segment_columns(dual: DualGeometry, n: int) -> set[int]:
     return cols
 
 
-def count_Nnk(walls, n: int, k: int, dual: DualGeometry) -> int:
-    """Number of distinct tethered walls meeting the segment at height k-1/2,
-    columns [-n, n]."""
-    if not 0 <= k <= dual.height:
-        raise ConfigError(f"segment height k={k} outside box")
-    cols = _segment_columns(dual, n)
-    hits = {dual.dual_vertex_id(c, k) for c in cols}
-    return sum(1 for w in walls if w.tethered and not hits.isdisjoint(w.dual_vertices))
-
-
 def wall_count_grid(walls, n_values, k_values, dual: DualGeometry) -> dict:
-    """``{(n, k): N_{n,k}}`` over every pair of the given n and k values."""
-    return {(n, k): count_Nnk(walls, n, k, dual)
-            for n in n_values for k in k_values}
+    """``{(n, k): N_{n,k}}`` over every pair of the given n and k values:
+    the number of distinct tethered walls meeting the segment at height
+    k-1/2, columns [-n, n]."""
+    tethered = [w.dual_vertices for w in walls if w.tethered]
+    grid = {}
+    for n in n_values:
+        for k in k_values:
+            if not 0 <= k <= dual.height:
+                raise ConfigError(f"segment height k={k} outside box")
+            cols = _segment_columns(dual, n)
+            hits = {dual.dual_vertex_id(c, k) for c in cols}
+            grid[(n, k)] = sum(1 for vs in tethered if not hits.isdisjoint(vs))
+    return grid
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ compare the library against.
 became a shift register: it replaces bit c of every mask in place.
 ``best_pair`` is a walk of one problem's backpointers with Python sets, the
 traceback as it was before it went batched, on the shift-register layout of
-the backpointers.  ``locate_flip`` brackets
-a critical value by bisection on full re-solves, independent of the
+the backpointers.  ``verify_gsp_loop`` is ``verify_gsp`` as it was before its
+sums were grouped by boundary length: one 1-D sum per flip.  ``locate_flip``
+brackets a critical value by bisection on full re-solves, independent of the
 exterior-energy formula that ``excitation.critical_value`` uses.
 """
 
@@ -17,8 +18,10 @@ import numpy as np
 from eaglass.disorder import CouplingConfig
 from eaglass.errors import BudgetExceededError
 from eaglass.excitation import ExcitationRecord, _edge_clamps, excitation
-from eaglass.lattice import BoxGeometry
-from eaglass.solver import (_TIE_CAP, Clamp, SpinPair, _pattern, canonicalize,
+from eaglass.lattice import (BoxGeometry, build_dual,
+                             connected_subsets, dual_circuits_and_paths)
+from eaglass.solver import (_TIE_CAP, Clamp, GspReport, GspViolation,
+                            SpinPair, _edge_terms, _pattern, canonicalize,
                             energy, solve)
 
 
@@ -88,6 +91,38 @@ def best_pair(geom: BoxGeometry, J: CouplingConfig, clamp: Clamp | None,
     signs = min((canonicalize(geom, rows_to_signs(rows, geom.width), clamp)
                  for rows in configs), key=_pattern)
     return SpinPair(geom, signs, energy(J, signs), tied=len(configs) > 1)
+
+
+def verify_gsp_loop(J: CouplingConfig, spins, max_subset_size: int = 3,
+                    max_dual_len: int = 6, exclude=()) -> GspReport:
+    """``verify_gsp`` with one ``contrib[boundary].sum()`` per subset, then
+    per dual circuit or path, each enumerated afresh."""
+    geom = J.geom
+    contrib = _edge_terms(J, spins)
+    excluded = frozenset(exclude)
+    violations = []
+    n_sub = 0
+    for subset in connected_subsets(geom, max_subset_size):
+        inside = np.zeros(geom.n_vertices, dtype=bool)
+        inside[list(subset)] = True
+        bids = np.flatnonzero(inside[geom.eu] != inside[geom.ev])
+        if not len(bids) or not excluded.isdisjoint(subset):
+            continue
+        n_sub += 1
+        val = float(contrib[bids].sum())
+        if val <= 0.0:
+            violations.append(GspViolation("subset", subset, val))
+    n_dual = 0
+    if not excluded:
+        dual = build_dual(geom.width, geom.height)
+        for kind, eids in dual_circuits_and_paths(dual, max_dual_len):
+            n_dual += 1
+            eids = np.array(eids, dtype=np.int64)
+            val = float(contrib[eids].sum())
+            if val <= 0.0:
+                violations.append(
+                    GspViolation(kind, tuple(int(i) for i in eids), val))
+    return GspReport(n_sub, n_dual, tuple(violations))
 
 
 def edge_excitation(J: CouplingConfig, edge_id: int) -> ExcitationRecord:

@@ -431,6 +431,38 @@ def test_verify_gsp_skips_the_global_flip(width, height):
         assert rep.passed, rep.violations
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(2, 8), st.data())
+def test_verify_gsp_matches_the_per_flip_loop(width, height, data):
+    # boxes up to 8x8 (build_box needs height >= 2); gaussian couplings, or
+    # couplings in {-1, 0, 1}, whose boundary sums reach 0 (a violation) and
+    # -0.0; random spins, budgets and exclude sets
+    g = build_box(width, height)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    values = (rng.normal(size=g.n_edges) if data.draw(st.booleans())
+              else rng.choice([-1.0, 0.0, 1.0], g.n_edges))
+    J = CouplingConfig(g, values)
+    spins = rng.choice(np.array([-1, 1], np.int8), g.n_vertices)
+    size, length = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
+    exclude = tuple(int(v) for v in rng.choice(
+        g.n_vertices, data.draw(st.integers(0, min(3, g.n_vertices))), False))
+    got = verify_gsp(J, spins, size, length, exclude=exclude)
+    want = reference.verify_gsp_loop(J, spins, size, length, exclude=exclude)
+    assert (got.checked_subsets, got.checked_duals) == (
+        want.checked_subsets, want.checked_duals)
+    assert [(v.kind, v.items, _float_bits(v.value)) for v in got.violations] \
+        == [(v.kind, v.items, _float_bits(v.value)) for v in want.violations]
+
+
+@pytest.mark.parametrize("vertex", [-1, 9, 100])
+def test_verify_gsp_rejects_excluded_vertices_outside_the_box(vertex):
+    # a negative index would wrap onto a real vertex of the membership table
+    g = build_box(3, 3)
+    J = sample_couplings(g, GAUSS, 13, 0)
+    with pytest.raises(ValueError, match="outside"):
+        verify_gsp(J, solve(g, J), exclude=(0, vertex))
+
+
 # --------------------------------------------------------------------------
 # a sweep resumes from the last sweep's frontier where their leading rows agree
 
@@ -646,10 +678,10 @@ def test_plan_holds_no_frontier_block():
     # the frontiers a sweep leaves behind live in its row-cost block, so a
     # W=15 plan holds no (K, H, 2^W) frontier block: beyond the row costs,
     # backpointers, pairs, traceback shift table and two frontiers, only the
-    # column step's half-frontier scratch (2^14 floats) and flag (2^14 bytes)
+    # column step's scratch (2^15 floats) and flag (2^15 bytes)
     plan = solver._plan(15, 15)
     assert sum(a.nbytes for a in vars(plan).values()
-               if isinstance(a, np.ndarray)) == 15_679_488
+               if isinstance(a, np.ndarray)) == 15_826_944
 
 
 # --------------------------------------------------------------------------
@@ -662,14 +694,18 @@ def _rotate_to_identity(masks, w, c):
     return ((masks << (c + 1)) | (masks >> (w - c - 1))) & ((1 << w) - 1)
 
 
+def _j_pm(j):
+    """-J and +J per problem as the (K, 2, 1) block a column step takes."""
+    return np.stack((-j, j), axis=-1)[..., None]
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from([*range(1, 13), 16]), st.integers(1, 4), st.data())
-def test_shift_register_steps_equal_the_bit_replacing_reference(w, k, data):
+@given(st.sampled_from([*range(1, 13), 16]), st.data())
+def test_shift_register_steps_equal_the_bit_replacing_reference(w, data):
     # frontiers of integers and +-0.0, which tie, or gaussian ones, with inf
     # on the masks a forced sign rules out; couplings in {-1, -0.0, 0.0, 1}
-    # or gaussian
-    if w == 16:
-        k = min(k, 2)
+    # or gaussian; up to 64 problems (suite7's sweeps) at W <= 7
+    k = data.draw(st.integers(1, 64 if w <= 7 else 2 if w == 16 else 4))
     n = 1 << w
     masks = np.arange(n)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -683,13 +719,13 @@ def test_shift_register_steps_equal_the_bit_replacing_reference(w, k, data):
                   rng.choice([-1.0, -0.0, 0.0, 1.0], (k, w)),
                   rng.normal(size=(k, w)))
     cur, want = front.copy(), front.copy()
-    scratch = np.full((k, n >> 1), np.nan)
-    flag = np.full((k, n >> 1), 0xFF, dtype=np.uint8)
+    scratch = np.full((k, n), np.nan)
+    flag = np.full((k, n), 0xFF, dtype=np.uint8)
     for c in range(w):
         nxt, want_nxt = np.empty_like(cur), np.empty_like(want)
         bp = np.zeros((k, n), np.uint8)
         want_bp = np.zeros((k, n), np.uint8)
-        solver._transition_column(cur, nxt, js[:, c, None], bp, scratch, flag)
+        solver._transition_column(cur, nxt, _j_pm(js[:, c]), bp, scratch, flag)
         reference.column_step(want, want_nxt, js[:, c, None, None], want_bp, c)
         ident = _rotate_to_identity(masks, w, c)
         assert np.array_equal(nxt.view(np.int64),
@@ -701,14 +737,14 @@ def test_shift_register_steps_equal_the_bit_replacing_reference(w, k, data):
 
 
 def test_a_warm_column_step_allocates_nothing():
-    # the half-frontier temporaries and the backpointer codes go to the
-    # step's scratch buffers; at K > 1 numpy's iterator buffers tens of KiB,
-    # so only K=1 is pinned
+    # the new-spin sums and the backpointer codes go to the step's scratch
+    # buffers; at K > 1 numpy's iterator buffers the two broadcast adds
+    # (about 132 KB each at W=7, K=64), so only K=1 is pinned
     w, n = 15, 1 << 15
     frontiers = np.random.default_rng(0).normal(size=(2, 1, n))
     bp = np.empty((w, 1, n), dtype=np.uint8)
-    scratch, flag = np.empty((1, n >> 1)), np.empty((1, n >> 1), np.uint8)
-    j_vert = np.full((1, 1), 0.5)
+    scratch, flag = np.empty((1, n)), np.empty((1, n), np.uint8)
+    j_vert = _j_pm(np.full(1, 0.5))
 
     def row():
         for c in range(w):

@@ -131,6 +131,11 @@ def hand_wall(dual, edge_ids, tethered):
     return wl.DomainWall(frozenset(edge_ids), frozenset(verts), tethered)
 
 
+def count_Nnk(walls, n, k, dual):
+    """N_{n,k} alone, from a one-entry ``wall_count_grid``."""
+    return wl.wall_count_grid(walls, [n], [k], dual)[(n, k)]
+
+
 def test_count_Nnk_hand_built():
     g = build_box(7, 5)
     d = build_dual(7, 5)
@@ -140,13 +145,13 @@ def test_count_Nnk_hand_built():
     ladder_b = [g.edge_by_key[("h", g.abs_col(col_b), r)] for r in range(3)]
     wa = hand_wall(d, ladder_a, True)
     wb = hand_wall(d, ladder_b, True)
-    assert wl.count_Nnk([wa, wb], 3, 0, d) == 2
-    assert wl.count_Nnk([wa, wb], 3, 2, d) == 2
-    assert wl.count_Nnk([wa, wb], 1, 0, d) <= 2
-    assert wl.count_Nnk([], 3, 1, d) == 0
+    assert count_Nnk([wa, wb], 3, 0, d) == 2
+    assert count_Nnk([wa, wb], 3, 2, d) == 2
+    assert count_Nnk([wa, wb], 1, 0, d) <= 2
+    assert count_Nnk([], 3, 1, d) == 0
     # untethered walls never counted
     wu = hand_wall(d, ladder_a, False)
-    assert wl.count_Nnk([wu], 3, 0, d) == 0
+    assert count_Nnk([wu], 3, 0, d) == 0
 
 
 def test_count_Nnk_monotone_in_n():
@@ -158,18 +163,18 @@ def test_count_Nnk_monotone_in_n():
     b = random_signs(rng, g.n_vertices)
     walls = wl.domain_walls(wl.interface(J, a, b))
     for k in (0, 1, 2):
-        counts = [wl.count_Nnk(walls, n, k, d) for n in (1, 2, 3, 4)]
+        counts = [count_Nnk(walls, n, k, d) for n in (1, 2, 3, 4)]
         assert counts == sorted(counts)
 
 
 def test_count_Nnk_bounds_checked():
     d = build_dual(5, 4)
     with pytest.raises(ConfigError):
-        wl.count_Nnk([], 3, 0, d)   # 2n reaches full width: wrap-ambiguous
+        count_Nnk([], 3, 0, d)   # 2n reaches full width: wrap-ambiguous
     with pytest.raises(ConfigError):
-        wl.count_Nnk([], 1, 9, d)
+        count_Nnk([], 1, 9, d)
     with pytest.raises(ConfigError):
-        wl.count_Nnk([], 0, 0, d)
+        count_Nnk([], 0, 0, d)
 
 
 def test_wall_bound_check():

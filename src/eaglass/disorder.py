@@ -1,4 +1,4 @@
-"""Coupling realizations: sampling, local modification, serialization.
+"""Coupling realizations: sampling and local modification.
 
 Each edge value is a pure function of (master seed, sample index, edge key):
 a keyed BLAKE2b digest of the tuple acts as a counter-based generator block,
@@ -9,7 +9,6 @@ by nested boxes (same absolute key) receives the same value in every box.
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
 from dataclasses import dataclass
@@ -143,33 +142,3 @@ def super_satisfy(J: CouplingConfig, edge_id: int,
         raise ValueError("sign must be +1 or -1")
     thr = supersatisfied_threshold(J, edge_id)
     return J.with_value(edge_id, sign * (thr + 1e-6 * (1.0 + thr)))
-
-
-def save_couplings_csv(J: CouplingConfig, path) -> None:
-    geom = J.geom
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["edge_id", "c1", "r1", "c2", "r2", "wrap", "value"])
-        for e in geom.edges:
-            c1, r1 = geom.vertex_cr(e.u)
-            c2, r2 = geom.vertex_cr(e.v)
-            w.writerow([e.id, c1, r1, c2, r2, int(e.wrap),
-                        format(J.value(e.id), ".17g")])
-
-
-def load_couplings_csv(geom: BoxGeometry, path) -> CouplingConfig:
-    vals = np.full(geom.n_edges, np.nan)
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            eid = int(row["edge_id"])
-            e = geom.edges[eid]
-            c1, r1 = geom.vertex_cr(e.u)
-            c2, r2 = geom.vertex_cr(e.v)
-            if (int(row["c1"]), int(row["r1"])) != (c1, r1) or \
-               (int(row["c2"]), int(row["r2"])) != (c2, r2):
-                raise ValueError(f"edge {eid} does not match geometry")
-            vals[eid] = float(row["value"])
-    if np.any(np.isnan(vals)):
-        raise ValueError("missing edges in CSV")
-    return CouplingConfig(geom, vals)

@@ -165,6 +165,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("sample count must be >= 1")
     if cfg.parallel < 1:
         raise ConfigError("parallelism degree must be >= 1")
+    if cfg.probes < 1:
+        raise ConfigError("probes must be >= 1")
     if not -2**63 <= cfg.master_seed < 2**63:
         raise ConfigError("master_seed must fit in a signed 64-bit integer")
     _KINDS[cfg.kind].validate(cfg)
@@ -202,14 +204,6 @@ def _validate_flip_sweep(cfg: ExperimentConfig) -> None:
         raise ConfigError("flip_sweep grid needs at least 2 points")
     geom = build_box(cfg.width, cfg.height)
     _resolve_edge(geom, cfg.edge or _default_edge_key(geom))
-
-
-def _validate_contour_stats(cfg: ExperimentConfig) -> None:
-    _validate_box(cfg)
-    if cfg.width < 3:
-        raise ConfigError("contour_stats needs width >= 3")
-    if cfg.edge:
-        _resolve_edge(build_box(cfg.width, cfg.height), cfg.edge)
 
 
 def _validate_wall_stats(cfg: ExperimentConfig) -> None:
@@ -359,20 +353,6 @@ def _window_signatures(cfg: ExperimentConfig, i: int, ns) -> tuple[list, dict]:
     return keys, sigs
 
 
-def _flip_contour(cfg: ExperimentConfig, i: int):
-    """An edge and its critical contour."""
-    geom = build_box(cfg.width, cfg.height)
-    J = sample_couplings(geom, cfg.dist, cfg.master_seed, i)
-    if cfg.edge:
-        b = _resolve_edge(geom, cfg.edge)
-    else:
-        # bottom-row horizontal edge, column randomized to keep the ensemble
-        # invariant under rotations of the cylinder
-        col = int(_sample_rng(cfg, i, tag=3).integers(geom.width))
-        b = geom.edge_by_key[("h", geom.abs_col(col), 0)]
-    return b, exc.critical_contour(J, b)
-
-
 # --------------------------------------------------------------------------
 # proxy pair sources
 
@@ -497,22 +477,22 @@ def _run_two_bond(cfg: ExperimentConfig, i: int) -> dict:
             "consistency_err": cons.max_abs_err}
 
 
-def _run_contour_stats(cfg: ExperimentConfig, i: int) -> dict:
-    b, iface = _flip_contour(cfg, i)
-    _hard(b in iface.edge_ids, "contour misses the flipped edge's dual", cfg, i)
-    walls = wl.domain_walls(iface)
-    cyc = wl.interface_cycle_check(iface, excluded_dual_edges={b})
-    _hard(cyc.passed, "closed dual contour inside contour avoiding the "
-          f"flipped edge: {cyc.violations}", cfg, i)
-    return {"sample": i, "edge": b, "contour_size": len(iface.edge_ids),
-            "n_walls": len(walls),
-            "n_tethered": sum(1 for w in walls if w.tethered)}
-
-
 def _run_wall_stats(cfg: ExperimentConfig, i: int) -> dict:
     excluded = ()
     if cfg.proxy == "excited_pair":
-        b, iface = _flip_contour(cfg, i)
+        # the critical contour of an edge b; unless configured, b lies on the
+        # bottom row in a random column, keeping the ensemble invariant under
+        # rotations of the cylinder
+        geom = build_box(cfg.width, cfg.height)
+        J = sample_couplings(geom, cfg.dist, cfg.master_seed, i)
+        if cfg.edge:
+            b = _resolve_edge(geom, cfg.edge)
+        else:
+            col = int(_sample_rng(cfg, i, tag=3).integers(geom.width))
+            b = geom.edge_by_key[("h", geom.abs_col(col), 0)]
+        iface = exc.critical_contour(J, b)
+        _hard(b in iface.edge_ids, "contour misses the flipped edge's dual",
+              cfg, i)
         excluded = (b,)
     elif cfg.proxy == "nested_volumes":
         iface = proxy_nested_volumes(cfg, i)
@@ -603,7 +583,7 @@ def _run_property_suite(cfg: ExperimentConfig, i: int) -> dict:
     probes = [e.id for e in geom.edges
               if e.id != f and not {e.u, e.v} & {fe.u, fe.v}]
     rng.shuffle(probes)
-    probe_clamps = [cl for p in probes[:max(1, cfg.probes)]
+    probe_clamps = [cl for p in probes[:cfg.probes]
                     for cl in exc._edge_clamps(geom, p)]
     jobs = ([(J, None)] + [(J, cl) for cl in b_clamps]
             + [(J_repl, cl) for cl in b_clamps]
@@ -707,14 +687,6 @@ def _aggregate_two_bond(cfg: ExperimentConfig, records: list[dict]):
     return aggregates, [_property("two_bond_exact")]
 
 
-def _aggregate_contour_stats(cfg: ExperimentConfig, records: list[dict]):
-    aggregates, properties = _aggregate_mean_se(cfg, records, "contour_size",
-                                                "contour_structure")
-    aggregates["tethered_fraction"] = float(
-        np.mean([1.0 if r["n_tethered"] else 0.0 for r in records]))
-    return aggregates, properties
-
-
 def _aggregate_wall_stats(cfg: ExperimentConfig, records: list[dict]):
     means = {}
     for n in cfg.n_list:
@@ -804,8 +776,6 @@ _KINDS = {
         _validate_flip_sweep),
     "two_bond_map": _Kind(_run_two_bond, _aggregate_two_bond,
                           _validate_two_bond),
-    "contour_stats": _Kind(_run_contour_stats, _aggregate_contour_stats,
-                           _validate_contour_stats),
     "wall_stats": _Kind(_run_wall_stats, _aggregate_wall_stats,
                         _validate_wall_stats),
     "convergence": _Kind(_run_convergence, _aggregate_convergence,
@@ -876,8 +846,11 @@ def run(config: ExperimentConfig | dict) -> RunReport:
     if cfg.parallel <= 1:
         raw = [_sample_worker(p) for p in payloads]
     else:
-        chunk = max(1, cfg.samples // (4 * cfg.parallel))
-        with ProcessPoolExecutor(max_workers=cfg.parallel) as pool:
+        # fork starts every worker at the first submit, so start no more
+        # than there are samples
+        workers = min(cfg.parallel, cfg.samples)
+        chunk = max(1, cfg.samples // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(_sample_worker, payloads, chunksize=chunk))
     raw.sort(key=lambda t: t[0])
     for index, status, payload in raw:

@@ -93,18 +93,6 @@ class DualGeometry:
     def dual_vertex_id(self, c: int, rd: int) -> int:
         return rd * self.width + c % self.width
 
-    def dual_vertex_cr(self, dv: int) -> tuple[int, int]:
-        return dv % self.width, dv // self.width
-
-    def dual_coords2(self, dv: int) -> tuple[int, int]:
-        """Doubled geometric coordinates (2x, 2y) of a dual vertex.
-
-        The vertex in dual row rd of column c sits at (abs_col(c) + 1/2, rd - 1/2).
-        """
-        c, rd = self.dual_vertex_cr(dv)
-        off = -((self.width - 1) // 2)
-        return (2 * (c + off) + 1, 2 * rd - 1)
-
 
 def horizontal_edges_per_row(width: int) -> int:
     if width >= 3:

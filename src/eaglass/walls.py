@@ -14,7 +14,6 @@ comparison is meaningful.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,22 +212,3 @@ def _path(closed, edge_ids, a, b) -> tuple[int, ...]:
         eid, v = prev[v]
         path.append(eid)
     return tuple(path[::-1])
-
-
-def dump_interface_csv(iface: Interface, walls, path) -> None:
-    """One row per interface dual edge: doubled coords halved to decimals."""
-    wall_of = {}
-    tether_of = {}
-    for wid, w in enumerate(walls):
-        for eid in w.edge_ids:
-            wall_of[eid] = wid
-            tether_of[eid] = w.tethered
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["edge_id", "x1", "y1", "x2", "y2", "wall_id", "tethered"])
-        for eid in sorted(iface.edge_ids):
-            d = iface.dual.dual_edges[eid]
-            x1, y1 = iface.dual.dual_coords2(d.a)
-            x2, y2 = iface.dual.dual_coords2(d.b)
-            w.writerow([eid, x1 / 2.0, y1 / 2.0, x2 / 2.0, y2 / 2.0,
-                        wall_of[eid], int(tether_of[eid])])

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eaglass.disorder import (DistributionSpec, sample_couplings,
-                              save_couplings_csv, load_couplings_csv,
                               super_satisfy, supersatisfied_threshold)
 from eaglass.errors import ConfigError
 from eaglass.lattice import build_box
@@ -150,12 +149,3 @@ def test_super_satisfy_strict_and_logged():
     assert J2.value(b) < 0
     # original untouched
     assert J.value(b) != J2.value(b)
-
-
-def test_csv_roundtrip(tmp_path):
-    g = build_box(4, 3)
-    J = sample_couplings(g, GAUSS, 77, 0)
-    path = tmp_path / "couplings.csv"
-    save_couplings_csv(J, path)
-    J2 = load_couplings_csv(g, path)
-    assert np.array_equal(J.values, J2.values)

@@ -58,7 +58,13 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         make("flip_sweep", grid_points=1)   # no interval can hold the flip
     with pytest.raises(ConfigError):
-        make("contour_stats", edge="v:0,9")
+        make("contour_stats")
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["contour-stats"])
+    assert exit_info.value.code == 2
+    for probes in (0, -3):
+        with pytest.raises(ConfigError):
+            make("property_suite", probes=probes)
     with pytest.raises(ConfigError):
         make("wall_stats", width=7, height=7, proxy="excited_pair",
              n_list=[1], k_list=[0], edge="h:0,9")
@@ -88,6 +94,30 @@ def test_parallelism_does_not_change_hash():
     assert h1 == h2
 
 
+def test_pool_starts_no_more_workers_than_samples(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records its size and maps in-process, starting no worker."""
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(lab, "ProcessPoolExecutor", SerialPool)
+    base = dict(kind="solve", width=3, height=3, master_seed=2, samples=3)
+    hashes = {run({**base, "parallel": p}).content_hash for p in (1, 2, 16)}
+    assert sizes == [2, 3]
+    assert len(hashes) == 1
+
+
 def test_flip_sweep_smoke():
     rep = run(dict(kind="flip_sweep", width=4, height=4, master_seed=5,
                    samples=3, grid_points=15))
@@ -101,12 +131,6 @@ def test_two_bond_map_smoke():
     assert abs(sum(freqs.values()) - 1.0) < 1e-12
     assert rep.aggregates["grid_mismatches"] == 0
     assert rep.aggregates["max_consistency_err"] <= 1e-9
-
-
-def test_contour_stats_smoke():
-    rep = run(dict(kind="contour_stats", width=5, height=5, master_seed=6,
-                   samples=5))
-    assert all(r["contour_size"] >= 1 for r in rep.records)
 
 
 def test_wall_stats_all_proxies():
@@ -174,6 +198,19 @@ def test_hard_failure_carries_reproducer(monkeypatch):
     rep = json.loads(exc_info.value.reproducer)
     assert rep["sample"] == 0
     assert rep["config"]["kind"] == "solve"
+
+
+def test_contour_missing_the_flipped_edge_is_a_hard_failure(monkeypatch):
+    from eaglass import walls as wl
+    monkeypatch.setattr(lab.exc, "critical_contour",
+                        lambda J, b: wl.Interface(J.geom, frozenset()))
+    with pytest.raises(HardAssertionFailure,
+                       match="misses the flipped edge") as exc_info:
+        run(dict(kind="wall_stats", width=7, height=7, master_seed=3,
+                 samples=2, proxy="excited_pair", n_list=[1], k_list=[0]))
+    rep = json.loads(exc_info.value.reproducer)
+    assert rep["sample"] == 0
+    assert rep["config"]["proxy"] == "excited_pair"
 
 
 def test_cli_solve_and_exit_codes(tmp_path, capsys):
@@ -268,8 +305,7 @@ def test_every_config_field_has_a_type_check():
 
 
 def test_presets_cover_the_experiments():
-    assert len(PRESETS) == 6
-    assert {p.stem for p in PRESETS} <= set(EXPERIMENT_KINDS)
+    assert {p.stem for p in PRESETS} == set(EXPERIMENT_KINDS) - {"solve"}
 
 
 @pytest.mark.parametrize("path", PRESETS, ids=[p.stem for p in PRESETS])
@@ -334,8 +370,6 @@ GOLDEN = [
      "4549f246a9f4accd12b90d941555daf24d5cf4b9ff148abb44bb867a75f40162"),
     (dict(kind="two_bond_map", width=3, height=3, grid_points=11),
      "4dd8896ba97d4947f13e9665cd783e61c6192b3712bd01ca5636807fd70b37fb"),
-    (dict(kind="contour_stats", width=5, height=5),
-     "87dcc58ff20f5cb9745c9c66e5d81666da0fa92371d179e7807935eb78664e89"),
     (dict(kind="wall_stats", width=7, height=7, proxy="excited_pair",
           n_list=[1, 2], k_list=[0, 1]),
      "0158d78fbcdccd8dc30a9b9b9121cf4417c21350f18988493b9e7324d2a8df92"),
@@ -359,3 +393,7 @@ GOLDEN = [
                               for c, _ in GOLDEN])
 def test_golden_content_hash(cfg, digest):
     assert run(dict(cfg, samples=3, master_seed=7)).content_hash == digest
+
+
+def test_golden_hashes_cover_every_kind():
+    assert {cfg["kind"] for cfg, _ in GOLDEN} == set(EXPERIMENT_KINDS)

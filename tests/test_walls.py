@@ -263,21 +263,3 @@ def test_cycle_check_matches_oracle(w, h, idx):
             for v in d.closed[eid]:
                 degree[v] = degree.get(v, 0) + 1
         assert set(degree.values()) == {2}
-
-
-def test_interface_csv_dump(tmp_path):
-    g = build_box(5, 5)
-    J = sample_couplings(g, GAUSS, 61, 2)
-    base = solve(g, J).signs
-    other = base.copy()
-    other[7] = -other[7]
-    iface = wl.interface(J, base, other)
-    walls = wl.domain_walls(iface)
-    path = tmp_path / "iface.csv"
-    wl.dump_interface_csv(iface, walls, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "edge_id,x1,y1,x2,y2,wall_id,tethered"
-    assert len(lines) == 1 + len(iface.edge_ids)
-    for line in lines[1:]:
-        parts = line.split(",")
-        assert float(parts[1]) % 0.5 == 0.0

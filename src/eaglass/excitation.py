@@ -17,6 +17,7 @@ constrained couplings, so the C's are independent of J_b and J_e exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 from math import fsum
 
@@ -25,7 +26,7 @@ import numpy as np
 from .disorder import CouplingConfig
 from .errors import BudgetExceededError
 from .lattice import BoxGeometry
-from .solver import Clamp, SpinPair, _spin_products, solve_batch
+from .solver import _CHUNK_BITS, Clamp, SpinPair, _spin_products, solve_batch
 from .walls import Interface, interface
 
 
@@ -76,7 +77,12 @@ def excitation(J: CouplingConfig, eta: Clamp,
 def _edge_clamps(geom: BoxGeometry, edge_id: int) -> tuple[Clamp, Clamp]:
     """The edge's +_b clamp (equal endpoints) and its -_b clamp."""
     e = geom.edges[edge_id]
-    return Clamp.equal_pair(e.u, e.v), Clamp.opposite_pair(e.u, e.v)
+    return _endpoint_clamps(e.u, e.v)
+
+
+@lru_cache(maxsize=1024)
+def _endpoint_clamps(u: int, v: int) -> tuple[Clamp, Clamp]:
+    return Clamp.equal_pair(u, v), Clamp.opposite_pair(u, v)
 
 
 def critical_value(J: CouplingConfig, edge_id: int) -> float:
@@ -152,18 +158,18 @@ class CriticalSet2:
                 "case": self.case_kind, "segments": list(self.segments)}
 
 
-def _pair_clamps(geom, edge_b, edge_e, eta_b, eta_e) -> list[Clamp]:
+@lru_cache(maxsize=1024)
+def _pair_clamps(b_ends, e_ends, eta_b, eta_e) -> tuple[Clamp, ...]:
     """Every clamp of the two edges' endpoints that meets both endpoint
     products, the one with e.u signed like b.u first."""
-    b, e = geom.edges[edge_b], geom.edges[edge_e]
-    verts = list(dict.fromkeys((b.u, b.v, e.u, e.v)))
+    verts = list(dict.fromkeys(b_ends + e_ends))
     clamps = []
     for rest in product((1, -1), repeat=len(verts) - 1):
         sigma = dict(zip(verts, (1,) + rest))
-        if (sigma[b.u] * sigma[b.v] == eta_b
-                and sigma[e.u] * sigma[e.v] == eta_e):
+        if (sigma[b_ends[0]] * sigma[b_ends[1]] == eta_b
+                and sigma[e_ends[0]] * sigma[e_ends[1]] == eta_e):
             clamps.append(Clamp(verts, (1,) + rest))
-    return clamps
+    return tuple(clamps)
 
 
 def two_bond_critical_set(J: CouplingConfig, edge_b: int,
@@ -172,7 +178,8 @@ def two_bond_critical_set(J: CouplingConfig, edge_b: int,
         raise ValueError("edges must differ")
     jb0 = J.value(edge_b)
     je0 = J.value(edge_e)
-    groups = [_pair_clamps(J.geom, edge_b, edge_e, eta_b, eta_e)
+    b, e = J.geom.edges[edge_b], J.geom.edges[edge_e]
+    groups = [_pair_clamps((b.u, b.v), (e.u, e.v), eta_b, eta_e)
               for eta_b, eta_e in _COMBOS]
     states = iter(solve_batch([J] * sum(map(len, groups)),
                               [cl for group in groups for cl in group]))
@@ -357,30 +364,42 @@ def grid_labels_enumeration(J: CouplingConfig, edge_b: int, edge_e: int,
     Returns an array of shape (len(jb_grid), len(je_grid), 2) with the two
     endpoint sign products of the exact ground state at each grid point.
     Independent of the clamped-solve route: plain enumeration over all
-    configurations with vertex 0 pinned.
+    configurations with vertex 0 pinned, in chunks of 2^16 like
+    ``brute_force``.  Only the product class (eta_b, eta_e) of a
+    configuration sets how its energy moves with J_b and J_e, so each class
+    keeps its lowest energy ``e0`` at J and the first configuration reaching
+    it, and every grid cell takes the argmin over at most four class
+    energies, ordered by those first configurations.  Rounding ``e0 - c`` is
+    monotone in ``e0``, so this is the first minimizer of the full
+    enumeration, except on an exact tie between classes where two ``e0`` of
+    one class round to the same energy; exact (integer or dyadic) couplings
+    never round two ``e0`` together.
     """
     V = J.geom.n_vertices
     if V - 1 > 21:
         raise BudgetExceededError("enumeration grid oracle limited to 22 vertices")
     base = np.zeros(V, dtype=np.int8)
     base[0] = 1
-    _, prod = _spin_products(J.geom, base, range(1, V),
-                             np.arange(1 << (V - 1), dtype=np.int64))
-    e0 = -(prod @ J.values)
-    sb = prod[:, edge_b]
-    se = prod[:, edge_e]
-    jb0, je0 = J.value(edge_b), J.value(edge_e)
-    xs = np.asarray(jb_grid, dtype=np.float64)
-    ys = np.asarray(je_grid, dtype=np.float64)
-    out = np.empty((len(xs), len(ys), 2), dtype=np.int8)
-    for i, x in enumerate(xs):
-        # vary J_e vectorized for one J_b at a time to bound memory
-        e_x = e0 - (x - jb0) * sb
-        energies = e_x[None, :] - (ys[:, None] - je0) * se[None, :]
-        am = np.argmin(energies, axis=1)
-        out[i, :, 0] = sb[am]
-        out[i, :, 1] = se[am]
-    return out
+    step = 1 << min(V - 1, _CHUNK_BITS)
+    rows = np.arange(step)
+    low, first = [np.inf] * 4, [0] * 4      # per class, indexed like _COMBOS
+    for start in range(0, 1 << (V - 1), step):
+        _, prod = _spin_products(J.geom, base, range(1, V), rows + start)
+        by_class = np.full((4, step), np.inf)
+        by_class[(prod[:, edge_b] < 0) * 2 + (prod[:, edge_e] < 0), rows] = \
+            -(prod @ J.values)
+        del prod                # before the next chunk's is built
+        at = np.argmin(by_class, axis=1)
+        for k, e in enumerate(by_class[range(4), at].tolist()):
+            if e < low[k]:
+                low[k], first[k] = e, start + int(at[k])
+    classes = [k for _, k in sorted((first[k], k) for k in range(4)
+                                    if low[k] < np.inf)]
+    sb, se = _ETA_B[classes], _ETA_E[classes]
+    xs = np.asarray(jb_grid, dtype=np.float64)[:, None, None] - J.value(edge_b)
+    ys = np.asarray(je_grid, dtype=np.float64)[None, :, None] - J.value(edge_e)
+    am = np.argmin((np.array(low)[classes] - xs * sb) - ys * se, axis=2)
+    return np.stack((sb[am], se[am]), axis=-1).astype(np.int8)
 
 
 def critical_contour(J: CouplingConfig, edge_id: int) -> Interface:

@@ -9,6 +9,9 @@ the backpointers.  ``verify_gsp_loop`` is ``verify_gsp`` as it was before its
 sums were grouped by boundary length: one 1-D sum per flip.  ``locate_flip``
 brackets a critical value by bisection on full re-solves, independent of the
 exterior-energy formula that ``excitation.critical_value`` uses.
+``grid_labels_loop`` is ``grid_labels_enumeration`` as it was before it
+reduced the enumeration to product-class minima: one argmin over every
+configuration per grid row.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from eaglass.excitation import ExcitationRecord, _edge_clamps, excitation
 from eaglass.lattice import (BoxGeometry, build_dual,
                              connected_subsets, dual_circuits_and_paths)
 from eaglass.solver import (_TIE_CAP, Clamp, GspReport, GspViolation,
-                            SpinPair, _edge_terms, _pattern, canonicalize,
-                            energy, solve)
+                            SpinPair, _edge_terms, _pattern, _spin_products,
+                            canonicalize, energy, solve)
 
 
 def rows_to_signs(rows, W):
@@ -158,3 +161,29 @@ def locate_flip(J: CouplingConfig, edge_id: int) -> tuple[float, float]:
         else:
             lo = mid
     return lo, hi
+
+
+def grid_labels_loop(J: CouplingConfig, edge_b: int, edge_e: int,
+                     jb_grid, je_grid) -> np.ndarray:
+    """Endpoint sign products of the first minimizing configuration (vertex
+    0 pinned) at each (J_b, J_e) grid point, shape (len(jb_grid),
+    len(je_grid), 2)."""
+    V = J.geom.n_vertices
+    base = np.zeros(V, dtype=np.int8)
+    base[0] = 1
+    _, prod = _spin_products(J.geom, base, range(1, V),
+                             np.arange(1 << (V - 1), dtype=np.int64))
+    e0 = -(prod @ J.values)
+    sb = prod[:, edge_b]
+    se = prod[:, edge_e]
+    jb0, je0 = J.value(edge_b), J.value(edge_e)
+    xs = np.asarray(jb_grid, dtype=np.float64)
+    ys = np.asarray(je_grid, dtype=np.float64)
+    out = np.empty((len(xs), len(ys), 2), dtype=np.int8)
+    for i, x in enumerate(xs):
+        e_x = e0 - (x - jb0) * sb
+        energies = e_x[None, :] - (ys[:, None] - je0) * se[None, :]
+        am = np.argmin(energies, axis=1)
+        out[i, :, 0] = sb[am]
+        out[i, :, 1] = se[am]
+    return out

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from eaglass.lattice import build_box
 from eaglass.solver import Clamp, brute_force, solve
 from eaglass.walls import interface
 
-from reference import edge_excitation, locate_flip
+from reference import edge_excitation, grid_labels_loop, locate_flip
 
 GAUSS = DistributionSpec("gaussian", sigma=1.0)
 TOL = 1e-9
@@ -210,6 +211,60 @@ def test_two_bond_grid_against_enumeration(adjacent):
         want = np.stack(exc.analytic_label(cs, X, Y), axis=-1)
         assert interior.any()
         np.testing.assert_array_equal(want[interior], oracle[interior])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(2, 6), st.booleans(),
+       st.integers(0, 2**32 - 1), st.data())
+def test_grid_oracle_matches_the_loop(W, H, exact, seed, data):
+    # {-1, -0.0, 0.0, 1} couplings on integer grids tie classes exactly
+    assume(W * H <= 12)
+    g = build_box(W, H)
+    assume(g.n_edges >= 2)
+    b = data.draw(st.integers(0, g.n_edges - 1))
+    e = data.draw(st.integers(0, g.n_edges - 1).filter(lambda x: x != b))
+    rng = np.random.default_rng(seed)
+    if exact:
+        J = CouplingConfig(g, rng.choice([-1.0, -0.0, 0.0, 1.0], g.n_edges))
+        xs = np.arange(-3.0, 4.0)
+        ys = np.arange(-2.0, 3.0)
+    else:
+        J = CouplingConfig(g, rng.normal(size=g.n_edges))
+        xs = np.linspace(-3, 3, data.draw(st.integers(1, 25)))
+        ys = np.linspace(-2, 4, data.draw(st.integers(1, 25)))
+    want = grid_labels_loop(J, b, e, xs, ys)
+    got = exc.grid_labels_enumeration(J, b, e, xs, ys)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _nine_by_two():
+    # 2^17 configurations with vertex 0 pinned: two enumeration chunks
+    g = build_box(9, 2)
+    J = sample_couplings(g, GAUSS, 4, 0)
+    return J, g.edge_by_key[("h", 0, 1)], g.edge_by_key[("v", 0, 0)]
+
+
+def test_grid_oracle_matches_the_loop_across_chunks():
+    J, b, e = _nine_by_two()
+    # the ground state has vertex 17 (bit 16 of the index) signed like
+    # vertex 0, so its class minimum lies in the second chunk
+    assert solve(J.geom, J).signs[17] == 1
+    xs = np.linspace(-3, 3, 7)
+    got = exc.grid_labels_enumeration(J, b, e, xs, xs)
+    assert got.tobytes() == grid_labels_loop(J, b, e, xs, xs).tobytes()
+
+
+def test_grid_oracle_memory_is_bounded():
+    J, b, e = _nine_by_two()
+    xs = np.linspace(-3, 3, 41)
+    tracemalloc.start()
+    try:
+        exc.grid_labels_enumeration(J, b, e, xs, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 # Scalar reference for the two-bond grid check: the formulas of

@@ -133,6 +133,14 @@ def test_two_bond_map_smoke():
     assert rep.aggregates["max_consistency_err"] <= 1e-9
 
 
+def test_two_bond_map_at_the_vertex_limit():
+    # 22 vertices, the most validation accepts: 2^21 configurations for the
+    # grid oracle
+    rep = run(dict(kind="two_bond_map", width=11, height=2, edge2="v:0,0",
+                   master_seed=5, samples=1, grid_points=11))
+    assert rep.aggregates["grid_mismatches"] == 0
+
+
 def test_wall_stats_all_proxies():
     for proxy in ("excited_pair", "nested_volumes", "perturbed_exterior"):
         rep = run(dict(kind="wall_stats", width=7, height=7, master_seed=8,

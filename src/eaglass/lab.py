@@ -314,7 +314,8 @@ def _resolve_edge(geom: BoxGeometry, spec) -> int:
 
 
 def _default_edge_key(geom: BoxGeometry) -> tuple:
-    return ("v", 0, geom.height // 2)
+    # vertical edges leave rows 0..H-2 only
+    return ("v", 0, min(geom.height // 2, geom.height - 2))
 
 
 def _two_bond_edges(cfg: ExperimentConfig, geom: BoxGeometry) -> tuple[int, int]:

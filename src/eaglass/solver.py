@@ -2,8 +2,11 @@
 
 ``solve`` runs a row-by-row dynamic program over per-row spin bitmasks in
 O(height * width * 2^width): each row-to-row transition is W column steps
-of a shift register, each one ufunc call per operation over both new-spin
-halves, and the wrap coupling enters through the intra-row cost.  Backpointers record every optimal choice, so exact ties are
+of a shift register, and the wrap coupling enters through the intra-row
+cost.  One call of a small C kernel, ``_sweep.c``, runs every row and column
+step of a sweep; it is compiled with the system's ``cc`` on first use and
+cached in the package's ``__pycache__`` (see ``_kernel``).  Backpointers
+record every optimal choice, so exact ties are
 enumerated and broken deterministically: the returned configuration has the
 lexicographically smallest canonical bit pattern among all minimizers, and
 the pair is flagged as tied.  One numpy traceback per sweep un-shifts every
@@ -11,9 +14,9 @@ problem's optimal configurations at once, a tie branching into two entries;
 a problem with more than ``_TIE_CAP`` (20,000) of them raises
 ``BudgetExceededError``.
 
-``solve_batch`` runs K problems on one box shape through each kernel sweep:
-the frontier gains a leading batch axis, and each problem keeps its own row
-costs and vertical couplings (broadcast as shape (K, 1, 1)), so its energies,
+``solve_batch`` runs K problems on one box shape through each kernel sweep
+and one traceback: each problem keeps its own row costs, vertical couplings
+and slots of the frontier and backpointer blocks, so its energies,
 backpointers and optimum are bit-identical to a solve of its own.  A
 sweep holds at most 2^13 frontier entries (K * 2^W), so from width 13 on
 every problem runs alone; ``solve`` is the K=1 case.  The row costs, one
@@ -35,10 +38,19 @@ not determined by the clamp, so equal pairs compare equal elementwise.
 
 from __future__ import annotations
 
+import atexit
+import ctypes
+import hashlib
+import os
+import platform
+import shutil
+import subprocess
+import tempfile
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import fsum
+from pathlib import Path
 
 import numpy as np
 
@@ -160,26 +172,61 @@ def _pattern(signs: np.ndarray) -> bytes:
 # transfer-matrix solver
 
 
-def _transition_column(cur, nxt, j_pm, bp, scratch, flag):
-    """One column step of K problems on a shift register of the row: bit 0
-    of each mask of ``cur`` (K, 2^W), the column's old spin, is popped and
-    the new spin pushed as bit W-1 of ``nxt``.  The vertical edge costs
-    -J * old * new; ``j_pm`` (K, 2, 1) holds -J and +J for a new spin down
-    and up, and x - J is x + (-J) in IEEE arithmetic, so one add and one
-    subtract cover both halves.  ``bp`` gets 1 / 2 / 3 for old spin down,
-    up, or a tie, via the (K, 2^W) buffers ``scratch`` and ``flag``."""
-    k, half = len(cur), cur.shape[1] >> 1
-    np.add(cur[:, None, 0::2], j_pm, out=scratch.reshape(k, 2, half))
-    np.subtract(cur[:, None, 1::2], j_pm, out=nxt.reshape(k, 2, half))
-    np.less_equal(scratch, nxt, out=bp.view(bool))
-    np.greater_equal(scratch, nxt, out=flag.view(bool))
-    np.minimum(scratch, nxt, out=nxt)
-    np.add(flag, flag, out=flag)
-    np.bitwise_or(bp, flag, out=bp)
+_SOURCE = Path(__file__).with_name("_sweep.c")
+_CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
+_BUILD_DIR = Path(__file__).with_name("__pycache__")
 
 
-# frontier entries swept together, K * 2^W: small boxes share each numpy
-# call's fixed cost, and a box of width 13 or more runs alone
+@lru_cache(maxsize=1)
+def _kernel():
+    """The C sweep ``eaglass_sweep``, built on first use into ``_BUILD_DIR``,
+    or into a directory of this process's own where that is not writable.
+
+    The library's name hashes the source, the flags and the machine, so a
+    cache hit starts no process.  A build writes a temporary file and
+    renames it into place: processes racing to build each load a whole
+    library, and a partial file is never loaded."""
+    name = _library_name()
+    path = _BUILD_DIR / name
+    if not path.exists():
+        path = _build(name)
+    sweep = ctypes.CDLL(str(path)).eaglass_sweep
+    sweep.argtypes = [ctypes.c_int] * 5 + [ctypes.c_void_p] * 5
+    sweep.restype = None
+    return sweep
+
+
+def _library_name() -> str:
+    key = hashlib.sha256(_SOURCE.read_bytes()
+                         + repr((_CFLAGS, platform.machine())).encode())
+    return f"_sweep-{key.hexdigest()[:20]}.so"
+
+
+def _build(name: str) -> Path:
+    out = _BUILD_DIR
+    try:
+        out.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=name, dir=out)
+    except OSError:
+        out = Path(tempfile.mkdtemp(prefix="eaglass-"))
+        atexit.register(shutil.rmtree, out, True)
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=name, dir=out)
+    os.close(fd)
+    cmd = ["cc", *_CFLAGS, "-o", tmp, str(_SOURCE)]
+    try:
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        if proc.returncode:
+            raise RuntimeError(f"building the sweep kernel failed: "
+                               f"{' '.join(cmd)}\n{proc.stderr}")
+        os.replace(tmp, out / name)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return out / name
+
+
+# frontier entries swept together, K * 2^W: small boxes share a sweep's
+# fixed cost and its traceback, and a box of width 13 or more runs alone
 _BATCH_STATES = 1 << 13
 
 _PLANS = threading.local()
@@ -190,10 +237,10 @@ class _Plan:
     ``len(cur)`` problems in one sweep: pairs[m, a] is the sign product of
     the horizontal edge at column a in row mask m, and shifted[m] is
     (m << 1) mod 2^W, for the traceback.  Reusing the multi-megabyte
-    backpointer block avoids the stall of a fresh allocation per solve.  A
-    column step writes its new-spin sums and codes to the (K, 2^W) ``scratch``
-    and ``flag``: at K=1 it allocates nothing, and at K>1 only its two
-    broadcast adds take numpy iterator buffers (132 KB each at W=7, K=64).
+    backpointer block avoids the stall of a fresh allocation per solve.  The
+    kernel's column steps take turns in ``cur[0]`` and ``nxt[0]``, so a warm
+    sweep allocates no frontier-sized array; ``cur`` holds a resumed
+    sweep's start frontiers while the row costs are rebuilt.
 
     ``rowcost[k, r]`` holds problem k's row costs of row r, then its
     frontier after row r.  ``last`` remembers the sweep that last ran to its
@@ -206,16 +253,14 @@ class _Plan:
         n = 1 << width
         k = max(1, _BATCH_STATES >> width)
         masks = np.arange(n, dtype=np.int64)
-        sign = ((masks[:, None] >> np.arange(width)) & 1) * 2.0 - 1.0
-        a = np.arange(horizontal_edges_per_row(width))
-        self.pairs = sign[:, a] * sign[:, (a + 1) % width]
+        self.pairs = np.empty((n, horizontal_edges_per_row(width)))
+        for a in range(self.pairs.shape[1]):    # -1 where the bits differ
+            differ = ((masks >> a) ^ (masks >> (a + 1) % width)) & 1
+            np.subtract(1.0, 2.0 * differ, out=self.pairs[:, a])
         self.shifted = (masks << 1) & (n - 1)
-        # the big blocks first, onto the pages the temporaries above freed
         self.backptr = np.empty((height - 1, width, k, n), dtype=np.uint8)
         self.rowcost = np.empty((k, height, n))
         self.cur, self.nxt = np.empty((k, n)), np.empty((k, n))
-        self.scratch = np.empty((k, n))
-        self.flag = np.empty((k, n), dtype=np.uint8)
         self.last = None
 
 
@@ -309,33 +354,38 @@ def _sweep(geom: BoxGeometry, Js, forced, plan: _Plan) -> None:
     which are the same bits."""
     W, H, K = geom.width, geom.height, len(Js)
     start = _resume_row(geom, plan, Js, forced)
-    steps, rowcost = (plan.cur[:K], plan.nxt[:K]), plan.rowcost[:K]
+    rowcost = plan.rowcost[:K]
     if start:       # the row costs overwrite the frontier the sweep needs
-        np.copyto(steps[0], rowcost[:, start])
+        np.copyto(plan.cur[:K], rowcost[:, start])
+    # the vertical edges follow the horizontal ones, row by row
+    n_v = W * (H - 1)
+    vert = np.empty((K, n_v))
     for k, (J, signs) in enumerate(zip(Js, forced)):
+        vert[k] = J.values[geom.n_edges - n_v:]
         _row_costs(plan.pairs, J, H, rowcost[k])
         # rows contradicting a forced sign cost inf, and finite + inf = inf
         for v, s in signs.items():
             c, r = geom.vertex_cr(v)
             rowcost[k, r].reshape(-1, 2, 1 << c)[:, int(s < 0)] = np.inf
     if start:
-        np.copyto(rowcost[:, start], steps[0])
-    # the vertical edges follow the horizontal ones, row by row
-    n_v = W * (H - 1)
-    vert_j = np.stack([J.values[geom.n_edges - n_v:].reshape(H - 1, W)
-                       for J in Js], axis=-1)
-    j_pm = np.stack((-vert_j, vert_j), axis=-1)[..., None]
-
-    backptr = plan.backptr[:, :, :K]
-    bufs = plan.scratch[:K], plan.flag[:K]
-    cur = rowcost[:, start]
-    for r in range(start, H - 1):
-        for c in range(W):
-            nxt = steps[c & 1]
-            _transition_column(cur, nxt, j_pm[r, c], backptr[r, c], *bufs)
-            cur = nxt
-        cur = np.add(cur, rowcost[:, r + 1], out=rowcost[:, r + 1])
+        np.copyto(rowcost[:, start], plan.cur[:K])
+    _run_sweep(plan, start, vert.reshape(K, H - 1, W))
     plan.last = ([J.values for J in Js], forced, start)
+
+
+def _run_sweep(plan: _Plan, start: int, vert: np.ndarray) -> None:
+    """Rows ``start``..H-2 of K problems in one call of the C kernel, whose
+    vertical couplings ``vert`` holds as a contiguous (K, H-1, W) array."""
+    k, h, w = vert.shape[0], vert.shape[1] + 1, vert.shape[2]
+    if (plan.rowcost.shape[1:] != (h, 1 << w) or k > len(plan.cur)
+            or not 0 <= start < h or vert.dtype != np.float64
+            or not vert.flags.c_contiguous):
+        raise ValueError(f"a sweep of {vert.shape} {vert.dtype} couplings "
+                         f"from row {start} does not fit the plan")
+    _kernel()(w, h, k, plan.backptr.shape[2], start,
+              plan.rowcost.ctypes.data, plan.cur.ctypes.data,
+              plan.nxt.ctypes.data, plan.backptr.ctypes.data,
+              vert.ctypes.data)
 
 
 def _resume_row(geom: BoxGeometry, plan: _Plan, Js, forced) -> int:

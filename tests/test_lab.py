@@ -52,8 +52,6 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         make("two_bond_map", width=1, height=3)  # default edge is horizontal
     with pytest.raises(ConfigError):
-        make("flip_sweep", width=3, height=2)  # default v:0,1 not in box
-    with pytest.raises(ConfigError):
         make("flip_sweep", edge="h:9,0")
     with pytest.raises(ConfigError):
         make("flip_sweep", grid_points=1)   # no interval can hold the flip
@@ -131,6 +129,15 @@ def test_two_bond_map_smoke():
     assert abs(sum(freqs.values()) - 1.0) < 1e-12
     assert rep.aggregates["grid_mismatches"] == 0
     assert rep.aggregates["max_consistency_err"] <= 1e-9
+
+
+def test_height_two_boxes_run_with_default_edges():
+    # vertical edges leave row 0 only, so the default edge is v:0,0
+    for kind, width in (("flip_sweep", 3), ("flip_sweep", 4),
+                        ("two_bond_map", 11)):
+        rep = run(dict(kind=kind, width=width, height=2, master_seed=5,
+                       samples=1, grid_points=11))
+        assert len(rep.records) == 1
 
 
 def test_two_bond_map_at_the_vertex_limit():

@@ -1,8 +1,12 @@
 import hashlib
 import inspect
+import os
 import struct
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from eaglass import excitation, lab, solver, walls
 from eaglass.disorder import CouplingConfig, DistributionSpec, sample_couplings
 from eaglass.errors import BudgetExceededError
 from eaglass.lab import ExperimentConfig
-from eaglass.lattice import BoxGeometry, build_box
+from eaglass.lattice import BoxGeometry, build_box, horizontal_edges_per_row
 from eaglass.solver import (Clamp, brute_force, canonicalize, energy, solve,
                             solve_batch, verify_gsp)
 
@@ -582,20 +586,27 @@ def test_resumed_sweep_equals_a_fresh_one(shape, k, data):
         Js, clamps = list(Js), list(clamps)
 
 
+def _count_rows(monkeypatch):
+    """A counter of the rows the kernel sweeps, through the hook around its
+    one call per sweep."""
+    swept = [0]
+
+    def counted_sweep(plan, start, vert):
+        swept[0] += vert.shape[1] - start
+        return run_sweep(plan, start, vert)
+
+    run_sweep = solver._run_sweep
+    monkeypatch.setattr(solver, "_run_sweep", counted_sweep)
+    return swept
+
+
 def test_resume_chain_of_growing_shrinking_and_repeated_prefixes(monkeypatch):
     # K=2 problems on a 5x7 box; each sweep keeps the last one's couplings
     # on rows 0..p-1 and its clamped vertex 2, and redraws the rest, so the
     # clamp's second vertex, on row 6, always lies below the shared rows
     g = build_box(5, 7)
     rows = _entry_rows(g)
-    steps, per_sweep = [0], []
-
-    def counted_column(*args):
-        steps[0] += 1
-        return column(*args)
-
-    column = solver._transition_column
-    monkeypatch.setattr(solver, "_transition_column", counted_column)
+    swept, per_sweep = _count_rows(monkeypatch), []
     Js = [sample_couplings(g, GAUSS, 8, k) for k in range(2)]
     solver._PLANS.store = {}
     for i, p in enumerate((7, 5, 5, 3, 6, 6, 2, 0, 4)):
@@ -603,9 +614,9 @@ def test_resume_chain_of_growing_shrinking_and_repeated_prefixes(monkeypatch):
             g, GAUSS, 9, 2 * i + k).values)) for k, J in enumerate(Js)]
         clamps = [Clamp((2, 30 + (i + k) % 5), (1, (-1) ** i))
                   for k in range(2)]
-        before = steps[0]
+        before = swept[0]
         got = _solve_and_bits(Js, clamps)
-        per_sweep.append((steps[0] - before) // g.width)
+        per_sweep.append(swept[0] - before)
         _assert_same_sweeps(got, _fresh(Js, clamps))
     # rows swept: a sweep starts at row p-1 if the last sweep left its
     # frontier there, else at row 0
@@ -622,14 +633,14 @@ def test_resume_needs_as_many_problems_and_a_finished_sweep(monkeypatch):
     got = _solve_and_bits([J0, J2], [None, None])
     _assert_same_sweeps(got, _fresh([J0, J2], [None, None]))
 
-    def failing_column(*args):
+    def failing_sweep(*args):
         raise RuntimeError("stop mid-sweep")
 
-    column = solver._transition_column
-    monkeypatch.setattr(solver, "_transition_column", failing_column)
+    run_sweep = solver._run_sweep
+    monkeypatch.setattr(solver, "_run_sweep", failing_sweep)
     with pytest.raises(RuntimeError):
         solve_batch([J1, J1], [None, None])     # overwrites the row costs
-    monkeypatch.setattr(solver, "_transition_column", column)
+    monkeypatch.setattr(solver, "_run_sweep", run_sweep)
     got = _solve_and_bits([J0, J2], [None, None])
     _assert_same_sweeps(got, _fresh([J0, J2], [None, None]))
 
@@ -653,20 +664,14 @@ def test_perturbed_exterior_second_solve_sweeps_only_the_rows_below_the_band(
         kind="wall_stats", width=9, height=9, proxy="perturbed_exterior",
         n_list=[1], k_list=[0]))
     band = cfg.height // 2
-    steps, per_solve = [0], []
-
-    def counted_column(*args):
-        steps[0] += 1
-        return column(*args)
+    swept, per_solve = _count_rows(monkeypatch), []
 
     def counted_solve(*args):
-        before = steps[0]
+        before = swept[0]
         out = solve(*args)
-        per_solve.append(steps[0] - before)
+        per_solve.append((swept[0] - before) * cfg.width)   # column steps
         return out
 
-    column = solver._transition_column
-    monkeypatch.setattr(solver, "_transition_column", counted_column)
     monkeypatch.setattr(lab, "solve", counted_solve)
     solver._PLANS.store = {}
     lab.proxy_perturbed_exterior(cfg, 0)
@@ -676,16 +681,16 @@ def test_perturbed_exterior_second_solve_sweeps_only_the_rows_below_the_band(
 
 def test_plan_holds_no_frontier_block():
     # the frontiers a sweep leaves behind live in its row-cost block, so a
-    # W=15 plan holds no (K, H, 2^W) frontier block: beyond the row costs,
-    # backpointers, pairs, traceback shift table and two frontiers, only the
-    # column step's scratch (2^15 floats) and flag (2^15 bytes)
+    # W=15 plan holds no (K, H, 2^W) frontier block: only the row costs,
+    # backpointers, pairs, traceback shift table and two step frontiers
     plan = solver._plan(15, 15)
     assert sum(a.nbytes for a in vars(plan).values()
-               if isinstance(a, np.ndarray)) == 15_826_944
+               if isinstance(a, np.ndarray)) == 15_532_032
 
 
 # --------------------------------------------------------------------------
-# the column step pops bit 0 of every mask and pushes the new spin as bit W-1
+# the kernel's column step pops bit 0 of every mask and pushes the new spin
+# as bit W-1
 
 
 def _rotate_to_identity(masks, w, c):
@@ -694,71 +699,171 @@ def _rotate_to_identity(masks, w, c):
     return ((masks << (c + 1)) | (masks >> (w - c - 1))) & ((1 << w) - 1)
 
 
-def _j_pm(j):
-    """-J and +J per problem as the (K, 2, 1) block a column step takes."""
-    return np.stack((-j, j), axis=-1)[..., None]
+def _draw_sweep(rng, k, h, w):
+    """Row costs and vertical couplings of k problems, each from one mix:
+    integers and +-0.0, which tie; signed zeros alone, whose signs every
+    minimum and sum must keep; or gaussian values.  The row costs are inf
+    on the masks of each row that a forced sign rules out."""
+    n, masks = 1 << w, np.arange(1 << w)
+    mix = rng.integers(3, size=(k, 1, 1))
+
+    def draw(integers, shape):
+        return np.select([mix == 0, mix == 1],
+                         [rng.choice(integers, shape),
+                          rng.choice([-0.0, 0.0], shape)],
+                         rng.normal(size=shape))
+
+    costs = draw([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], (k, h, n))
+    for i in range(k):
+        for r in range(h):
+            for c in rng.choice(w, int(rng.integers(0, min(w, 3) + 1)), False):
+                costs[i, r, ((masks >> c) & 1) != rng.integers(2)] = np.inf
+    return costs, draw([-1.0, -0.0, 0.0, 1.0], (k, h - 1, w))
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from([*range(1, 13), 16]), st.data())
-def test_shift_register_steps_equal_the_bit_replacing_reference(w, data):
-    # frontiers of integers and +-0.0, which tie, or gaussian ones, with inf
-    # on the masks a forced sign rules out; couplings in {-1, -0.0, 0.0, 1}
-    # or gaussian; up to 64 problems (suite7's sweeps) at W <= 7
-    k = data.draw(st.integers(1, 64 if w <= 7 else 2 if w == 16 else 4))
-    n = 1 << w
-    masks = np.arange(n)
+@given(st.sampled_from([*range(1, 13), 16]), st.integers(2, 4), st.data())
+def test_kernel_sweep_equals_the_bit_replacing_reference(w, h, data):
+    # the whole compiled sweep from a start row against the reference column
+    # step plus the row add: every backpointer layer and each row's
+    # frontier, bit for bit; up to 64 problems (suite7's sweeps) at W <= 7
+    plan = solver._Plan(w, h)
+    k = data.draw(st.integers(1, min(len(plan.cur), 64 if w <= 7 else 4)))
+    start = data.draw(st.integers(0, h - 2))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    front = np.where(rng.random((k, 1)) < 0.5,
-                     rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], (k, n)),
-                     rng.normal(size=(k, n)))
-    for i in range(k):
-        for c in rng.choice(w, int(rng.integers(0, min(w, 3) + 1)), False):
-            front[i, ((masks >> c) & 1) != rng.integers(2)] = np.inf
-    js = np.where(rng.random((k, 1)) < 0.5,
-                  rng.choice([-1.0, -0.0, 0.0, 1.0], (k, w)),
-                  rng.normal(size=(k, w)))
-    cur, want = front.copy(), front.copy()
-    scratch = np.full((k, n), np.nan)
-    flag = np.full((k, n), 0xFF, dtype=np.uint8)
-    for c in range(w):
-        nxt, want_nxt = np.empty_like(cur), np.empty_like(want)
-        bp = np.zeros((k, n), np.uint8)
-        want_bp = np.zeros((k, n), np.uint8)
-        solver._transition_column(cur, nxt, _j_pm(js[:, c]), bp, scratch, flag)
-        reference.column_step(want, want_nxt, js[:, c, None, None], want_bp, c)
-        ident = _rotate_to_identity(masks, w, c)
-        assert np.array_equal(nxt.view(np.int64),
-                              want_nxt[:, ident].view(np.int64))
-        assert np.array_equal(bp, want_bp[:, ident])
-        cur, want = nxt, want_nxt
-    # after W steps every bit is back in place
-    assert np.array_equal(cur.view(np.int64), want.view(np.int64))
-
-
-def test_a_warm_column_step_allocates_nothing():
-    # the new-spin sums and the backpointer codes go to the step's scratch
-    # buffers; at K > 1 numpy's iterator buffers the two broadcast adds
-    # (about 132 KB each at W=7, K=64), so only K=1 is pinned
-    w, n = 15, 1 << 15
-    frontiers = np.random.default_rng(0).normal(size=(2, 1, n))
-    bp = np.empty((w, 1, n), dtype=np.uint8)
-    scratch, flag = np.empty((1, n)), np.empty((1, n), np.uint8)
-    j_vert = _j_pm(np.full(1, 0.5))
-
-    def row():
+    want, vert = _draw_sweep(rng, k, h, w)
+    plan.rowcost[:k] = want
+    plan.backptr[...] = 0xFF
+    solver._run_sweep(plan, start, vert)
+    masks = np.arange(1 << w)
+    for r in range(start, h - 1):
+        cur = want[:, r].copy()
         for c in range(w):
-            solver._transition_column(frontiers[c & 1], frontiers[~c & 1],
-                                      j_vert, bp[c], scratch, flag)
+            nxt, bp = np.empty_like(cur), np.zeros(cur.shape, np.uint8)
+            reference.column_step(cur, nxt, vert[:, r, c, None, None], bp, c)
+            ident = _rotate_to_identity(masks, w, c)
+            assert np.array_equal(plan.backptr[r, c, :k], bp[:, ident])
+            cur = nxt
+        # after W steps every bit is back in place
+        np.add(cur, want[:, r + 1], out=want[:, r + 1])
+        assert np.array_equal(plan.rowcost[:k, r + 1].view(np.int64),
+                              want[:, r + 1].view(np.int64))
+    assert (plan.backptr[:start] == 0xFF).all()
 
-    row()
-    tracemalloc.start()
+
+def test_a_warm_sweep_allocates_nothing():
+    # the kernel's column steps take turns in the plan's two step buffers;
+    # a sweep allocates only small arrays, the largest its (K, H-1, W)
+    # vertical couplings (10.7 KB at W=7, H=4, K=64)
+    for w, h, k in ((15, 15, 1), (7, 4, 64)):
+        g = build_box(w, h)
+        Js = [sample_couplings(g, GAUSS, 11, i) for i in range(k)]
+        forced = [{0: 1}] * k
+        plan = solver._Plan(w, h)
+        solver._sweep(g, Js, forced, plan)
+        plan.last = None        # no resume: the second sweep runs every row
+        tracemalloc.start()
+        try:
+            solver._sweep(g, Js, forced, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024, (w, h, k)
+
+
+# a child process that builds or loads the kernel in the directory argv[1]
+# and prints the digest of eight 7x7 solves; with argv[2] == "no-compiler"
+# it may start no process
+_KERNEL_CHILD = """
+import hashlib, struct, subprocess, sys
+from pathlib import Path
+from eaglass import solver
+from eaglass.disorder import DistributionSpec, sample_couplings
+from eaglass.lattice import build_box
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the cached kernel started a process")
+
+solver._BUILD_DIR = Path(sys.argv[1])
+if sys.argv[2] == "no-compiler":
+    subprocess.run = refuse
+g = build_box(7, 7)
+Js = [sample_couplings(g, DistributionSpec("gaussian", sigma=1.0), 3, i)
+      for i in range(8)]
+digest = hashlib.sha256()
+for p in solver.solve_batch(Js, [None] * 8):
+    digest.update(p.signs.tobytes() + struct.pack("<d", p.energy))
+print(digest.hexdigest())
+"""
+_KERNEL_DIGEST = \
+    "3b4124428a04f9b48eb650d759bf6380a7b40f0e6bef7f1876d6f13c46e5c283"
+
+
+def test_racing_builds_share_one_cached_kernel(tmp_path):
+    src = str(Path(solver.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+    def child(mode):
+        return subprocess.Popen(
+            [sys.executable, "-c", _KERNEL_CHILD, str(tmp_path), mode],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+    def digest(proc):
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        return out.strip()
+
+    # a partial library from a build that died: its name is a build's
+    # temporary name, which is never loaded
+    name = solver._library_name()
+    leftover = tmp_path / f"{name}dead0000.tmp"
+    leftover.write_bytes(b"\x7fELF partial")
+    racers = [child("build"), child("build")]
+    assert [digest(p) for p in racers] == [_KERNEL_DIGEST] * 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [name, leftover.name])
+    assert digest(child("no-compiler")) == _KERNEL_DIGEST
+
+
+def test_a_failed_build_names_the_command_and_leaves_no_file(
+        tmp_path, monkeypatch):
+    broken = tmp_path / "_sweep.c"
+    broken.write_text("void eaglass_sweep(void) { return 0 }\n")
+    monkeypatch.setattr(solver, "_SOURCE", broken)
+    monkeypatch.setattr(solver, "_BUILD_DIR", tmp_path / "cache")
+    solver._kernel.cache_clear()
     try:
-        row()
-        peak = tracemalloc.get_traced_memory()[1]
+        with pytest.raises(RuntimeError, match=r"cc -O3 (.|\n)*error"):
+            solver._kernel()
     finally:
-        tracemalloc.stop()
-    assert peak < 16 * 1024
+        solver._kernel.cache_clear()
+    assert list((tmp_path / "cache").iterdir()) == []
+
+
+def test_an_unusable_cache_directory_builds_into_a_private_one(
+        tmp_path, monkeypatch):
+    blocked = tmp_path / "file"
+    blocked.write_text("not a directory")
+    monkeypatch.setattr(solver, "_BUILD_DIR", blocked / "cache")
+    solver._kernel.cache_clear()
+    try:
+        solver._kernel()
+        g = build_box(4, 3)
+        J = sample_couplings(g, GAUSS, 12, 0)
+        assert solve(g, J).same_pair(brute_force(J))
+    finally:
+        solver._kernel.cache_clear()
+    assert list(tmp_path.iterdir()) == [blocked]
+
+
+def test_pairs_hold_the_bit_products_of_each_row_mask():
+    for w in range(1, 17):
+        masks = np.arange(1 << w, dtype=np.int64)
+        sign = ((masks[:, None] >> np.arange(w)) & 1) * 2.0 - 1.0
+        a = np.arange(horizontal_edges_per_row(w))
+        want = sign[:, a] * sign[:, (a + 1) % w]
+        assert solver._Plan(w, 2).pairs.tobytes() == want.tobytes()
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,4 @@
-/* The transfer sweep of eaglass.solver: every row and column step of K
- * problems in one call, loaded with ctypes.
+/* The transfer sweep and traceback of eaglass.solver, loaded with ctypes.
  *
  * A problem's frontier is a shift register of its row: bit 0 of each mask
  * is the current column's old spin, and a column step pops it and pushes the
@@ -10,8 +9,14 @@
  * backpointer is 1 / 2 / 3 for old spin down, up, or a tie, 0 if NaN.  The
  * solver's pinned bits rest on exactly these IEEE operations, so the build
  * must not contract or reassociate them (no -ffast-math, -ffp-contract=off).
+ *
+ * A row mask has bit c for column c, 1 for spin +1.  A forced sign enters as
+ * a cell 2 * vertex + b: every row mask holding bit b at that vertex costs
+ * inf.  The traceback walks the backpointers from the last row up, one
+ * optimal configuration at a time, so it needs no buffer of all of them.
  */
 
+#include <math.h>
 #include <stddef.h>
 
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
@@ -36,21 +41,40 @@ static void step(const double *restrict cur, double *restrict nxt,
     }
 }
 
+/* inf on the entries of row (2^w) whose mask has bit c equal to b */
+static void forbid(double *row, size_t n, int c, int b)
+{
+    size_t lo = (size_t)1 << c;
+    for (size_t hi = (size_t)b << c; hi < n; hi += 2 * lo)
+        for (size_t i = 0; i < lo; i++)
+            row[hi + i] = INFINITY;
+}
+
 /* rowcost (k, h, 2^w): row costs of each problem, overwritten from row
  * start + 1 on by its frontier after that row, which is
  * rowcost[r + 1] = (frontier after the row's last step) + rowcost[r + 1];
- * rowcost[start] must hold the frontier after row start.  buf0 and buf1
- * (2^w each) take the column steps in turn.  backptr (h - 1, w, kcap, 2^w)
- * gets the code of problem p's step c of row r at [r, c, p], and that step
- * adds the vertical coupling vert[p, r, c] (vert is (k, h - 1, w)). */
+ * rowcost[start] must hold the frontier after row start.  Problem p's
+ * ncells[p] forced cells follow those of the problems before it in cells;
+ * they go into the row costs of the rows after start, and of row 0 in a
+ * sweep from row 0 (a later start row's frontier already holds them).
+ * buf0 and buf1 (2^w each) take the column steps in turn.  backptr
+ * (h - 1, w, kcap, 2^w) gets the code of problem p's step c of row r at
+ * [r, c, p], and that step adds the vertical coupling vert[p, r, c] (vert is
+ * (k, h - 1, w)). */
 void eaglass_sweep(int w, int h, int k, int kcap, int start,
                    double *rowcost, double *buf0, double *buf1,
-                   unsigned char *backptr, const double *vert)
+                   unsigned char *backptr, const double *vert,
+                   const int *cells, const int *ncells)
 {
     size_t n = (size_t)1 << w;
     for (int p = 0; p < k; p++) {
         double *cost = rowcost + (size_t)p * h * n;
         const double *j = vert + (size_t)p * (h - 1) * w;
+        for (int i = 0; i < ncells[p]; i++, cells++) {
+            int v = *cells / 2, r = v / w;
+            if (r > start || start == 0)
+                forbid(cost + (size_t)r * n, n, v % w, *cells % 2);
+        }
         for (int r = start; r < h - 1; r++) {
             const double *cur = cost + (size_t)r * n;
             for (int c = 0; c < w; c++) {
@@ -64,4 +88,78 @@ void eaglass_sweep(int w, int h, int k, int kcap, int start,
                 row[i] = cur[i] + row[i];
         }
     }
+}
+
+#define TIE (1u << 31)      /* on a path entry: old spin 0 is still to walk */
+
+/* best (h masks) becomes the canonical form of the configuration on path
+ * if it is the first one or its pattern is smaller: flipped whole when the
+ * anchor vertex is down, compared from vertex 0 up with +1 first. */
+static void keep(const unsigned *path, int w, int h, int anchor, int *best,
+                 int first)
+{
+    unsigned full = (1u << w) - 1;
+    unsigned at = path[(size_t)(h - 1 - anchor / w) * w] >> (anchor % w);
+    unsigned flip = at & 1 ? 0 : full;
+    for (int r = 0, better = first; r < h; r++) {
+        unsigned row = (path[(size_t)(h - 1 - r) * w] & full) ^ flip;
+        if (!better) {
+            unsigned d = row ^ (unsigned)best[r];
+            if (!d)
+                continue;
+            if (!(row & d & -d))    /* its lowest differing spin is down */
+                return;
+            better = 1;
+        }
+        best[r] = (int)row;
+    }
+}
+
+/* The optimal configurations of each of the k problems the last sweep ran,
+ * the entries of each final frontier equal to its minimum best[p] and their
+ * paths back: count[p] gets their number and rows[p] (h masks) the smallest
+ * canonical one, whose spin +1 is the anchor[p] vertex's.  The walk steps
+ * back from mask m over code b to (m << 1 | b >> 1) mod 2^w, the new spin
+ * dropping out of bit w-1 and the old one coming back as bit 0; a tie
+ * (b = 3) takes old spin 1 first and old spin 0 on the way back.  path holds
+ * the (h - 1) * w + 1 masks of the current walk, row h-1 first.  Returns 1
+ * once a problem has more than cap optimal configurations, else 0. */
+int eaglass_traceback(int w, int h, int k, int kcap, int cap,
+                      const double *rowcost, const unsigned char *backptr,
+                      const double *best, const int *anchor, unsigned *path,
+                      int *rows, int *count)
+{
+    size_t n = (size_t)1 << w, steps = (size_t)(h - 1) * w;
+    for (int p = 0; p < k; p++) {
+        const double *final = rowcost + ((size_t)p * h + h - 1) * n;
+        const unsigned char *bp = backptr + (size_t)p * n;
+        count[p] = 0;
+        for (size_t m = 0; m < n; m++) {
+            if (final[m] != best[p])
+                continue;
+            size_t t = 0;
+            path[0] = (unsigned)m;
+            for (;;) {
+                for (; t < steps; t++) {
+                    size_t r = h - 2 - t / w, c = w - 1 - t % w;
+                    unsigned b = bp[((r * w + c) * kcap) * n + path[t]];
+                    path[t + 1] = (unsigned)((path[t] << 1) & (n - 1)) | b >> 1;
+                    if (b == 3)
+                        path[t] |= TIE;
+                }
+                if (++count[p] > cap)
+                    return 1;
+                keep(path, w, h, anchor[p], rows + (size_t)p * h,
+                     count[p] == 1);
+                while (t > 0 && !(path[t - 1] & TIE))
+                    t--;
+                if (t-- == 0)
+                    break;
+                path[t] &= ~TIE;
+                path[t + 1] = (unsigned)((path[t] << 1) & (n - 1));
+                t++;
+            }
+        }
+    }
+    return 0;
 }

@@ -161,12 +161,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
             _edge_tuple(spec)
     if cfg.kind not in _KINDS:
         raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
-    if cfg.samples < 1:
-        raise ConfigError("sample count must be >= 1")
-    if cfg.parallel < 1:
-        raise ConfigError("parallelism degree must be >= 1")
-    if cfg.probes < 1:
-        raise ConfigError("probes must be >= 1")
+    for name, low in (("samples", 1), ("parallel", 1), ("probes", 1),
+                      ("tol", 0)):
+        if getattr(cfg, name) < low:
+            raise ConfigError(f"{name} must be >= {low}")
     if not -2**63 <= cfg.master_seed < 2**63:
         raise ConfigError("master_seed must fit in a signed 64-bit integer")
     _KINDS[cfg.kind].validate(cfg)
@@ -214,6 +212,8 @@ def _validate_wall_stats(cfg: ExperimentConfig) -> None:
         raise ConfigError("wall_stats requires n_list and k_list")
     if 0 not in cfg.k_list:
         raise ConfigError("k_list must contain 0")
+    if min(cfg.n_list) < 1 or min(cfg.k_list) < 0:
+        raise ConfigError("wall_stats needs every n >= 1 and every k >= 0")
     half = (cfg.width - 1) // 2
     n_cap = half - 1 if cfg.proxy == "nested_volumes" else half
     if max(cfg.n_list) > n_cap:

@@ -3,26 +3,28 @@
 ``solve`` runs a row-by-row dynamic program over per-row spin bitmasks in
 O(height * width * 2^width): each row-to-row transition is W column steps
 of a shift register, and the wrap coupling enters through the intra-row
-cost.  One call of a small C kernel, ``_sweep.c``, runs every row and column
-step of a sweep; it is compiled with the system's ``cc`` on first use and
-cached in the package's ``__pycache__`` (see ``_kernel``).  Backpointers
-record every optimal choice, so exact ties are
-enumerated and broken deterministically: the returned configuration has the
-lexicographically smallest canonical bit pattern among all minimizers, and
-the pair is flagged as tied.  One numpy traceback per sweep un-shifts every
-problem's optimal configurations at once, a tie branching into two entries;
-a problem with more than ``_TIE_CAP`` (20,000) of them raises
-``BudgetExceededError``.
+cost.  A small C kernel, ``_sweep.c``, runs every row and column step of a
+sweep in one call and its traceback in another; it is compiled with the
+system's ``cc`` on first use and cached in the package's ``__pycache__``
+(see ``_kernel``).  Backpointers record every optimal choice, so exact ties
+are enumerated and broken deterministically: the returned configuration has
+the lexicographically smallest canonical bit pattern among all minimizers,
+and the pair is flagged as tied.  The traceback walks each problem's
+optimal configurations depth first, a tie branching the walk, and keeps the
+smallest canonical one; a problem with more than ``_TIE_CAP`` (20,000) of
+them raises ``BudgetExceededError``.  Python then only turns row masks into
+signs and sums the energies.
 
 ``solve_batch`` runs K problems on one box shape through each kernel sweep
-and one traceback: each problem keeps its own row costs, vertical couplings
-and slots of the frontier and backpointer blocks, so its energies,
-backpointers and optimum are bit-identical to a solve of its own.  A
-sweep holds at most 2^13 frontier entries (K * 2^W), so from width 13 on
-every problem runs alone; ``solve`` is the K=1 case.  The row costs, one
-matrix product per problem, go to BLAS in blocks of mask rows small enough
-that OpenBLAS runs them on the calling thread: no BLAS worker wakes and
-spins through the sweep, so process-level parallelism scales on wide boxes.
+and traceback: each problem keeps its own slots of the row-cost, frontier
+and backpointer blocks, so its energies, backpointers and optimum are
+bit-identical to a solve of its own.  A sweep holds at most 2^13 frontier
+entries (K * 2^W), so from width 13 on every problem runs alone; ``solve``
+is the K=1 case.  The row costs, one matrix product per coupling array of
+the sweep, copied to every problem that holds the array, go to BLAS in
+blocks of mask rows small enough that OpenBLAS runs them on the calling
+thread: no BLAS worker wakes and spins through the sweep, so process-level
+parallelism scales on wide boxes.
 
 Each thread keeps one plan of arrays per box shape, and the plan remembers
 its last sweep.  A sweep of as many problems whose couplings and forced
@@ -31,9 +33,10 @@ frontiers that sweep left after row p: two solves that share their leading
 rows (the perturbed-exterior pair) sweep the shared rows once.
 
 Configurations are pairs modulo a global flip.  Internally one representative
-is pinned by the clamp's signs (or vertex 0 at +1), entered as infinite row
-costs; the stored canonical form instead gives +1 to the lowest-indexed vertex
-not determined by the clamp, so equal pairs compare equal elementwise.
+is pinned by the clamp's signs (or vertex 0 at +1), which the kernel enters
+as infinite row costs; the stored canonical form instead gives +1 to the
+lowest-indexed vertex not determined by the clamp, so equal pairs compare
+equal elementwise.
 """
 
 from __future__ import annotations
@@ -63,7 +66,6 @@ from .lattice import (BoxGeometry, build_box, build_dual,
 MAX_SOLVE_WIDTH = 16
 MAX_BRUTE_VERTICES = 24
 _TIE_CAP = 20000
-_OLD_SPIN = np.array([0, 0, 1, 1])     # old spin bit by backpointer code
 
 
 @dataclass(frozen=True)
@@ -164,6 +166,18 @@ def _forced_signs(geom: BoxGeometry, clamp: Clamp | None) -> dict[int, int]:
     return dict(zip(clamp.vertices, clamp.signs))
 
 
+@lru_cache(maxsize=1024)
+def _forced_cells(width: int, height: int,
+                  clamp: Clamp | None) -> tuple[tuple[int, ...], int]:
+    """``_forced_signs`` as the kernel takes them, each 2 * vertex + the bit
+    a row mask must not hold there (1 for a -1 sign), and the canonical
+    anchor of the clamp on a width x height box."""
+    geom = build_box(width, height)
+    cells = tuple(2 * v + (s < 0)
+                  for v, s in _forced_signs(geom, clamp).items())
+    return cells, canonical_anchor(geom, clamp)
+
+
 def _pattern(signs: np.ndarray) -> bytes:
     return ((1 - signs) // 2).astype(np.uint8).tobytes()
 
@@ -190,10 +204,11 @@ def _kernel():
     path = _BUILD_DIR / name
     if not path.exists():
         path = _build(name)
-    sweep = ctypes.CDLL(str(path)).eaglass_sweep
-    sweep.argtypes = [ctypes.c_int] * 5 + [ctypes.c_void_p] * 5
-    sweep.restype = None
-    return sweep
+    lib = ctypes.CDLL(str(path))
+    lib.eaglass_sweep.argtypes = [ctypes.c_int] * 5 + [ctypes.c_void_p] * 7
+    lib.eaglass_sweep.restype = None
+    lib.eaglass_traceback.argtypes = [ctypes.c_int] * 5 + [ctypes.c_void_p] * 7
+    return lib
 
 
 def _library_name() -> str:
@@ -235,16 +250,16 @@ _PLANS = threading.local()
 class _Plan:
     """The arrays of one box shape, kept per thread, with room for
     ``len(cur)`` problems in one sweep: pairs[m, a] is the sign product of
-    the horizontal edge at column a in row mask m, and shifted[m] is
-    (m << 1) mod 2^W, for the traceback.  Reusing the multi-megabyte
+    the horizontal edge at column a in row mask m.  Reusing the multi-megabyte
     backpointer block avoids the stall of a fresh allocation per solve.  The
     kernel's column steps take turns in ``cur[0]`` and ``nxt[0]``, so a warm
     sweep allocates no frontier-sized array; ``cur`` holds a resumed
-    sweep's start frontiers while the row costs are rebuilt.
+    sweep's start frontiers while the row costs are rebuilt, and ``vert``
+    each problem's vertical couplings.
 
     ``rowcost[k, r]`` holds problem k's row costs of row r, then its
     frontier after row r.  ``last`` remembers the sweep that last ran to its
-    end: its couplings, forced signs and start row s.  That sweep left its
+    end: its couplings, forced cells and start row s.  That sweep left its
     backpointers in ``backptr`` and its frontiers in ``rowcost[:, r]`` for
     every r >= s, so a sweep of as many problems that agrees with it on the
     leading rows resumes from there (see ``_resume_row``)."""
@@ -257,10 +272,10 @@ class _Plan:
         for a in range(self.pairs.shape[1]):    # -1 where the bits differ
             differ = ((masks >> a) ^ (masks >> (a + 1) % width)) & 1
             np.subtract(1.0, 2.0 * differ, out=self.pairs[:, a])
-        self.shifted = (masks << 1) & (n - 1)
         self.backptr = np.empty((height - 1, width, k, n), dtype=np.uint8)
         self.rowcost = np.empty((k, height, n))
         self.cur, self.nxt = np.empty((k, n)), np.empty((k, n))
+        self.vert = np.empty((k, (height - 1) * width))
         self.last = None
 
 
@@ -305,14 +320,14 @@ def _solve_all(geom: BoxGeometry, Js, clamps) -> list[SpinPair]:
     if W > MAX_SOLVE_WIDTH:
         raise BudgetExceededError(
             f"width {W} exceeds solver budget {MAX_SOLVE_WIDTH}")
-    forced = [_forced_signs(geom, clamp) for clamp in clamps]
+    forced = [_forced_cells(W, H, clamp) for clamp in clamps]
     plan = _plan(W, H)
     step = len(plan.cur)    # the problems one sweep holds
     out = []
     for lo in range(0, len(Js), step):
         chunk = slice(lo, lo + step)
         _sweep(geom, Js[chunk], forced[chunk], plan)
-        out += _best_pairs(geom, Js[chunk], clamps[chunk], plan)
+        out += _best_pairs(geom, Js[chunk], forced[chunk], plan)
     return out
 
 
@@ -342,50 +357,57 @@ def _row_costs(pairs, J: CouplingConfig, height: int, out) -> None:
 
 
 def _sweep(geom: BoxGeometry, Js, forced, plan: _Plan) -> None:
-    """Run the transfer kernel over K problems of ``plan``'s shape; their
-    final frontiers end in ``rowcost[:, -1]``, backpointers in ``backptr``.
-    Every problem goes through the same elementwise operations as it would
-    alone, so its frontier and backpointers do not depend on the batch.
+    """Run the transfer kernel over K problems of ``plan``'s shape, each with
+    its ``_forced_cells``; their final frontiers end in ``rowcost[:, -1]``,
+    backpointers in ``backptr``.  Every problem goes through the same
+    elementwise operations as it would alone, so its frontier and
+    backpointers do not depend on the batch.
 
     Each row's frontier is the sum of the last column step and the row's
     costs, stored over those costs, so the frontiers stay in ``rowcost``.
-    The sweep starts at the row ``_resume_row`` gives, from the frontier the
-    last sweep left there; the backpointers above it are the last sweep's,
-    which are the same bits."""
+    Problems that share a coupling array share its row costs, computed once
+    and copied.  The sweep starts at the row ``_resume_row`` gives, from the
+    frontier the last sweep left there; the backpointers above it are the
+    last sweep's, which are the same bits."""
     W, H, K = geom.width, geom.height, len(Js)
     start = _resume_row(geom, plan, Js, forced)
     rowcost = plan.rowcost[:K]
     if start:       # the row costs overwrite the frontier the sweep needs
         np.copyto(plan.cur[:K], rowcost[:, start])
-    # the vertical edges follow the horizontal ones, row by row
-    n_v = W * (H - 1)
-    vert = np.empty((K, n_v))
-    for k, (J, signs) in enumerate(zip(Js, forced)):
-        vert[k] = J.values[geom.n_edges - n_v:]
-        _row_costs(plan.pairs, J, H, rowcost[k])
-        # rows contradicting a forced sign cost inf, and finite + inf = inf
-        for v, s in signs.items():
-            c, r = geom.vertex_cr(v)
-            rowcost[k, r].reshape(-1, 2, 1 << c)[:, int(s < 0)] = np.inf
+    n_v, first = W * (H - 1), {}
+    for k, J in enumerate(Js):
+        i = first.setdefault(id(J.values), k)
+        if i < k:
+            np.copyto(rowcost[k], rowcost[i])
+        else:
+            _row_costs(plan.pairs, J, H, rowcost[k])
+        # the vertical edges follow the horizontal ones, row by row
+        plan.vert[k] = J.values[geom.n_edges - n_v:]
     if start:
         np.copyto(rowcost[:, start], plan.cur[:K])
-    _run_sweep(plan, start, vert.reshape(K, H - 1, W))
+    _run_sweep(plan, start, plan.vert[:K].reshape(K, H - 1, W),
+               [cells for cells, _ in forced])
     plan.last = ([J.values for J in Js], forced, start)
 
 
-def _run_sweep(plan: _Plan, start: int, vert: np.ndarray) -> None:
+def _run_sweep(plan: _Plan, start: int, vert: np.ndarray, cells) -> None:
     """Rows ``start``..H-2 of K problems in one call of the C kernel, whose
-    vertical couplings ``vert`` holds as a contiguous (K, H-1, W) array."""
+    vertical couplings ``vert`` holds as a contiguous (K, H-1, W) array;
+    ``cells[k]`` holds problem k's forced cells (see ``_forced_cells``),
+    which the kernel writes into its row costs as inf."""
     k, h, w = vert.shape[0], vert.shape[1] + 1, vert.shape[2]
+    flat = np.array([x for c in cells for x in c], dtype=np.int32)
     if (plan.rowcost.shape[1:] != (h, 1 << w) or k > len(plan.cur)
             or not 0 <= start < h or vert.dtype != np.float64
-            or not vert.flags.c_contiguous):
+            or not vert.flags.c_contiguous or len(cells) != k
+            or len(flat) and not 0 <= flat.min() <= flat.max() < 2 * h * w):
         raise ValueError(f"a sweep of {vert.shape} {vert.dtype} couplings "
                          f"from row {start} does not fit the plan")
-    _kernel()(w, h, k, plan.backptr.shape[2], start,
-              plan.rowcost.ctypes.data, plan.cur.ctypes.data,
-              plan.nxt.ctypes.data, plan.backptr.ctypes.data,
-              vert.ctypes.data)
+    counts = np.array([len(c) for c in cells], dtype=np.int32)
+    _kernel().eaglass_sweep(
+        w, h, k, plan.backptr.shape[2], start, plan.rowcost.ctypes.data,
+        plan.cur.ctypes.data, plan.nxt.ctypes.data, plan.backptr.ctypes.data,
+        vert.ctypes.data, flat.ctypes.data, counts.ctypes.data)
 
 
 def _resume_row(geom: BoxGeometry, plan: _Plan, Js, forced) -> int:
@@ -409,15 +431,15 @@ def _resume_row(geom: BoxGeometry, plan: _Plan, Js, forced) -> int:
         return 0
     entry = _entry_rows(geom.width, geom.height)
     agree = geom.height         # rows 0..agree-1 are equal in every problem
-    for J, old, signs, old_signs in zip(Js, old_js, forced, old_forced):
+    for J, old, (cells, _), (old_cells, _) in zip(Js, old_js, forced,
+                                                  old_forced):
         if J.values is not old:
             moved = entry[J.values.view(np.int64) != old.view(np.int64)]
             if len(moved):
                 agree = min(agree, int(moved.min()))
-        if signs != old_signs:
-            for v in signs.keys() | old_signs.keys():
-                if signs.get(v) != old_signs.get(v):
-                    agree = min(agree, v // geom.width)
+        if cells != old_cells:      # a vertex whose forced sign differs
+            for cell in set(cells) ^ set(old_cells):
+                agree = min(agree, cell // 2 // geom.width)
         if agree < need:
             return 0
     return agree - 1
@@ -432,48 +454,26 @@ def _entry_rows(width: int, height: int) -> np.ndarray:
     return rows
 
 
-def _best_pairs(geom: BoxGeometry, Js, clamps, plan: _Plan) -> list[SpinPair]:
-    """The canonical optimum of each problem of the sweep ``plan`` last ran.
-
-    Every optimal configuration is an entry, a problem offset problem * 2^W
-    and a mask, walked from the last row up, all problems at once; a column
-    step back un-shifts the mask, its old spin coming back as bit 0.  A
-    backpointer of 3 splits an entry in two, and two entries never merge, so
-    a problem's entries are its optimal configurations; their count never
-    falls, so the walk raises once one problem has more than ``_TIE_CAP``."""
+def _best_pairs(geom: BoxGeometry, Js, forced, plan: _Plan) -> list[SpinPair]:
+    """The canonical optimum of each problem of the sweep ``plan`` last ran,
+    from the C traceback, which walks every optimal configuration of each
+    problem and keeps the smallest canonical one; it raises for a problem
+    with more than ``_TIE_CAP`` of them.  ``forced`` holds each problem's
+    ``_forced_cells``, whose anchor sets the canonical flip."""
     W, H, K = geom.width, geom.height, len(Js)
-    final, backptr = plan.rowcost[:K, -1], plan.backptr[:, :, :K]
-    best = final.min(axis=1)
+    best = plan.rowcost[:K, -1].min(axis=1)
     if not np.isfinite(best).all():
         raise RuntimeError("no admissible configuration (unsatisfiable clamp?)")
-    flat = np.flatnonzero(final == best[:, None])
-    off, mask = flat >> W << W, flat & ((1 << W) - 1)
-    rows = np.empty((len(flat), H), dtype=np.int64)
-    for r in reversed(range(H - 1)):
-        rows[:, r + 1] = mask
-        for c in reversed(range(W)):
-            ch = backptr[r, c].take(off | mask)
-            # a tie: the copies take old bit 0, the originals 1 (a scan of
-            # the bytes is cheaper than a numpy reduction over few entries)
-            if 3 in ch.tobytes():
-                split = np.flatnonzero(ch == 3)
-                off = np.concatenate((off, off[split]))
-                mask = np.concatenate((mask, mask[split]))
-                rows = np.concatenate((rows, rows[split]))
-                ch = np.concatenate((ch, np.ones(len(split), np.uint8)))
-            if len(mask) > _TIE_CAP and np.bincount(off >> W).max() > _TIE_CAP:
-                raise BudgetExceededError("tie degeneracy exceeds enumeration cap")
-            mask = plan.shifted.take(mask) | _OLD_SPIN.take(ch)
-    rows[:, 0] = mask
-    prob = off >> W
+    anchors = np.array([anchor for _, anchor in forced], dtype=np.int32)
+    rows, counts = np.empty((K, H), dtype=np.int32), np.empty(K, np.int32)
+    path = np.empty((H - 1) * W + 1, dtype=np.uint32)
+    if _kernel().eaglass_traceback(
+            W, H, K, plan.backptr.shape[2], _TIE_CAP, plan.rowcost.ctypes.data,
+            plan.backptr.ctypes.data, best.ctypes.data, anchors.ctypes.data,
+            path.ctypes.data, rows.ctypes.data, counts.ctypes.data):
+        raise BudgetExceededError("tie degeneracy exceeds enumeration cap")
     bits = (rows[:, :, None] >> np.arange(W)) & 1
-    signs = (2 * bits - 1).astype(np.int8).reshape(len(mask), H * W)
-    anchors = np.array([canonical_anchor(geom, cl) for cl in clamps])
-    signs[signs[np.arange(len(mask)), anchors[prob]] < 0] *= -1
-    counts = np.bincount(prob, minlength=K)
-    if len(mask) > K:   # the smallest canonical pattern of each problem
-        order = np.lexsort(np.vstack(((signs[:, ::-1] < 0).T, prob)))
-        signs = signs[order[np.searchsorted(prob[order], np.arange(K))]]
+    signs = (2 * bits - 1).astype(np.int8).reshape(K, H * W)
     # energy(J, s) of each problem, bit for bit: the same products, one fsum
     terms = (np.array([J.values for J in Js])
              * signs[:, geom.eu] * signs[:, geom.ev])

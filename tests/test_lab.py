@@ -3,10 +3,11 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eaglass import lab
 from eaglass.cli import main as cli_main
-from eaglass.errors import ConfigError, HardAssertionFailure
+from eaglass.errors import ConfigError, HardAssertionFailure, SampleError
 from eaglass.lab import EXPERIMENT_KINDS, ExperimentConfig, run
 
 PRESETS = sorted((Path(__file__).resolve().parents[1] / "presets").glob("*.json"))
@@ -35,6 +36,15 @@ def test_config_validation_errors():
         make("wall_stats", n_list=[1], k_list=[1])  # k=0 row required
     with pytest.raises(ConfigError):
         make("wall_stats", n_list=[4], k_list=[0])  # segment too wide
+    for n_list, k_list, proxy in (([-1, 1], [0], "excited_pair"),
+                                  ([1], [0, -1], "excited_pair"),
+                                  ([0], [0], "perturbed_exterior")):
+        with pytest.raises(ConfigError):
+            make("wall_stats", width=7, height=5, n_list=n_list,
+                 k_list=k_list, proxy=proxy)
+    for kind in ("property_suite", "two_bond_map"):
+        with pytest.raises(ConfigError):
+            make(kind, width=3, height=3, tol=-1.0)
     with pytest.raises(ConfigError):
         make("convergence", n_list=[])
     with pytest.raises(ConfigError):
@@ -74,6 +84,67 @@ def test_config_validation_errors():
         ExperimentConfig.from_dict({"kind": "solve", "bogus_field": 1})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"kind": "solve", "schema_version": 99})
+
+
+# a config per kind that runs, and values on both sides of each bound for
+# the fields the fuzz test replaces; boxes of at most 6x6 (ladders up to
+# 5x5) keep a run within milliseconds
+_FUZZ_BASES = {
+    "solve": {},
+    "flip_sweep": {},
+    "two_bond_map": dict(width=3, height=3, grid_points=11),
+    "wall_stats": dict(width=5, height=5, n_list=[1, 2], k_list=[0, 1]),
+    "convergence": dict(n_list=[1, 2]),
+    "uniqueness_probe": dict(n_pairs=[[1, 2]]),
+    "property_suite": dict(probes=2),
+}
+_SMALL = st.integers(-1, 3)
+_EDGE = st.tuples(st.sampled_from("hv"), st.integers(-3, 3), st.integers(-1, 5))
+_FUZZ_FIELDS = {
+    "width": st.integers(0, 6),
+    "height": st.integers(1, 6),
+    "master_seed": st.integers(0, 2**16),
+    "edge": _EDGE,
+    "edge2": _EDGE,
+    "grid_lo": st.sampled_from([-3.0, 0.0, 1.0]),
+    "grid_hi": st.sampled_from([-1.0, 0.5, 3.0]),
+    "grid_points": st.sampled_from([1, 2, 10, 11, 13]),
+    "window_width": _SMALL,
+    "window_height": _SMALL,
+    "n_list": st.lists(st.integers(-1, 2), min_size=1, max_size=3),
+    "k_list": st.lists(_SMALL, min_size=1, max_size=3),
+    "n_pairs": st.lists(st.tuples(st.integers(-1, 2), st.integers(-1, 2)),
+                        max_size=2),
+    "proxy": st.sampled_from([*lab.PROXY_KINDS, "bogus"]),
+    "band_height": st.one_of(st.none(), _SMALL),
+    "probes": _SMALL,
+    "subset_budget": _SMALL,
+    "dual_budget": _SMALL,
+    "tol": st.sampled_from([-1.0, 0.0, 1e-9, 1.0]),
+}
+
+
+@settings(max_examples=800, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(EXPERIMENT_KINDS), st.data())
+def test_fuzzed_configs_run_or_fail_with_a_reproducer(kind, data):
+    # a config that validates must run, or fail its sample with a
+    # reproducer; one that does not must be a config error
+    fields = data.draw(st.lists(st.sampled_from(sorted(_FUZZ_FIELDS)),
+                                max_size=3, unique=True))
+    cfg = dict(dict(kind=kind, samples=1, width=4, height=4),
+               **_FUZZ_BASES[kind])
+    cfg.update({name: data.draw(_FUZZ_FIELDS[name]) for name in fields})
+    try:
+        parsed = ExperimentConfig.from_dict(cfg)
+    except ConfigError:
+        return
+    try:
+        report = run(parsed)
+    except (HardAssertionFailure, SampleError) as e:
+        assert json.loads(e.reproducer)["config"] == parsed.core_dict()
+    else:
+        assert len(report.records) == 1
 
 
 def test_solve_deterministic_hash():

@@ -591,9 +591,9 @@ def _count_rows(monkeypatch):
     one call per sweep."""
     swept = [0]
 
-    def counted_sweep(plan, start, vert):
+    def counted_sweep(plan, start, vert, cells):
         swept[0] += vert.shape[1] - start
-        return run_sweep(plan, start, vert)
+        return run_sweep(plan, start, vert, cells)
 
     run_sweep = solver._run_sweep
     monkeypatch.setattr(solver, "_run_sweep", counted_sweep)
@@ -682,10 +682,10 @@ def test_perturbed_exterior_second_solve_sweeps_only_the_rows_below_the_band(
 def test_plan_holds_no_frontier_block():
     # the frontiers a sweep leaves behind live in its row-cost block, so a
     # W=15 plan holds no (K, H, 2^W) frontier block: only the row costs,
-    # backpointers, pairs, traceback shift table and two step frontiers
+    # backpointers, pairs, two step frontiers and the vertical couplings
     plan = solver._plan(15, 15)
     assert sum(a.nbytes for a in vars(plan).values()
-               if isinstance(a, np.ndarray)) == 15_532_032
+               if isinstance(a, np.ndarray)) == 15_271_568
 
 
 # --------------------------------------------------------------------------
@@ -734,7 +734,7 @@ def test_kernel_sweep_equals_the_bit_replacing_reference(w, h, data):
     want, vert = _draw_sweep(rng, k, h, w)
     plan.rowcost[:k] = want
     plan.backptr[...] = 0xFF
-    solver._run_sweep(plan, start, vert)
+    solver._run_sweep(plan, start, vert, [()] * k)
     masks = np.arange(1 << w)
     for r in range(start, h - 1):
         cur = want[:, r].copy()
@@ -752,13 +752,13 @@ def test_kernel_sweep_equals_the_bit_replacing_reference(w, h, data):
 
 
 def test_a_warm_sweep_allocates_nothing():
-    # the kernel's column steps take turns in the plan's two step buffers;
-    # a sweep allocates only small arrays, the largest its (K, H-1, W)
-    # vertical couplings (10.7 KB at W=7, H=4, K=64)
+    # the kernel's column steps take turns in the plan's two step buffers
+    # and the vertical couplings go to the plan too; a sweep allocates only
+    # small arrays and the map of its coupling arrays to their first slot
     for w, h, k in ((15, 15, 1), (7, 4, 64)):
         g = build_box(w, h)
         Js = [sample_couplings(g, GAUSS, 11, i) for i in range(k)]
-        forced = [{0: 1}] * k
+        forced = [solver._forced_cells(w, h, None)] * k
         plan = solver._Plan(w, h)
         solver._sweep(g, Js, forced, plan)
         plan.last = None        # no resume: the second sweep runs every row
@@ -937,32 +937,104 @@ def _draw_problem(data, g):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4), st.integers(2, 5), st.integers(1, 20), st.data())
-def test_batched_traceback_matches_the_reference_enumerator(w, h, k, data):
+@given(st.one_of(
+    st.tuples(st.integers(1, 8), st.integers(2, 5), st.integers(1, 20)),
+    st.tuples(st.just(7), st.integers(2, 4), st.just(70)),
+    st.tuples(st.integers(13, 16), st.just(3), st.just(1))), st.data())
+def test_batched_traceback_matches_the_reference_enumerator(shape, data):
     # build_box needs two rows, so H=2 (one row of backpointers) is the
-    # shortest box; a sweep of these shapes holds all k problems
+    # shortest box; at W=7 a sweep holds 64 problems, so K=70 takes two,
+    # and each chunk is swept again for the backpointers the reference reads
+    w, h, k = shape
     g = build_box(w, h)
     Js, clamps = zip(*[_draw_problem(data, g) for _ in range(k)])
     try:
         batch = solve_batch(Js, clamps)
     except BudgetExceededError:
         batch = None
-    plan = solver._plan(w, h)
-    backptr, final = plan.backptr[:, :, :k], plan.rowcost[:k, -1]
-    want = []
-    for i, (J, cl) in enumerate(zip(Js, clamps)):
+    want, step = [], len(solver._plan(w, h).cur)
+    for lo in range(0, k, step):
+        chunk = slice(lo, lo + step)
         try:
-            want.append(reference.best_pair(g, J, cl, backptr[:, :, i],
-                                            final[i]))
+            solve_batch(Js[chunk], clamps[chunk])
         except BudgetExceededError:
-            want.append(None)
+            pass
+        plan = solver._plan(w, h)
+        for i, (J, cl) in enumerate(zip(Js[chunk], clamps[chunk])):
+            try:
+                want.append(reference.best_pair(
+                    g, J, cl, plan.backptr[:, :, i], plan.rowcost[i, -1]))
+            except BudgetExceededError:
+                want.append(None)
     if batch is None:
         assert None in want
         return
-    for a, b in zip(batch, want):
+    for a, b in zip(batch, want, strict=True):
         assert np.array_equal(a.signs, b.signs)
         assert a.tied == b.tied
         assert _float_bits(a.energy) == _float_bits(b.energy)
+
+
+def _per_problem_row_cost_sweep(g, Js, clamps, plan, start):
+    """The sweep from row ``start`` with the row costs filled as they were
+    before the kernel took the forced signs: one ``_row_costs`` per problem,
+    then inf on each forced sign's rows through ``reshape(-1, 2, 1 << c)``,
+    with the frontier of row ``start`` kept."""
+    k, w, h = len(Js), g.width, g.height
+    rowcost = plan.rowcost[:k]
+    frontier = rowcost[:, start].copy()
+    for i, (J, cl) in enumerate(zip(Js, clamps)):
+        solver._row_costs(plan.pairs, J, h, rowcost[i])
+        for v, s in solver._forced_signs(g, cl).items():
+            c, r = g.vertex_cr(v)
+            rowcost[i, r].reshape(-1, 2, 1 << c)[:, int(s < 0)] = np.inf
+    if start:
+        rowcost[:, start] = frontier
+    vert = np.array([J.values[g.n_edges - w * (h - 1):] for J in Js])
+    solver._run_sweep(plan, start, vert.reshape(k, h - 1, w), [()] * k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(RESUME_SHAPES), st.integers(1, 8), st.data())
+def test_shared_row_costs_and_kernel_forced_cells_equal_per_problem_ones(
+        shape, k, data):
+    # k problems on 1 to 3 coupling arrays, whose row costs a sweep computes
+    # once per array, with each problem's forced signs written as inf by the
+    # kernel: every frontier and backpointer the kernel sweeps equals, bit
+    # for bit, a sweep of per-problem row costs; fresh, then resumed from
+    # the rows the next sweep shares with it
+    g = build_box(*shape)
+    k = min(k, solver._BATCH_STATES >> g.width)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    tied = data.draw(st.booleans())
+    pool = [CouplingConfig(g, _draw_values(rng, g, tied))
+            for _ in range(data.draw(st.integers(1, 3)))]
+    Js = [pool[data.draw(st.integers(0, len(pool) - 1))] for _ in range(k)]
+    clamps = [_draw_clamp(data, g) for _ in range(k)]
+    shared, single = solver._Plan(*shape), solver._Plan(*shape)
+    for resumed in (False, True):
+        forced = [solver._forced_cells(*shape, cl) for cl in clamps]
+        solver._sweep(g, Js, forced, shared)
+        start = shared.last[2]
+        assert (start > 0) == resumed
+        _per_problem_row_cost_sweep(g, Js, clamps, single, start)
+        assert (shared.rowcost[:k, start:].tobytes()
+                == single.rowcost[:k, start:].tobytes())
+        assert (shared.backptr[start:, :, :k].tobytes()
+                == single.backptr[start:, :, :k].tobytes())
+        # the next sweep keeps the couplings entering rows 0..p-1 and the
+        # clamps, so it starts at row p-1 >= 1
+        keep = _entry_rows(g) < data.draw(st.integers(2, g.height))
+        moved = {id(J.values): CouplingConfig(g, np.where(
+            keep, J.values, _draw_values(rng, g, tied))) for J in pool}
+        Js, pool = [moved[id(J.values)] for J in Js], list(moved.values())
+
+
+def test_the_kernel_compiles_without_warnings(tmp_path):
+    cmd = ["cc", "-O3", "-Wall", "-Wextra", "-Werror", "-ffp-contract=off",
+           "-c", str(solver._SOURCE), "-o", str(tmp_path / "sweep.o")]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_tie_cap_inside_a_batch():

@@ -10,14 +10,18 @@
  * solver's pinned bits rest on exactly these IEEE operations, so the build
  * must not contract or reassociate them (no -ffast-math, -ffp-contract=off).
  *
- * A row mask has bit c for column c, 1 for spin +1.  A forced sign enters as
- * a cell 2 * vertex + b: every row mask holding bit b at that vertex costs
+ * A row mask has bit c for column c, 1 for spin +1.  Its row cost is minus
+ * the row's horizontal energy, summed edge by edge from 0.0 in edge order,
+ * so its bits, too, rest on these operations alone and not on the
+ * summation order of some CPU's BLAS kernel.  A forced sign enters as a
+ * cell 2 * vertex + b: every row mask holding bit b at that vertex costs
  * inf.  The traceback walks the backpointers from the last row up, one
  * optimal configuration at a time, so it needs no buffer of all of them.
  */
 
 #include <math.h>
 #include <stddef.h>
+#include <string.h>
 
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
 #define CLONES __attribute__((target_clones("avx2", "default")))
@@ -50,29 +54,86 @@ static void forbid(double *row, size_t n, int c, int b)
             row[hi + i] = INFINITY;
 }
 
-/* rowcost (k, h, 2^w): row costs of each problem, overwritten from row
+/* rows lo..h-1 of one problem's row costs (h, 2^w) from its couplings j,
+ * whose first nh * h entries are the horizontal edges, row by row: entry m
+ * of row r is minus the sum of +-J_a over the row's edges a = 0, 1, ... in
+ * that order from 0.0, + where bits a and a+1 (mod w) of m agree.  The sum
+ * over edges 0..a-1 depends on bits 0..a only, so a row starts as the sums
+ * of one column and doubles once per edge; the wrap edge (w >= 3) comes
+ * last. */
+static void row_costs(double *cost, const double *j, int w, int h, int nh,
+                      int lo)
+{
+    size_t n = (size_t)1 << w;
+    for (int r = lo; r < h; r++) {
+        double *row = cost + (size_t)r * n;
+        const double *jr = j + (size_t)r * nh;
+        row[0] = row[1] = 0.0;
+        for (int a = 0; a < w - 1; a++) {   /* edge a joins columns a, a+1 */
+            size_t q = (size_t)1 << a, s = 2 * q;
+            double x = jr[a];
+            for (size_t i = 0; i < q; i++) {    /* bit a down */
+                double t = row[i];
+                row[s + i] = t + -x;
+                row[i] = t + x;
+            }
+            for (size_t i = q; i < s; i++) {    /* bit a up */
+                double t = row[i];
+                row[s + i] = t + x;
+                row[i] = t + -x;
+            }
+        }
+        if (nh == w) {          /* the wrap edge joins columns w-1 and 0 */
+            double x = jr[w - 1];
+            for (size_t i = 0; i < n / 2; i += 2) {
+                row[i] = -(row[i] + x);
+                row[i + 1] = -(row[i + 1] + -x);
+                row[n / 2 + i] = -(row[n / 2 + i] + -x);
+                row[n / 2 + i + 1] = -(row[n / 2 + i + 1] + x);
+            }
+        } else {
+            for (size_t i = 0; i < n; i++)
+                row[i] = -row[i];
+        }
+    }
+}
+
+/* rowcost (kcap, h, 2^w): row costs of each problem, overwritten from row
  * start + 1 on by its frontier after that row, which is
  * rowcost[r + 1] = (frontier after the row's last step) + rowcost[r + 1];
- * rowcost[start] must hold the frontier after row start.  Problem p's
- * ncells[p] forced cells follow those of the problems before it in cells;
- * they go into the row costs of the rows after start, and of row 0 in a
- * sweep from row 0 (a later start row's frontier already holds them).
+ * rowcost[start] must hold the frontier after row start.  vals (k, e) holds
+ * each problem's couplings, the vertical edges after the horizontal ones,
+ * row by row; the sweep builds the row costs of the rows after start, or of
+ * every row from row 0, copying them from problem src[p] <= p where that
+ * holds the same couplings.  Problem p's ncells[p] forced cells follow those
+ * of the problems before it in cells; they go into the same rows as inf.
  * buf0 and buf1 (2^w each) take the column steps in turn.  backptr
  * (h - 1, w, kcap, 2^w) gets the code of problem p's step c of row r at
- * [r, c, p], and that step adds the vertical coupling vert[p, r, c] (vert is
- * (k, h - 1, w)). */
+ * [r, c, p], and that step adds the vertical coupling of column c between
+ * rows r and r + 1. */
 void eaglass_sweep(int w, int h, int k, int kcap, int start,
                    double *rowcost, double *buf0, double *buf1,
-                   unsigned char *backptr, const double *vert,
+                   unsigned char *backptr, const double *vals, const int *src,
                    const int *cells, const int *ncells)
 {
     size_t n = (size_t)1 << w;
+    int nh = w >= 3 ? w : w - 1, lo = start ? start + 1 : 0;
+    size_t e = (size_t)nh * h + (size_t)w * (h - 1);
     for (int p = 0; p < k; p++) {
         double *cost = rowcost + (size_t)p * h * n;
-        const double *j = vert + (size_t)p * (h - 1) * w;
+        if (src[p] < p)
+            memcpy(cost + (size_t)lo * n,
+                   rowcost + ((size_t)src[p] * h + lo) * n,
+                   (size_t)(h - lo) * n * sizeof *cost);
+        else
+            row_costs(cost, vals + (size_t)p * e, w, h, nh, lo);
+    }
+    for (int p = 0; p < k; p++) {
+        double *cost = rowcost + (size_t)p * h * n;
+        const double *j = vals + (size_t)p * e + (size_t)nh * h;
         for (int i = 0; i < ncells[p]; i++, cells++) {
             int v = *cells / 2, r = v / w;
-            if (r > start || start == 0)
+            if (r >= lo)
                 forbid(cost + (size_t)r * n, n, v % w, *cells % 2);
         }
         for (int r = start; r < h - 1; r++) {

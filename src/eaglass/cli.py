@@ -2,8 +2,9 @@
 
 One subcommand per experiment kind.  Values are resolved in priority order
 flag > config file > environment > default.  Exit codes: 0 all hard
-assertions pass, 1 configuration error, 2 hard assertion failure, 3 any other
-exception in a sample (for 2 and 3 the reproducer line is printed to stderr).
+assertions pass, 1 configuration or usage error, 2 hard assertion failure,
+3 any other exception in a sample (for 2 and 3 the reproducer line is
+printed to stderr).
 """
 
 from __future__ import annotations
@@ -32,8 +33,17 @@ def _pair_list(text: str):
     return pairs
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors exit 1, as config errors do: argparse's
+    own code 2 is the code of a hard assertion failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eaglass",
         description="Exact spin-glass ground-state experiments on cylinder boxes")
     sub = parser.add_subparsers(dest="command", required=True)

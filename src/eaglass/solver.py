@@ -3,28 +3,28 @@
 ``solve`` runs a row-by-row dynamic program over per-row spin bitmasks in
 O(height * width * 2^width): each row-to-row transition is W column steps
 of a shift register, and the wrap coupling enters through the intra-row
-cost.  A small C kernel, ``_sweep.c``, runs every row and column step of a
-sweep in one call and its traceback in another; it is compiled with the
-system's ``cc`` on first use and cached in the package's ``__pycache__``
-(see ``_kernel``).  Backpointers record every optimal choice, so exact ties
-are enumerated and broken deterministically: the returned configuration has
-the lexicographically smallest canonical bit pattern among all minimizers,
-and the pair is flagged as tied.  The traceback walks each problem's
-optimal configurations depth first, a tie branching the walk, and keeps the
-smallest canonical one; a problem with more than ``_TIE_CAP`` (20,000) of
-them raises ``BudgetExceededError``.  Python then only turns row masks into
-signs and sums the energies.
+cost.  A small C kernel, ``_sweep.c``, builds the row costs and runs every
+row and column step of a sweep in one call and its traceback in another;
+it is compiled with the system's ``cc`` on first use and cached in the
+package's ``__pycache__`` (see ``_kernel``).  Backpointers record every
+optimal choice, so exact ties are enumerated and broken deterministically:
+the returned configuration has the lexicographically smallest canonical bit
+pattern among all minimizers, and the pair is flagged as tied.  The
+traceback walks each problem's optimal configurations depth first, a tie
+branching the walk, and keeps the smallest canonical one; a problem with
+more than ``_TIE_CAP`` (20,000) of them raises ``BudgetExceededError``.
+Python then only turns row masks into signs and sums the energies.
 
 ``solve_batch`` runs K problems on one box shape through each kernel sweep
 and traceback: each problem keeps its own slots of the row-cost, frontier
 and backpointer blocks, so its energies, backpointers and optimum are
 bit-identical to a solve of its own.  A sweep holds at most 2^13 frontier
 entries (K * 2^W), so from width 13 on every problem runs alone; ``solve``
-is the K=1 case.  The row costs, one matrix product per coupling array of
-the sweep, copied to every problem that holds the array, go to BLAS in
-blocks of mask rows small enough that OpenBLAS runs them on the calling
-thread: no BLAS worker wakes and spins through the sweep, so process-level
-parallelism scales on wide boxes.
+is the K=1 case.  A row's costs are minus its horizontal energy per row
+mask, summed edge by edge from 0.0; the kernel builds them once per
+coupling array of the sweep and copies them to every problem that holds
+the array, so the solver calls no BLAS and its bits do not depend on the
+machine's BLAS kernel.
 
 Each thread keeps one plan of arrays per box shape, and the plan remembers
 its last sweep.  A sweep of as many problems whose couplings and forced
@@ -68,6 +68,13 @@ MAX_BRUTE_VERTICES = 24
 _TIE_CAP = 20000
 
 
+def _integer(x) -> int:
+    """A Python or numpy integer as ``int``; bools and floats raise."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"clamp vertices and signs are integers, not {x!r}")
+    return int(x)
+
+
 @dataclass(frozen=True)
 class Clamp:
     """Relative spins on a vertex set, stored with the lowest vertex at +1."""
@@ -76,7 +83,11 @@ class Clamp:
     signs: tuple[int, ...]
 
     def __init__(self, vertices, signs):
-        pairs = sorted(zip(vertices, signs))
+        vertices, signs = list(vertices), list(signs)
+        if len(vertices) != len(signs):
+            raise ValueError(f"{len(vertices)} clamp vertices for "
+                             f"{len(signs)} signs")
+        pairs = sorted(zip(map(_integer, vertices), map(_integer, signs)))
         if not pairs:
             raise ValueError("clamp must cover at least one vertex")
         vs = tuple(v for v, _ in pairs)
@@ -84,7 +95,7 @@ class Clamp:
             raise ValueError("duplicate clamp vertices")
         if vs[0] < 0:
             raise ValueError(f"negative clamp vertex {vs[0]}")
-        ss = tuple(int(s) for _, s in pairs)
+        ss = tuple(s for _, s in pairs)
         if any(s not in (1, -1) for s in ss):
             raise ValueError("clamp signs must be +1 or -1")
         if ss[0] < 0:
@@ -205,7 +216,7 @@ def _kernel():
     if not path.exists():
         path = _build(name)
     lib = ctypes.CDLL(str(path))
-    lib.eaglass_sweep.argtypes = [ctypes.c_int] * 5 + [ctypes.c_void_p] * 7
+    lib.eaglass_sweep.argtypes = [ctypes.c_int] * 5 + [ctypes.c_void_p] * 8
     lib.eaglass_sweep.restype = None
     lib.eaglass_traceback.argtypes = [ctypes.c_int] * 5 + [ctypes.c_void_p] * 7
     return lib
@@ -249,33 +260,28 @@ _PLANS = threading.local()
 
 class _Plan:
     """The arrays of one box shape, kept per thread, with room for
-    ``len(cur)`` problems in one sweep: pairs[m, a] is the sign product of
-    the horizontal edge at column a in row mask m.  Reusing the multi-megabyte
+    ``len(rowcost)`` problems in one sweep.  Reusing the multi-megabyte
     backpointer block avoids the stall of a fresh allocation per solve.  The
-    kernel's column steps take turns in ``cur[0]`` and ``nxt[0]``, so a warm
-    sweep allocates no frontier-sized array; ``cur`` holds a resumed
-    sweep's start frontiers while the row costs are rebuilt, and ``vert``
-    each problem's vertical couplings.
+    kernel's column steps take turns in ``cur`` and ``nxt``, so a warm sweep
+    allocates no frontier-sized array; ``vals[k]`` holds problem k's
+    couplings.
 
-    ``rowcost[k, r]`` holds problem k's row costs of row r, then its
-    frontier after row r.  ``last`` remembers the sweep that last ran to its
-    end: its couplings, forced cells and start row s.  That sweep left its
-    backpointers in ``backptr`` and its frontiers in ``rowcost[:, r]`` for
-    every r >= s, so a sweep of as many problems that agrees with it on the
-    leading rows resumes from there (see ``_resume_row``)."""
+    ``rowcost[k, r]`` holds problem k's row costs of row r, which the kernel
+    builds, then its frontier after row r.  ``last`` remembers the sweep that
+    last ran to its end: its couplings, forced cells and start row s.  That
+    sweep left its backpointers in ``backptr`` and its frontiers in
+    ``rowcost[:, r]`` for every r >= s, so a sweep of as many problems that
+    agrees with it on the leading rows resumes from there (see
+    ``_resume_row``)."""
 
     def __init__(self, width: int, height: int):
         n = 1 << width
         k = max(1, _BATCH_STATES >> width)
-        masks = np.arange(n, dtype=np.int64)
-        self.pairs = np.empty((n, horizontal_edges_per_row(width)))
-        for a in range(self.pairs.shape[1]):    # -1 where the bits differ
-            differ = ((masks >> a) ^ (masks >> (a + 1) % width)) & 1
-            np.subtract(1.0, 2.0 * differ, out=self.pairs[:, a])
         self.backptr = np.empty((height - 1, width, k, n), dtype=np.uint8)
         self.rowcost = np.empty((k, height, n))
-        self.cur, self.nxt = np.empty((k, n)), np.empty((k, n))
-        self.vert = np.empty((k, (height - 1) * width))
+        self.cur, self.nxt = np.empty(n), np.empty(n)
+        self.vals = np.empty((k, horizontal_edges_per_row(width) * height
+                              + width * (height - 1)))
         self.last = None
 
 
@@ -322,38 +328,13 @@ def _solve_all(geom: BoxGeometry, Js, clamps) -> list[SpinPair]:
             f"width {W} exceeds solver budget {MAX_SOLVE_WIDTH}")
     forced = [_forced_cells(W, H, clamp) for clamp in clamps]
     plan = _plan(W, H)
-    step = len(plan.cur)    # the problems one sweep holds
+    step = len(plan.rowcost)    # the problems one sweep holds
     out = []
     for lo in range(0, len(Js), step):
         chunk = slice(lo, lo + step)
         _sweep(geom, Js[chunk], forced[chunk], plan)
         out += _best_pairs(geom, Js[chunk], forced[chunk], plan)
     return out
-
-
-# OpenBLAS hands a GEMM of more than 65536 * GEMM_MULTITHREAD_THRESHOLD (4)
-# multiply-adds to a second thread, which then busy-waits through the sweep
-# that follows; row costs go out in blocks of mask rows under this cutoff
-_SERIAL_GEMM = 1 << 18
-
-
-def _row_costs(pairs, J: CouplingConfig, height: int, out) -> None:
-    """``out[r, m]`` = minus the horizontal energy of row mask m in row r.
-
-    build_box numbers the horizontal edges first, row by row; matmuls on a
-    contiguous copy keep the summation order fixed.  Splitting the mask rows
-    into blocks never splits a sum, so the blocks give the bits of one
-    matmul while every call stays on the calling thread.  The products go
-    to the transposed view of ``out``, with the bits of a row-major output.
-    """
-    n_h = pairs.shape[1]
-    j_rows = np.ascontiguousarray(
-        J.values[:n_h * height].reshape(height, n_h).T)
-    block = max(1, _SERIAL_GEMM // max(1, n_h * height))   # n_h = 0 at W=1
-    by_mask = out.T
-    for lo in range(0, len(pairs), block):
-        np.matmul(pairs[lo:lo + block], j_rows, out=by_mask[lo:lo + block])
-    np.negative(out, out=out)
 
 
 def _sweep(geom: BoxGeometry, Js, forced, plan: _Plan) -> None:
@@ -365,49 +346,44 @@ def _sweep(geom: BoxGeometry, Js, forced, plan: _Plan) -> None:
 
     Each row's frontier is the sum of the last column step and the row's
     costs, stored over those costs, so the frontiers stay in ``rowcost``.
-    Problems that share a coupling array share its row costs, computed once
-    and copied.  The sweep starts at the row ``_resume_row`` gives, from the
-    frontier the last sweep left there; the backpointers above it are the
-    last sweep's, which are the same bits."""
-    W, H, K = geom.width, geom.height, len(Js)
+    The sweep starts at the row ``_resume_row`` gives, from the frontier the
+    last sweep left there; the backpointers above it are the last sweep's,
+    which are the same bits."""
     start = _resume_row(geom, plan, Js, forced)
-    rowcost = plan.rowcost[:K]
-    if start:       # the row costs overwrite the frontier the sweep needs
-        np.copyto(plan.cur[:K], rowcost[:, start])
-    n_v, first = W * (H - 1), {}
+    first = {}
+    src = [first.setdefault(id(J.values), k) for k, J in enumerate(Js)]
     for k, J in enumerate(Js):
-        i = first.setdefault(id(J.values), k)
-        if i < k:
-            np.copyto(rowcost[k], rowcost[i])
-        else:
-            _row_costs(plan.pairs, J, H, rowcost[k])
-        # the vertical edges follow the horizontal ones, row by row
-        plan.vert[k] = J.values[geom.n_edges - n_v:]
-    if start:
-        np.copyto(rowcost[:, start], plan.cur[:K])
-    _run_sweep(plan, start, plan.vert[:K].reshape(K, H - 1, W),
+        plan.vals[k] = J.values
+    _run_sweep(plan, start, plan.vals[:len(Js)], src,
                [cells for cells, _ in forced])
     plan.last = ([J.values for J in Js], forced, start)
 
 
-def _run_sweep(plan: _Plan, start: int, vert: np.ndarray, cells) -> None:
+def _run_sweep(plan: _Plan, start: int, vals: np.ndarray, src, cells) -> None:
     """Rows ``start``..H-2 of K problems in one call of the C kernel, whose
-    vertical couplings ``vert`` holds as a contiguous (K, H-1, W) array;
-    ``cells[k]`` holds problem k's forced cells (see ``_forced_cells``),
-    which the kernel writes into its row costs as inf."""
-    k, h, w = vert.shape[0], vert.shape[1] + 1, vert.shape[2]
+    couplings ``vals`` holds as a contiguous (K, E) array.  The kernel builds
+    the row costs of the rows it sweeps into, or of every row from row 0:
+    problem k copies them from problem ``src[k]``, the first that holds the
+    same couplings, and ``cells[k]`` holds its forced cells (see
+    ``_forced_cells``), which the kernel writes into its row costs as inf."""
+    k, h, w = len(vals), plan.rowcost.shape[1], plan.backptr.shape[1]
+    src = np.array(src, dtype=np.int32)
     flat = np.array([x for c in cells for x in c], dtype=np.int32)
-    if (plan.rowcost.shape[1:] != (h, 1 << w) or k > len(plan.cur)
-            or not 0 <= start < h or vert.dtype != np.float64
-            or not vert.flags.c_contiguous or len(cells) != k
+    if (k > len(plan.rowcost) or not 0 <= start < h
+            or vals.shape != (k, plan.vals.shape[1])
+            or vals.dtype != np.float64 or not vals.flags.c_contiguous
+            or src.shape != (k,) or len(cells) != k
+            or k and not ((0 <= src) & (src <= np.arange(k))).all()
+            or k and not (src[src] == src).all()
             or len(flat) and not 0 <= flat.min() <= flat.max() < 2 * h * w):
-        raise ValueError(f"a sweep of {vert.shape} {vert.dtype} couplings "
+        raise ValueError(f"a sweep of {vals.shape} {vals.dtype} couplings "
                          f"from row {start} does not fit the plan")
     counts = np.array([len(c) for c in cells], dtype=np.int32)
     _kernel().eaglass_sweep(
         w, h, k, plan.backptr.shape[2], start, plan.rowcost.ctypes.data,
         plan.cur.ctypes.data, plan.nxt.ctypes.data, plan.backptr.ctypes.data,
-        vert.ctypes.data, flat.ctypes.data, counts.ctypes.data)
+        vals.ctypes.data, src.ctypes.data, flat.ctypes.data,
+        counts.ctypes.data)
 
 
 def _resume_row(geom: BoxGeometry, plan: _Plan, Js, forced) -> int:
@@ -475,8 +451,7 @@ def _best_pairs(geom: BoxGeometry, Js, forced, plan: _Plan) -> list[SpinPair]:
     bits = (rows[:, :, None] >> np.arange(W)) & 1
     signs = (2 * bits - 1).astype(np.int8).reshape(K, H * W)
     # energy(J, s) of each problem, bit for bit: the same products, one fsum
-    terms = (np.array([J.values for J in Js])
-             * signs[:, geom.eu] * signs[:, geom.ev])
+    terms = plan.vals[:K] * signs[:, geom.eu] * signs[:, geom.ev]
     return [SpinPair(geom, s, -fsum(t), tied=bool(n > 1))
             for s, t, n in zip(signs, terms.tolist(), counts)]
 

@@ -1,8 +1,11 @@
 """Slow, independent versions of library computations, kept for the tests to
 compare the library against.
 
-``column_step`` is the solver's column step as it was before the frontier
-became a shift register: it replaces bit c of every mask in place.
+``row_costs`` is minus each row mask's horizontal energy as the solver
+sums it, with no BLAS: the sign products of the table the solver once kept,
+added left to right.  ``column_step`` is the solver's column step as it was
+before the frontier became a shift register: it replaces bit c of every mask
+in place.
 ``best_pair`` is a walk of one problem's backpointers with Python sets, the
 traceback as it was before it went batched, on the shift-register layout of
 the backpointers.  ``verify_gsp_loop`` is ``verify_gsp`` as it was before its
@@ -21,8 +24,8 @@ import numpy as np
 from eaglass.disorder import CouplingConfig
 from eaglass.errors import BudgetExceededError
 from eaglass.excitation import ExcitationRecord, _edge_clamps, excitation
-from eaglass.lattice import (BoxGeometry, build_dual,
-                             connected_subsets, dual_circuits_and_paths)
+from eaglass.lattice import (BoxGeometry, build_dual, connected_subsets,
+                             dual_circuits_and_paths, horizontal_edges_per_row)
 from eaglass.solver import (_TIE_CAP, Clamp, GspReport, GspViolation,
                             SpinPair, _edge_terms, _pattern, _spin_products,
                             canonicalize, energy, solve)
@@ -31,6 +34,23 @@ from eaglass.solver import (_TIE_CAP, Clamp, GspReport, GspViolation,
 def rows_to_signs(rows, W):
     bits = (np.array(rows, dtype=np.int64)[:, None] >> np.arange(W)) & 1
     return (2 * bits - 1).astype(np.int8).ravel()
+
+
+def row_costs(values, width, height):
+    """(H, 2^W): entry [r, m] is minus the sum of J_a * s_a * s_(a+1 mod W)
+    over row r's horizontal edges a = 0, 1, ... for row mask m, the sum
+    taken left to right from 0.0 with elementwise adds."""
+    n_h = horizontal_edges_per_row(width)
+    masks = np.arange(1 << width, dtype=np.int64)
+    sign = ((masks[:, None] >> np.arange(width)) & 1) * 2.0 - 1.0
+    a = np.arange(n_h)
+    pairs = sign[:, a] * sign[:, (a + 1) % width]
+    j_rows = np.asarray(values)[:n_h * height].reshape(height, n_h)
+    out = np.zeros((height, 1 << width))
+    with np.errstate(over="ignore", invalid="ignore"):  # IEEE inf and NaN
+        for e in range(n_h):
+            out += pairs[:, e] * j_rows[:, e, None]
+    return -out
 
 
 def column_step(cur, nxt, j_vert, bp, c):

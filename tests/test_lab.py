@@ -67,9 +67,12 @@ def test_config_validation_errors():
         make("flip_sweep", grid_points=1)   # no interval can hold the flip
     with pytest.raises(ConfigError):
         make("contour_stats")
-    with pytest.raises(SystemExit) as exit_info:
-        cli_main(["contour-stats"])
-    assert exit_info.value.code == 2
+    # a usage error is a config error, never a hard assertion failure's 2
+    for argv in (["contour-stats"], ["solve", "--width", "x"],
+                 ["uniqueness-probe", "--n-pairs", "2"]):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(argv)
+        assert exit_info.value.code == 1, argv
     for probes in (0, -3):
         with pytest.raises(ConfigError):
             make("property_suite", probes=probes)

@@ -62,6 +62,19 @@ def test_clamp_normalization():
         Clamp((1, 1), (1, 1))
     with pytest.raises(ValueError):
         Clamp((1,), (2,))
+    # numpy integers are stored as int
+    c = Clamp(np.array([4, 1]), [np.int8(1), np.int64(-1)])
+    assert c == Clamp((1, 4), (1, -1))
+    assert all(type(x) is int for x in c.vertices + c.signs)
+    # a float vertex would become a cell of another vertex, and a float or
+    # bool sign would become +1
+    for vertices, signs in [((0.5, 2), (1, 1)), ((0, 2.0), (1, 1)),
+                            ((0, 2), (1, 1.5)), ((0, 2), (1, 1.0)),
+                            ((0, 2), (1, True)), ((False, 2), (1, 1)),
+                            ((0, 2), (1, np.bool_(True))), ((0, 2), (1, 0)),
+                            ((0, 2), (1,)), ((0,), (1, -1))]:
+        with pytest.raises(ValueError):
+            Clamp(vertices, signs)
 
 
 def test_clamp_rejects_negative_vertices():
@@ -400,25 +413,52 @@ def test_solve_batch_rejects_bad_input():
         solve_batch([hand_couplings(flat), zero], [None, None])
 
 
-@pytest.mark.parametrize("width, height", [(12, 30), (13, 13), (15, 15),
-                                           (16, 40)])
-def test_row_costs_in_blocks_equal_one_matmul(width, height):
-    # at these shapes the row costs go out in several blocks of mask rows,
-    # written through the transposed view of a block ordered by box row;
-    # together they must give the bits of one matmul ordered by mask
-    geom = build_box(width, height)
-    pairs = solver._plan(width, height).pairs
-    n_h = pairs.shape[1]
-    assert solver._SERIAL_GEMM // (n_h * height) < len(pairs)
+def _draw_mix(rng, mix, size):
+    """Couplings of one mix: gaussian over seven decades; integers and
+    +-0.0; signed zeros alone; or values near +-1e308, whose sums overflow
+    to inf and then, against an inf of the other sign, to NaN."""
+    if mix == "gaussian":
+        return rng.normal(size=size) * 10.0 ** rng.integers(-3, 4, size)
+    if mix == "integers":
+        return rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], size)
+    if mix == "zeros":
+        return rng.choice([-0.0, 0.0], size)
+    return rng.choice([-1.0, 1.0], size) * rng.uniform(0.5, 1.0, size) * 1e308
+
+
+@pytest.mark.parametrize("width, height", [
+    (1, 2), (2, 3), (3, 2), (4, 5), (5, 3), (6, 2), (7, 7), (8, 3), (9, 2),
+    (10, 4), (11, 2), (12, 30), (13, 13), (14, 2), (15, 15), (16, 40)])
+def test_kernel_row_costs_equal_the_left_to_right_sum(width, height):
+    # the kernel builds each row's costs itself, in the summation order of
+    # the reference and with no BLAS: a sweep leaves row 0's costs in place,
+    # bit for bit, and every frontier after it equals the reference column
+    # steps over the reference row costs (checked up to W=13 and on 3 rows
+    # beyond, where the numpy steps are slow; not for sums that overflow,
+    # whose NaN the frontiers' minima then pass on)
+    g = build_box(width, height)
+    n_h = horizontal_edges_per_row(width)
     rng = np.random.default_rng(width * height)
-    for scale in (1e-3, 1.0, 1e3):
-        J = CouplingConfig(geom, scale * rng.normal(size=geom.n_edges))
-        j_rows = np.ascontiguousarray(
-            J.values[:n_h * height].reshape(height, n_h).T)
-        want = -np.matmul(pairs, j_rows)
-        got = np.empty((height, len(pairs)))    # row-major by box row
-        solver._row_costs(pairs, J, height, got)
-        assert np.array_equal(got.T.view(np.int64), want.view(np.int64))
+    plan = solver._Plan(width, height)
+    for mix in ("gaussian", "integers", "zeros", "huge"):
+        vals = rng.normal(size=(1, g.n_edges))
+        vals[0, :n_h * height] = _draw_mix(rng, mix, n_h * height)
+        solver._run_sweep(plan, 0, vals, [0], [()])
+        want = reference.row_costs(vals[0], width, height)
+        assert plan.rowcost[0, 0].tobytes() == want[0].tobytes(), mix
+        if mix == "huge":
+            continue
+        rows = height if width <= 13 else min(height, 3)
+        vert = vals[0, n_h * height:].reshape(height - 1, width)
+        for r in range(rows - 1):
+            cur = want[None, r].copy()
+            for c in range(width):
+                nxt = np.empty_like(cur)
+                reference.column_step(cur, nxt, vert[r, c], np.empty(
+                    cur.shape, np.uint8), c)
+                cur = nxt
+            want[r + 1] += cur[0]
+        assert plan.rowcost[0, :rows].tobytes() == want[:rows].tobytes(), mix
 
 
 @pytest.mark.parametrize("width, height", [(1, 2), (1, 3), (2, 2)])
@@ -591,9 +631,9 @@ def _count_rows(monkeypatch):
     one call per sweep."""
     swept = [0]
 
-    def counted_sweep(plan, start, vert, cells):
-        swept[0] += vert.shape[1] - start
-        return run_sweep(plan, start, vert, cells)
+    def counted_sweep(plan, start, vals, src, cells):
+        swept[0] += plan.rowcost.shape[1] - 1 - start
+        return run_sweep(plan, start, vals, src, cells)
 
     run_sweep = solver._run_sweep
     monkeypatch.setattr(solver, "_run_sweep", counted_sweep)
@@ -682,10 +722,10 @@ def test_perturbed_exterior_second_solve_sweeps_only_the_rows_below_the_band(
 def test_plan_holds_no_frontier_block():
     # the frontiers a sweep leaves behind live in its row-cost block, so a
     # W=15 plan holds no (K, H, 2^W) frontier block: only the row costs,
-    # backpointers, pairs, two step frontiers and the vertical couplings
+    # backpointers, two step frontiers and the couplings
     plan = solver._plan(15, 15)
     assert sum(a.nbytes for a in vars(plan).values()
-               if isinstance(a, np.ndarray)) == 15_271_568
+               if isinstance(a, np.ndarray)) == 11_341_208
 
 
 # --------------------------------------------------------------------------
@@ -699,43 +739,57 @@ def _rotate_to_identity(masks, w, c):
     return ((masks << (c + 1)) | (masks >> (w - c - 1))) & ((1 << w) - 1)
 
 
-def _draw_sweep(rng, k, h, w):
-    """Row costs and vertical couplings of k problems, each from one mix:
-    integers and +-0.0, which tie; signed zeros alone, whose signs every
-    minimum and sum must keep; or gaussian values.  The row costs are inf
-    on the masks of each row that a forced sign rules out."""
-    n, masks = 1 << w, np.arange(1 << w)
-    mix = rng.integers(3, size=(k, 1, 1))
-
-    def draw(integers, shape):
-        return np.select([mix == 0, mix == 1],
-                         [rng.choice(integers, shape),
-                          rng.choice([-0.0, 0.0], shape)],
-                         rng.normal(size=shape))
-
-    costs = draw([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], (k, h, n))
-    for i in range(k):
-        for r in range(h):
-            for c in rng.choice(w, int(rng.integers(0, min(w, 3) + 1)), False):
-                costs[i, r, ((masks >> c) & 1) != rng.integers(2)] = np.inf
-    return costs, draw([-1.0, -0.0, 0.0, 1.0], (k, h - 1, w))
+def _draw_sweep(rng, k, g):
+    """Couplings of k problems on box g, each from one mix: integers and
+    +-0.0, which tie; signed zeros alone, whose signs every minimum and sum
+    must keep; or gaussian values.  A problem may share an earlier one's
+    couplings, as its first slot ``src``; each has up to 3 forced cells
+    anywhere in the box, even both bits of one vertex."""
+    vals, src, cells = np.empty((k, g.n_edges)), [], []
+    for p in range(k):
+        if p and rng.integers(3) == 0:
+            src.append(src[int(rng.integers(p))])
+            vals[p] = vals[src[-1]]
+        else:
+            src.append(p)
+            vals[p] = _draw_mix(
+                rng, ("gaussian", "integers", "zeros")[rng.integers(3)],
+                g.n_edges)
+        cells.append(tuple(int(x) for x in rng.integers(
+            2 * g.n_vertices, size=rng.integers(0, 4))))
+    return vals, src, cells
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([*range(1, 13), 16]), st.integers(2, 4), st.data())
 def test_kernel_sweep_equals_the_bit_replacing_reference(w, h, data):
-    # the whole compiled sweep from a start row against the reference column
-    # step plus the row add: every backpointer layer and each row's
-    # frontier, bit for bit; up to 64 problems (suite7's sweeps) at W <= 7
-    plan = solver._Plan(w, h)
-    k = data.draw(st.integers(1, min(len(plan.cur), 64 if w <= 7 else 4)))
+    # the whole compiled sweep from a start row against the reference row
+    # costs, forced cells and column step plus the row add: every
+    # backpointer layer and each row's frontier, bit for bit; up to 64
+    # problems (suite7's sweeps) at W <= 7.  A sweep from row s > 0 starts
+    # from the frontier in row s and writes no row above it
+    g, plan = build_box(w, h), solver._Plan(w, h)
+    k = data.draw(st.integers(1, min(len(plan.rowcost), 64 if w <= 7 else 4)))
     start = data.draw(st.integers(0, h - 2))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    want, vert = _draw_sweep(rng, k, h, w)
+    vals, src, cells = _draw_sweep(rng, k, g)
+    n, lo, masks = 1 << w, start + 1 if start else 0, np.arange(1 << w)
+    want = np.full((k, h, n), 7.5)
+    want[:, start] = np.where(rng.integers(4, size=(k, n)) == 0, np.inf,
+                              rng.normal(size=(k, n)))
+    for i in range(k):
+        want[i, lo:] = reference.row_costs(vals[i], w, h)[lo:]
+        for cell in cells[i]:
+            v, bit = divmod(cell, 2)
+            if v // w >= lo:
+                want[i, v // w, ((masks >> v % w) & 1) == bit] = np.inf
     plan.rowcost[:k] = want
+    plan.rowcost[:k, lo:] = np.nan
     plan.backptr[...] = 0xFF
-    solver._run_sweep(plan, start, vert, [()] * k)
-    masks = np.arange(1 << w)
+    solver._run_sweep(plan, start, vals, src, cells)
+    assert (plan.rowcost[:k, :start + 1].tobytes()
+            == want[:, :start + 1].tobytes())
+    vert = vals[:, g.n_edges - w * (h - 1):].reshape(k, h - 1, w)
     for r in range(start, h - 1):
         cur = want[:, r].copy()
         for c in range(w):
@@ -753,8 +807,8 @@ def test_kernel_sweep_equals_the_bit_replacing_reference(w, h, data):
 
 def test_a_warm_sweep_allocates_nothing():
     # the kernel's column steps take turns in the plan's two step buffers
-    # and the vertical couplings go to the plan too; a sweep allocates only
-    # small arrays and the map of its coupling arrays to their first slot
+    # and the couplings go to the plan too; a sweep allocates only small
+    # arrays and the map of its coupling arrays to their first slot
     for w, h, k in ((15, 15, 1), (7, 4, 64)):
         g = build_box(w, h)
         Js = [sample_couplings(g, GAUSS, 11, i) for i in range(k)]
@@ -826,6 +880,46 @@ def test_racing_builds_share_one_cached_kernel(tmp_path):
     assert digest(child("no-compiler")) == _KERNEL_DIGEST
 
 
+def _sweep_bits_digest():
+    """SHA-256 over the row-cost block and backpointers of a fresh 13x13 and
+    15x15 sweep and over one ``solve_batch`` of 7x7 problems; it imports
+    what it uses, since child processes run its source alone."""
+    import hashlib, struct
+    import numpy as np
+    from eaglass import solver
+    from eaglass.disorder import DistributionSpec, sample_couplings
+    from eaglass.lattice import build_box
+    gauss = DistributionSpec("gaussian", sigma=1.0)
+    digest = hashlib.sha256()
+    for w in (13, 15):
+        g, plan = build_box(w, w), solver._Plan(w, w)
+        solver._sweep(g, [sample_couplings(g, gauss, 5, w)],
+                      [solver._forced_cells(w, w, None)], plan)
+        digest.update(plan.rowcost.tobytes() + plan.backptr.tobytes())
+    g = build_box(7, 7)
+    Js = [sample_couplings(g, gauss, 5, i) for i in range(8)]
+    for p in solver.solve_batch(Js, [None] * 8):
+        digest.update(p.signs.tobytes() + struct.pack("<d", p.energy))
+    return digest.hexdigest()
+
+
+def test_solver_bits_do_not_depend_on_the_blas_kernel():
+    # OpenBLAS picks its kernels by CPU; these two sum some products in
+    # another order than the default one, so the solver must use no BLAS
+    src = str(Path(solver.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    child = (inspect.getsource(_sweep_bits_digest)
+             + "print(_sweep_bits_digest())\n")
+    want = _sweep_bits_digest()
+    for core in ("Haswell", "Nehalem"):
+        proc = subprocess.run([sys.executable, "-c", child], text=True,
+                              capture_output=True, timeout=300,
+                              env={**env, "OPENBLAS_CORETYPE": core})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == want, core
+
+
 def test_a_failed_build_names_the_command_and_leaves_no_file(
         tmp_path, monkeypatch):
     broken = tmp_path / "_sweep.c"
@@ -855,15 +949,6 @@ def test_an_unusable_cache_directory_builds_into_a_private_one(
     finally:
         solver._kernel.cache_clear()
     assert list(tmp_path.iterdir()) == [blocked]
-
-
-def test_pairs_hold_the_bit_products_of_each_row_mask():
-    for w in range(1, 17):
-        masks = np.arange(1 << w, dtype=np.int64)
-        sign = ((masks[:, None] >> np.arange(w)) & 1) * 2.0 - 1.0
-        a = np.arange(horizontal_edges_per_row(w))
-        want = sign[:, a] * sign[:, (a + 1) % w]
-        assert solver._Plan(w, 2).pairs.tobytes() == want.tobytes()
 
 
 # --------------------------------------------------------------------------
@@ -952,7 +1037,7 @@ def test_batched_traceback_matches_the_reference_enumerator(shape, data):
         batch = solve_batch(Js, clamps)
     except BudgetExceededError:
         batch = None
-    want, step = [], len(solver._plan(w, h).cur)
+    want, step = [], len(solver._plan(w, h).rowcost)
     for lo in range(0, k, step):
         chunk = slice(lo, lo + step)
         try:
@@ -975,34 +1060,29 @@ def test_batched_traceback_matches_the_reference_enumerator(shape, data):
         assert _float_bits(a.energy) == _float_bits(b.energy)
 
 
-def _per_problem_row_cost_sweep(g, Js, clamps, plan, start):
-    """The sweep from row ``start`` with the row costs filled as they were
-    before the kernel took the forced signs: one ``_row_costs`` per problem,
-    then inf on each forced sign's rows through ``reshape(-1, 2, 1 << c)``,
-    with the frontier of row ``start`` kept."""
-    k, w, h = len(Js), g.width, g.height
-    rowcost = plan.rowcost[:k]
-    frontier = rowcost[:, start].copy()
-    for i, (J, cl) in enumerate(zip(Js, clamps)):
-        solver._row_costs(plan.pairs, J, h, rowcost[i])
-        for v, s in solver._forced_signs(g, cl).items():
-            c, r = g.vertex_cr(v)
-            rowcost[i, r].reshape(-1, 2, 1 << c)[:, int(s < 0)] = np.inf
-    if start:
-        rowcost[:, start] = frontier
-    vert = np.array([J.values[g.n_edges - w * (h - 1):] for J in Js])
-    solver._run_sweep(plan, start, vert.reshape(k, h - 1, w), [()] * k)
+def _per_problem_sweeps(Js, forced, shared, single, start):
+    """Each problem of the sweep ``shared`` last ran, swept alone in the
+    plan ``single`` from the frontier ``shared`` started from in row
+    ``start``: its row costs built from its own couplings, none copied.
+    Asserts that each gives the same frontiers and backpointers."""
+    for i, (J, (cells, _)) in enumerate(zip(Js, forced)):
+        single.rowcost[0, start] = shared.rowcost[i, start]
+        solver._run_sweep(single, start, J.values[None], [0], [cells])
+        assert (shared.rowcost[i, start:].tobytes()
+                == single.rowcost[0, start:].tobytes())
+        assert (shared.backptr[start:, :, i].tobytes()
+                == single.backptr[start:, :, 0].tobytes())
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(RESUME_SHAPES), st.integers(1, 8), st.data())
 def test_shared_row_costs_and_kernel_forced_cells_equal_per_problem_ones(
         shape, k, data):
-    # k problems on 1 to 3 coupling arrays, whose row costs a sweep computes
-    # once per array, with each problem's forced signs written as inf by the
-    # kernel: every frontier and backpointer the kernel sweeps equals, bit
-    # for bit, a sweep of per-problem row costs; fresh, then resumed from
-    # the rows the next sweep shares with it
+    # k problems on 1 to 3 coupling arrays, whose row costs a sweep builds
+    # once per array and copies, with each problem's forced signs written as
+    # inf after the copy: every frontier and backpointer the kernel sweeps
+    # equals, bit for bit, a sweep of the problem alone; fresh, then resumed
+    # from the rows the next sweep shares with it
     g = build_box(*shape)
     k = min(k, solver._BATCH_STATES >> g.width)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -1017,11 +1097,7 @@ def test_shared_row_costs_and_kernel_forced_cells_equal_per_problem_ones(
         solver._sweep(g, Js, forced, shared)
         start = shared.last[2]
         assert (start > 0) == resumed
-        _per_problem_row_cost_sweep(g, Js, clamps, single, start)
-        assert (shared.rowcost[:k, start:].tobytes()
-                == single.rowcost[:k, start:].tobytes())
-        assert (shared.backptr[start:, :, :k].tobytes()
-                == single.backptr[start:, :, :k].tobytes())
+        _per_problem_sweeps(Js, forced, shared, single, start)
         # the next sweep keeps the couplings entering rows 0..p-1 and the
         # clamps, so it starts at row p-1 >= 1
         keep = _entry_rows(g) < data.draw(st.integers(2, g.height))

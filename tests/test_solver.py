@@ -461,6 +461,57 @@ def test_kernel_row_costs_equal_the_left_to_right_sum(width, height):
         assert plan.rowcost[0, :rows].tobytes() == want[:rows].tobytes(), mix
 
 
+def _kernel_row_costs(width, j_rows):
+    """(R, 2^W): the kernel's row costs of each row of horizontal couplings
+    ``j_rows`` (R, n_h), each put in row 0 of a problem on a box of height 2
+    and swept in blocks of as many problems as one sweep holds."""
+    plan = solver._Plan(width, 2)
+    n_h = horizontal_edges_per_row(width)
+    out = np.empty((len(j_rows), 1 << width))
+    for lo in range(0, len(j_rows), len(plan.rowcost)):
+        block = j_rows[lo:lo + len(plan.rowcost)]
+        vals = np.zeros((len(block), plan.vals.shape[1]))
+        vals[:, :n_h] = block
+        solver._run_sweep(plan, 0, vals, range(len(block)),
+                          [()] * len(block))
+        out[lo:lo + len(block)] = plan.rowcost[:len(block), 0]
+    return out
+
+
+@pytest.mark.parametrize("width, height", [(12, 30), (13, 13), (15, 15),
+                                           (16, 40)])
+def test_row_costs_in_blocks_equal_one_matmul(width, height):
+    # couplings that are integers below 2^20 times a power of two sum
+    # exactly in any order, so the kernel's row costs, built row by row and
+    # problem by problem, must give the bits of one BLAS matmul of the sign
+    # products of each row mask with the couplings ordered by box row
+    n_h = horizontal_edges_per_row(width)
+    masks = np.arange(1 << width, dtype=np.int64)
+    sign = ((masks[:, None] >> np.arange(width)) & 1) * 2.0 - 1.0
+    a = np.arange(n_h)
+    pairs = sign[:, a] * sign[:, (a + 1) % width]
+    rng = np.random.default_rng(width * height)
+    for scale in (2.0 ** -10, 1.0, 2.0 ** 10):
+        j_rows = scale * (rng.integers(1, 1 << 20, (height, n_h))
+                          * rng.choice([-1.0, 1.0], (height, n_h)))
+        want = -np.matmul(pairs, np.ascontiguousarray(j_rows.T))
+        got = _kernel_row_costs(width, j_rows)
+        assert np.array_equal(got.T.view(np.int64), want.view(np.int64))
+
+
+def test_pairs_hold_the_bit_products_of_each_row_mask():
+    # a unit coupling on edge a alone costs minus the product of the spins
+    # it joins, so the kernel's row costs of one problem per edge are minus
+    # the bit products s_a * s_(a+1 mod W) of each row mask
+    for w in range(1, 17):
+        masks = np.arange(1 << w, dtype=np.int64)
+        sign = ((masks[:, None] >> np.arange(w)) & 1) * 2.0 - 1.0
+        a = np.arange(horizontal_edges_per_row(w))
+        want = sign[:, a] * sign[:, (a + 1) % w]
+        got = -_kernel_row_costs(w, np.eye(len(a))).T
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("width, height", [(1, 2), (1, 3), (2, 2)])
 def test_verify_gsp_skips_the_global_flip(width, height):
     # with a subset budget of the whole box, the box itself is a connected

@@ -95,8 +95,13 @@ class CouplingConfig:
         object.__setattr__(self, "values", np.asarray(self.values, np.float64))
         if len(self.values) != self.geom.n_edges:
             raise ValueError("one value per edge required")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("coupling values must be finite")
+        # bounds every partial sum of the solver and of fsum, so no accepted
+        # input overflows to inf or meets inf - inf; rejects inf and NaN too
+        with np.errstate(over="ignore"):
+            bound = 2.0 * np.abs(self.values).sum()
+        if not np.isfinite(bound):
+            raise ConfigError("coupling values must be finite, with twice "
+                              "the sum of their magnitudes finite")
         self.values.setflags(write=False)
 
     def value(self, edge_id: int) -> float:

@@ -32,11 +32,20 @@ signs equal the last sweep's, bit for bit, on rows 0..p resumes from the
 frontiers that sweep left after row p: two solves that share their leading
 rows (the perturbed-exterior pair) sweep the shared rows once.
 
-Configurations are pairs modulo a global flip.  Internally one representative
-is pinned by the clamp's signs (or vertex 0 at +1), which the kernel enters
-as infinite row costs; the stored canonical form instead gives +1 to the
-lowest-indexed vertex not determined by the clamp, so equal pairs compare
-equal elementwise.
+Configurations are pairs modulo a global flip.  A clamp's signs pin one
+representative, which the kernel enters as infinite row costs.  With no
+field a row mask and its flip cost the same until a problem's first forced
+row, so on the rows before it the kernel keeps only the masks with bit W-1
+down and runs half-size steps; a free problem forces nothing, sweeps at half
+size throughout and traces back one member of each pair.  Its entries are
+the minima of a vertex-0-pinned sweep's over each mask and its flip, so it
+finds the same optimal pairs, except where rounding hides a difference
+between a partial sum and its flipped rival's that a later, far larger
+coupling absorbs (couplings that span some 15 decades): there the pinned
+sweep can report a tie that this one resolves.  The stored canonical form
+gives +1 to the lowest-indexed vertex not determined by the clamp (vertex 0
+when free), so equal pairs compare equal elementwise; ``brute_force`` pins
+vertex 0 at +1.
 """
 
 from __future__ import annotations
@@ -180,9 +189,12 @@ def _forced_signs(geom: BoxGeometry, clamp: Clamp | None) -> dict[int, int]:
 @lru_cache(maxsize=1024)
 def _forced_cells(width: int, height: int,
                   clamp: Clamp | None) -> tuple[tuple[int, ...], int]:
-    """``_forced_signs`` as the kernel takes them, each 2 * vertex + the bit
-    a row mask must not hold there (1 for a -1 sign), and the canonical
-    anchor of the clamp on a width x height box."""
+    """A clamp's ``_forced_signs`` as the kernel takes them, each 2 * vertex
+    + the bit a row mask must not hold there (1 for a -1 sign), and its
+    canonical anchor on a width x height box.  A free problem forces no
+    vertex: its sweep keeps one member of each flipped pair itself."""
+    if clamp is None:
+        return (), 0
     geom = build_box(width, height)
     cells = tuple(2 * v + (s < 0)
                   for v, s in _forced_signs(geom, clamp).items())
@@ -216,7 +228,7 @@ def _kernel():
     if not path.exists():
         path = _build(name)
     lib = ctypes.CDLL(str(path))
-    lib.eaglass_sweep.argtypes = [ctypes.c_int] * 5 + [ctypes.c_void_p] * 8
+    lib.eaglass_sweep.argtypes = [ctypes.c_int] * 5 + [ctypes.c_void_p] * 9
     lib.eaglass_sweep.restype = None
     lib.eaglass_traceback.argtypes = [ctypes.c_int] * 5 + [ctypes.c_void_p] * 7
     return lib
@@ -267,7 +279,11 @@ class _Plan:
     couplings.
 
     ``rowcost[k, r]`` holds problem k's row costs of row r, which the kernel
-    builds, then its frontier after row r.  ``last`` remembers the sweep that
+    builds, then its frontier after row r: only its lower half on a row
+    before ``sym[k]``, the problem's first forced row (H if none), which the
+    sweep writes.  The traceback writes ``rows``, ``count`` and ``path``.
+    The arrays never move, so ``at`` keeps their addresses for the kernel
+    calls.  ``last`` remembers the sweep that
     last ran to its end: its couplings, forced cells and start row s.  That
     sweep left its backpointers in ``backptr`` and its frontiers in
     ``rowcost[:, r]`` for every r >= s, so a sweep of as many problems that
@@ -282,6 +298,10 @@ class _Plan:
         self.cur, self.nxt = np.empty(n), np.empty(n)
         self.vals = np.empty((k, horizontal_edges_per_row(width) * height
                               + width * (height - 1)))
+        self.sym, self.count = np.empty(k, np.int32), np.empty(k, np.int32)
+        self.rows = np.empty((k, height), np.int32)
+        self.path = np.empty((height - 1) * width + 1, np.uint32)
+        self.at = {name: a.ctypes.data for name, a in vars(self).items()}
         self.last = None
 
 
@@ -339,8 +359,9 @@ def _solve_all(geom: BoxGeometry, Js, clamps) -> list[SpinPair]:
 
 def _sweep(geom: BoxGeometry, Js, forced, plan: _Plan) -> None:
     """Run the transfer kernel over K problems of ``plan``'s shape, each with
-    its ``_forced_cells``; their final frontiers end in ``rowcost[:, -1]``,
-    backpointers in ``backptr``.  Every problem goes through the same
+    its ``_forced_cells``; their final frontiers end in ``rowcost[:, -1]``
+    (the lower half of a free problem's), backpointers in ``backptr`` and
+    first forced rows in ``sym``.  Every problem goes through the same
     elementwise operations as it would alone, so its frontier and
     backpointers do not depend on the batch.
 
@@ -379,11 +400,11 @@ def _run_sweep(plan: _Plan, start: int, vals: np.ndarray, src, cells) -> None:
         raise ValueError(f"a sweep of {vals.shape} {vals.dtype} couplings "
                          f"from row {start} does not fit the plan")
     counts = np.array([len(c) for c in cells], dtype=np.int32)
+    at = plan.at
     _kernel().eaglass_sweep(
-        w, h, k, plan.backptr.shape[2], start, plan.rowcost.ctypes.data,
-        plan.cur.ctypes.data, plan.nxt.ctypes.data, plan.backptr.ctypes.data,
-        vals.ctypes.data, src.ctypes.data, flat.ctypes.data,
-        counts.ctypes.data)
+        w, h, k, plan.backptr.shape[2], start, at["rowcost"], at["cur"],
+        at["nxt"], at["backptr"], at["sym"], vals.ctypes.data,
+        src.ctypes.data, flat.ctypes.data, counts.ctypes.data)
 
 
 def _resume_row(geom: BoxGeometry, plan: _Plan, Js, forced) -> int:
@@ -437,18 +458,18 @@ def _best_pairs(geom: BoxGeometry, Js, forced, plan: _Plan) -> list[SpinPair]:
     with more than ``_TIE_CAP`` of them.  ``forced`` holds each problem's
     ``_forced_cells``, whose anchor sets the canonical flip."""
     W, H, K = geom.width, geom.height, len(Js)
-    best = plan.rowcost[:K, -1].min(axis=1)
-    if not np.isfinite(best).all():
-        raise RuntimeError("no admissible configuration (unsatisfiable clamp?)")
     anchors = np.array([anchor for _, anchor in forced], dtype=np.int32)
-    rows, counts = np.empty((K, H), dtype=np.int32), np.empty(K, np.int32)
-    path = np.empty((H - 1) * W + 1, dtype=np.uint32)
-    if _kernel().eaglass_traceback(
-            W, H, K, plan.backptr.shape[2], _TIE_CAP, plan.rowcost.ctypes.data,
-            plan.backptr.ctypes.data, best.ctypes.data, anchors.ctypes.data,
-            path.ctypes.data, rows.ctypes.data, counts.ctypes.data):
+    at = plan.at
+    status = _kernel().eaglass_traceback(
+        W, H, K, plan.backptr.shape[2], _TIE_CAP, at["rowcost"],
+        at["backptr"], at["sym"], anchors.ctypes.data, at["path"],
+        at["rows"], at["count"])
+    if status == 2:
+        raise RuntimeError("no admissible configuration (unsatisfiable clamp?)")
+    if status:
         raise BudgetExceededError("tie degeneracy exceeds enumeration cap")
-    bits = (rows[:, :, None] >> np.arange(W)) & 1
+    counts = plan.count[:K].tolist()
+    bits = (plan.rows[:K, :, None] >> np.arange(W)) & 1
     signs = (2 * bits - 1).astype(np.int8).reshape(K, H * W)
     # energy(J, s) of each problem, bit for bit: the same products, one fsum
     terms = plan.vals[:K] * signs[:, geom.eu] * signs[:, geom.ev]

@@ -5,10 +5,12 @@ compare the library against.
 sums it, with no BLAS: the sign products of the table the solver once kept,
 added left to right.  ``column_step`` is the solver's column step as it was
 before the frontier became a shift register: it replaces bit c of every mask
-in place.
+in place.  ``half_step`` is the kernel's column step on a symmetric
+frontier, which holds only the masks with bit W-1 down.
 ``best_pair`` is a walk of one problem's backpointers with Python sets, the
 traceback as it was before it went batched, on the shift-register layout of
-the backpointers.  ``verify_gsp_loop`` is ``verify_gsp`` as it was before its
+the backpointers; ``unfold`` gives it the whole layers of a sweep whose
+first rows ran half steps.  ``verify_gsp_loop`` is ``verify_gsp`` as it was before its
 sums were grouped by boundary length: one 1-D sum per flip.  ``locate_flip``
 brackets a critical value by bisection on full re-solves, independent of the
 exterior-energy formula that ``excitation.critical_value`` uses.
@@ -73,6 +75,52 @@ def column_step(cur, nxt, j_vert, bp, c):
     np.minimum(u0, u1, out=n3[:, :, 1])
     b3[:, :, 0] = (t0 == n3[:, :, 0]) | ((t1 == n3[:, :, 0]) << 1)
     b3[:, :, 1] = (u0 == n3[:, :, 1]) | ((u1 == n3[:, :, 1]) << 1)
+
+
+def _pick(a, d, out, code):
+    """The kernel's entry of predecessors a (old spin down) and d (old spin
+    up): np.minimum, ties going to d and NaN propagating; code 1 / 2 / 3 for
+    a, d or a tie, 0 if NaN."""
+    np.minimum(a, d, out=out)
+    code[...] = (a <= d) | ((a >= d) << 1)
+
+
+def half_step(cur, nxt, j_vert, bp):
+    """One column step of K problems whose frontiers are symmetric, in the
+    kernel's shift-register layout.
+
+    ``cur``, ``nxt`` and ``bp`` have shape (K, 2^(W-1)): entry m is that of
+    mask m with bit W-1 down, which equals the entry of its flip ~m.  New
+    entry i < 2^(W-2) takes x = cur[2i] (old spin down) and y = cur[2i+1]
+    (up) as the full step's new-spin-down entry does, a = x + -J and
+    d = y - -J; entry 2^(W-1)-1-i is the flip of the full step's new-spin-up
+    entry 2^(W-1)+i, a = y + -J and d = x - -J.  At W=1 the one entry is
+    both predecessors.  ``j_vert`` broadcasts against (K, 1).
+    """
+    half = cur.shape[1]
+    if half == 1:
+        _pick(cur + -j_vert, cur - -j_vert, nxt, bp)
+        return
+    x, y, q = cur[:, 0::2], cur[:, 1::2], half // 2
+    _pick(x + -j_vert, y - -j_vert, nxt[:, :q], bp[:, :q])
+    _pick(y + -j_vert, x - -j_vert, nxt[:, q:][:, ::-1], bp[:, q:][:, ::-1])
+
+
+def unfold(backptr, final, sym):
+    """One problem's backpointers (H-1, W, 2^W) and final frontier (2^W,)
+    as ``best_pair`` reads them, from a sweep whose rows before ``sym``
+    were symmetric: a layer r with r + 1 < sym holds only its masks below
+    2^(W-1), and mask m above takes the code of ~m with old spins down and
+    up swapped; a symmetric final frontier (sym = H) keeps its lower half,
+    one member of each flipped pair, and gets inf above it."""
+    backptr, final = backptr.copy(), final.copy()
+    half = len(final) // 2
+    for r in range(min(sym, len(backptr) + 1) - 1):
+        low = backptr[r, :, :half]
+        backptr[r, :, half:] = (((low & 1) << 1) | (low >> 1))[:, ::-1]
+    if sym > len(backptr):
+        final[half:] = np.inf
+    return backptr, final
 
 
 def enumerate_optimal(backptr, finals):

@@ -60,6 +60,33 @@ def test_values_are_stored_as_float64():
     assert CouplingConfig(g, vals).values is vals
 
 
+def test_couplings_whose_sums_can_overflow_are_a_config_error():
+    # inf, NaN, and finite values whose magnitudes sum past the largest
+    # double: a free 3x3 solve of couplings near 1e308 used to overflow its
+    # sums to inf and NaN and raise "no admissible configuration"
+    from eaglass.disorder import CouplingConfig
+    from eaglass.solver import brute_force, solve
+    g = build_box(3, 3)
+    signs = np.where(np.arange(g.n_edges) % 3, 1.0, -1.0)
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ConfigError):
+            CouplingConfig(g, np.where(np.arange(g.n_edges) == 4, bad, signs))
+    with pytest.raises(ConfigError):
+        CouplingConfig(g, signs * 1e308)
+    with pytest.raises(ConfigError):     # the sum is finite, twice it is not
+        CouplingConfig(g, signs * (np.finfo(float).max / g.n_edges * 0.75))
+    # just inside the bound, every sum stays finite and the solver agrees
+    # with the oracle
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        vals = rng.normal(size=g.n_edges)
+        vals *= np.finfo(float).max / (2.0 * np.abs(vals).sum()) * 0.999
+        J = CouplingConfig(g, vals)
+        a, b = solve(g, J), brute_force(J)
+        assert np.array_equal(a.signs, b.signs)
+        assert a.energy == b.energy and np.isfinite(a.energy)
+
+
 def test_nested_boxes_share_edge_values():
     small = build_box(5, 5)
     big = build_box(7, 7)

@@ -39,13 +39,15 @@ row, so on the rows before it the kernel keeps only the masks with bit W-1
 down and runs half-size steps; a free problem forces nothing, sweeps at half
 size throughout and traces back one member of each pair.  Its entries are
 the minima of a vertex-0-pinned sweep's over each mask and its flip, so it
-finds the same optimal pairs, except where rounding hides a difference
-between a partial sum and its flipped rival's that a later, far larger
-coupling absorbs (couplings that span some 15 decades): there the pinned
-sweep can report a tie that this one resolves.  The stored canonical form
-gives +1 to the lowest-indexed vertex not determined by the clamp (vertex 0
-when free), so equal pairs compare equal elementwise; ``brute_force`` pins
-vertex 0 at +1.
+finds the same optimal pairs, unless rounding makes two of them tie.  It
+meets a configuration's flipped rivals earlier than a pinned sweep would,
+while their partial sums are smaller: where couplings span some 15
+decades and the small ones come first, a pinned sweep compares the rivals
+only after a far larger coupling has absorbed their difference and can
+report a tie where this one finds the exact minimizer.  The stored
+canonical form gives +1 to the lowest-indexed vertex not determined by the
+clamp (vertex 0 when free), so equal pairs compare equal elementwise;
+``brute_force`` pins vertex 0 at +1.
 """
 
 from __future__ import annotations

@@ -432,36 +432,44 @@ def _draw_mix(rng, mix, size):
 def test_kernel_row_costs_equal_the_left_to_right_sum(width, height):
     # the kernel builds each row's costs itself, in the summation order of
     # the reference and with no BLAS: a sweep leaves row 0's costs in place,
-    # bit for bit, and the frontier after each later row, which a free
-    # problem holds as its lower half, equals the reference half steps over
-    # the reference row costs (checked up to W=13 and on 3 rows beyond,
-    # where the numpy steps are slow; not for sums that overflow, whose NaN
-    # the frontiers' minima then pass on)
+    # bit for bit, and the frontier after each later row equals the
+    # reference steps over the reference row costs.  A free problem runs
+    # half steps on every row and holds the lower half of each frontier;
+    # with vertex 0 forced up (cell 0: inf on row 0's masks with bit 0
+    # down) every row runs full steps, checked against the bit-replacing
+    # column steps (both up to W=13 and on 3 rows beyond, where the numpy
+    # steps are slow; not for sums that overflow, whose NaN the frontiers'
+    # minima then pass on)
     g = build_box(width, height)
     n_h = horizontal_edges_per_row(width)
-    half = 1 << width - 1
     rng = np.random.default_rng(width * height)
     plan = solver._Plan(width, height)
     for mix in ("gaussian", "integers", "zeros", "huge"):
         vals = rng.normal(size=(1, g.n_edges))
         vals[0, :n_h * height] = _draw_mix(rng, mix, n_h * height)
-        solver._run_sweep(plan, 0, vals, [0], [()])
-        want = reference.row_costs(vals[0], width, height)
-        assert plan.rowcost[0, 0].tobytes() == want[0].tobytes(), mix
-        if mix == "huge":
-            continue
-        rows = height if width <= 13 else min(height, 3)
-        vert = vals[0, n_h * height:].reshape(height - 1, width)
-        for r in range(rows - 1):
-            cur = want[None, r, :half].copy()
-            for c in range(width):
-                nxt = np.empty_like(cur)
-                reference.half_step(cur, nxt, vert[r, c], np.empty(
-                    cur.shape, np.uint8))
-                cur = nxt
-            want[r + 1, :half] += cur[0]
-        assert (plan.rowcost[0, 1:rows, :half].tobytes()
-                == want[1:rows, :half].tobytes()), mix
+        for cells in ((), (0,)):
+            solver._run_sweep(plan, 0, vals, [0], [cells])
+            want = reference.row_costs(vals[0], width, height)
+            if cells:
+                want[0, ::2] = np.inf
+            assert plan.rowcost[0, 0].tobytes() == want[0].tobytes(), mix
+            if mix == "huge":
+                continue
+            rows = height if width <= 13 else min(height, 3)
+            vert = vals[0, n_h * height:].reshape(height - 1, width)
+            n = 1 << width - 1 + len(cells)     # the entries a row keeps
+            for r in range(rows - 1):
+                cur = want[None, r, :n].copy()
+                for c in range(width):
+                    nxt, bp = np.empty_like(cur), np.empty(cur.shape, np.uint8)
+                    if cells:
+                        reference.column_step(cur, nxt, vert[r, c], bp, c)
+                    else:
+                        reference.half_step(cur, nxt, vert[r, c], bp)
+                    cur = nxt
+                want[r + 1, :n] += cur[0]
+            assert (plan.rowcost[0, :rows, :n].tobytes()
+                    == want[:rows, :n].tobytes()), (mix, cells)
 
 
 def _kernel_row_costs(width, j_rows):
@@ -944,6 +952,45 @@ def test_a_free_problem_counts_each_pair_once():
     for state in (solve(g, J), solve_batch([J, J], [None, None])[1]):
         assert state.tied and state.energy == -7.0
         assert (state.signs[14:] == state.signs[14]).all()
+
+
+def _exact_minimizers(J):
+    """The signs, vertex 0 at +1, of every configuration whose energy is
+    least when summed exactly: each coupling as an integer multiple of the
+    smallest power of two among their denominators."""
+    g = J.geom
+    ratios = [float(v).as_integer_ratio() for v in J.values]
+    den = max(d for _, d in ratios)
+    j = np.array([n * (den // d) for n, d in ratios], dtype=object)
+    signs, _ = solver._spin_products(
+        g, np.ones(g.n_vertices, np.int8), range(1, g.n_vertices),
+        np.arange(1 << g.n_vertices - 1))
+    prod = signs[:, g.eu].astype(np.int64) * signs[:, g.ev]
+    e = -(prod.astype(object) @ j)
+    return [signs[i].tolist() for i in np.flatnonzero(e == e.min())]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_free_solve_compares_flipped_rivals_before_rounding_absorbs_them(
+        seed):
+    # couplings some 18 decades below the rest on the edges of a box's first
+    # two rows: configurations that differ only there have energies that
+    # round to one double.  A free sweep meets each configuration's flipped
+    # rivals on those rows, while the partial sums are still that small, and
+    # returns the exact minimizer, which is unique here.  A sweep that pins
+    # vertex 0 at +1 (the solver's free sweep until it kept one member of
+    # each pair, and a clamp on vertex 0 today) meets them only after a far
+    # larger coupling has absorbed their difference, and reports a tie;
+    # so does ``brute_force``, which sums in floating point
+    g = build_box(4, 4)
+    first = np.maximum(g.eu, g.ev) // 4 < 2
+    rng = np.random.default_rng(seed)
+    J = CouplingConfig(g, rng.normal(size=g.n_edges)
+                       * np.where(first, 1e-18, 1.0))
+    (exact,) = _exact_minimizers(J)
+    for state in (solve(g, J), solve_batch([J, J], [None, None])[1]):
+        assert not state.tied and state.signs.tolist() == exact
+    assert solve(g, J, Clamp((0,), (1,))).tied
 
 
 @settings(max_examples=80, deadline=None)

@@ -2,9 +2,9 @@
 
 One subcommand per experiment kind.  Values are resolved in priority order
 flag > config file > environment > default.  Exit codes: 0 all hard
-assertions pass, 1 configuration or usage error, 2 hard assertion failure,
-3 any other exception in a sample (for 2 and 3 the reproducer line is
-printed to stderr).
+assertions pass, 1 configuration or usage error or an unwritable report, 2
+hard assertion failure, 3 any other exception in a sample (for 2 and 3 the
+reproducer line is printed to stderr).
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     for kind in EXPERIMENT_KINDS:
         p = sub.add_parser(_KIND_FLAG[kind], help=f"run the {kind} experiment")
         p.add_argument("--config", help="JSON config file (versioned schema)")
-        p.add_argument("--seed", type=int, help="master seed")
+        p.add_argument("--seed", type=int, dest="master_seed",
+                       help="master seed")
         p.add_argument("--samples", type=int, help="number of disorder samples")
         p.add_argument("--out", help="output path prefix")
         p.add_argument("--parallel", type=int, help="worker processes")
@@ -105,17 +106,10 @@ def _config_from_args(args: argparse.Namespace) -> dict:
 
     if args.box_n is not None:
         cfg["width"] = cfg["height"] = 2 * args.box_n + 1
-    simple = {"seed": "master_seed", "samples": "samples", "out": "out",
-              "parallel": "parallel", "width": "width", "height": "height",
-              "edge": "edge", "edge2": "edge2", "grid_lo": "grid_lo",
-              "grid_hi": "grid_hi", "grid_points": "grid_points",
-              "n_list": "n_list", "k_list": "k_list", "n_pairs": "n_pairs",
-              "proxy": "proxy", "band_height": "band_height",
-              "probes": "probes", "tol": "tol"}
-    for attr, key in simple.items():
-        val = getattr(args, attr)
-        if val is not None:
-            cfg[key] = val
+    # a flag whose dest names a config field sets it; dist merges below
+    fields = ExperimentConfig.__dataclass_fields__
+    cfg.update((key, val) for key, val in vars(args).items()
+               if key in fields and key != "dist" and val is not None)
     if args.window:
         w, _, h = args.window.partition("x")
         try:
@@ -142,6 +136,9 @@ def main(argv=None) -> int:
         report = run(config)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 1
+    except OSError as e:    # a sample's own errors arrive as SampleError
+        print(f"cannot write the report: {e}", file=sys.stderr)
         return 1
     except SampleError as e:
         hard = isinstance(e, HardAssertionFailure)

@@ -26,9 +26,10 @@ import numpy as np
 from .disorder import CouplingConfig
 from .errors import BudgetExceededError
 from .lattice import BoxGeometry
-from .solver import _CHUNK_BITS, Clamp, SpinPair, _spin_products, solve_batch
+from .solver import Clamp, SpinPair, _energies, solve_batch
 from .walls import Interface, interface
 
+MAX_GRID_VERTICES = 22      # largest box ``grid_labels_enumeration`` walks
 
 @dataclass(frozen=True)
 class ExcitationRecord:
@@ -364,31 +365,28 @@ def grid_labels_enumeration(J: CouplingConfig, edge_b: int, edge_e: int,
     Returns an array of shape (len(jb_grid), len(je_grid), 2) with the two
     endpoint sign products of the exact ground state at each grid point.
     Independent of the clamped-solve route: plain enumeration over all
-    configurations with vertex 0 pinned, in chunks of 2^16 like
-    ``brute_force``.  Only the product class (eta_b, eta_e) of a
-    configuration sets how its energy moves with J_b and J_e, so each class
-    keeps its lowest energy ``e0`` at J and the first configuration reaching
-    it, and every grid cell takes the argmin over at most four class
-    energies, ordered by those first configurations.  Rounding ``e0 - c`` is
+    configurations with vertex 0 pinned, in ``brute_force``'s chunks.  Only
+    the product class (eta_b, eta_e) of a configuration sets how its energy
+    moves with J_b and J_e, so each class keeps its lowest energy ``e0`` at
+    J and the first configuration reaching it, and every grid cell takes the
+    argmin over at most four class energies, ordered by those first
+    configurations.  Rounding ``e0 - c`` is
     monotone in ``e0``, so this is the first minimizer of the full
     enumeration, except on an exact tie between classes where two ``e0`` of
     one class round to the same energy; exact (integer or dyadic) couplings
     never round two ``e0`` together.
     """
-    V = J.geom.n_vertices
-    if V - 1 > 21:
-        raise BudgetExceededError("enumeration grid oracle limited to 22 vertices")
-    base = np.zeros(V, dtype=np.int8)
-    base[0] = 1
-    step = 1 << min(V - 1, _CHUNK_BITS)
-    rows = np.arange(step)
+    geom = J.geom
+    if geom.n_vertices > MAX_GRID_VERTICES:
+        raise BudgetExceededError("enumeration grid oracle limited to "
+                                  f"{MAX_GRID_VERTICES} vertices")
+    eb, ee = geom.edges[edge_b], geom.edges[edge_e]
     low, first = [np.inf] * 4, [0] * 4      # per class, indexed like _COMBOS
-    for start in range(0, 1 << (V - 1), step):
-        _, prod = _spin_products(J.geom, base, range(1, V), rows + start)
-        by_class = np.full((4, step), np.inf)
-        by_class[(prod[:, edge_b] < 0) * 2 + (prod[:, edge_e] < 0), rows] = \
-            -(prod @ J.values)
-        del prod                # before the next chunk's is built
+    for start, S, E in _energies(J, {0: 1}):
+        rows = np.arange(len(E))
+        by_class = np.full((4, len(E)), np.inf)
+        by_class[(S[:, eb.u] != S[:, eb.v]) * 2 + (S[:, ee.u] != S[:, ee.v]),
+                 rows] = E
         at = np.argmin(by_class, axis=1)
         for k, e in enumerate(by_class[range(4), at].tolist()):
             if e < low[k]:

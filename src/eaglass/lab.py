@@ -191,8 +191,9 @@ def _validate_two_bond(cfg: ExperimentConfig) -> None:
         raise ConfigError("two-bond map grid must be at least 11x11")
     if not cfg.grid_lo < cfg.grid_hi:
         raise ConfigError("grid_lo must be below grid_hi")
-    if cfg.width * cfg.height > 22:
-        raise ConfigError("two-bond grid oracle needs at most 22 vertices")
+    if cfg.width * cfg.height > exc.MAX_GRID_VERTICES:
+        raise ConfigError("two-bond grid oracle needs at most "
+                          f"{exc.MAX_GRID_VERTICES} vertices")
     _two_bond_edges(cfg, build_box(cfg.width, cfg.height))
 
 
@@ -391,7 +392,7 @@ def proxy_perturbed_exterior(cfg, index):
     j_alt = sample_couplings(geom, cfg.dist, cfg.master_seed,
                              index + _ALT_SAMPLE_OFFSET)
     # edges with both endpoints in rows 0..band keep their base couplings
-    window = np.flatnonzero(np.maximum(geom.eu, geom.ev) // geom.width <= band)
+    window = np.flatnonzero(geom.entry_row <= band)
     vals = j_alt.values.copy()
     vals[window] = j_base.values[window]
     j_pert = CouplingConfig(geom, vals)
@@ -841,6 +842,9 @@ def run(config: ExperimentConfig | dict) -> RunReport:
     else:
         cfg = config
         validate_config(cfg)
+    if cfg.out and not os.path.isdir(os.path.dirname(cfg.out) or "."):
+        raise ConfigError(f"output directory of {str(cfg.out)!r} "
+                          "does not exist")
     start = time.monotonic()
     core = cfg.core_dict()
     payloads = [(cfg, i) for i in range(cfg.samples)]

@@ -55,6 +55,9 @@ class BoxGeometry:
     # read-only endpoint arrays: eu[e.id] == e.u, ev[e.id] == e.v
     eu: np.ndarray = field(repr=False, compare=False)
     ev: np.ndarray = field(repr=False, compare=False)
+    # read-only: the row where each edge's coupling enters a row-by-row
+    # sweep, entry_row[e.id] == max(e.u, e.v) // width
+    entry_row: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:
@@ -139,10 +142,11 @@ def build_box(width: int, height: int) -> BoxGeometry:
     by_key = {e.key: e.id for e in edges}
     eu = np.array([e.u for e in edges], dtype=np.int64)
     ev = np.array([e.v for e in edges], dtype=np.int64)
-    eu.setflags(write=False)
-    ev.setflags(write=False)
-    return BoxGeometry(W, H, tuple(edges),
-                       tuple(tuple(x) for x in incident), by_key, eu, ev)
+    entry_row = np.maximum(eu, ev) // W
+    for a in (eu, ev, entry_row):
+        a.setflags(write=False)
+    return BoxGeometry(W, H, tuple(edges), tuple(tuple(x) for x in incident),
+                       by_key, eu, ev, entry_row)
 
 
 @lru_cache(maxsize=64)

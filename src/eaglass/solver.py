@@ -30,7 +30,9 @@ Each thread keeps one plan of arrays per box shape, and the plan remembers
 its last sweep.  A sweep of as many problems whose couplings and forced
 signs equal the last sweep's, bit for bit, on rows 0..p resumes from the
 frontiers that sweep left after row p: two solves that share their leading
-rows (the perturbed-exterior pair) sweep the shared rows once.
+rows (the perturbed-exterior pair) sweep the shared rows once.  Couplings
+compare with the plan's copy of the last sweep's, never with a caller's
+array, whose base (a ``CouplingConfig`` keeps a view) may have changed.
 
 Configurations are pairs modulo a global flip.  A clamp's signs pin one
 representative, which the kernel enters as infinite row costs.  With no
@@ -71,8 +73,7 @@ import numpy as np
 from .errors import BudgetExceededError
 from .disorder import CouplingConfig
 from .lattice import (BoxGeometry, build_box, build_dual,
-                      connected_subsets, dual_circuits_and_paths,
-                      horizontal_edges_per_row)
+                      connected_subsets, dual_circuits_and_paths)
 
 MAX_SOLVE_WIDTH = 16
 MAX_BRUTE_VERTICES = 24
@@ -277,16 +278,16 @@ class _Plan:
     ``len(rowcost)`` problems in one sweep.  Reusing the multi-megabyte
     backpointer block avoids the stall of a fresh allocation per solve.  The
     kernel's column steps take turns in ``cur`` and ``nxt``, so a warm sweep
-    allocates no frontier-sized array; ``vals[k]`` holds problem k's
-    couplings.
+    allocates no frontier-sized array; ``vals[k]`` holds a copy of problem
+    k's couplings, which the traceback and the next sweep's resume read.
 
     ``rowcost[k, r]`` holds problem k's row costs of row r, which the kernel
     builds, then its frontier after row r: only its lower half on a row
     before ``sym[k]``, the problem's first forced row (H if none), which the
     sweep writes.  The traceback writes ``rows``, ``count`` and ``path``.
     The arrays never move, so ``at`` keeps their addresses for the kernel
-    calls.  ``last`` remembers the sweep that
-    last ran to its end: its couplings, forced cells and start row s.  That
+    calls.  ``last`` remembers the sweep that last ran to its end, whose
+    couplings ``vals`` still holds: its forced cells and start row s.  That
     sweep left its backpointers in ``backptr`` and its frontiers in
     ``rowcost[:, r]`` for every r >= s, so a sweep of as many problems that
     agrees with it on the leading rows resumes from there (see
@@ -298,8 +299,7 @@ class _Plan:
         self.backptr = np.empty((height - 1, width, k, n), dtype=np.uint8)
         self.rowcost = np.empty((k, height, n))
         self.cur, self.nxt = np.empty(n), np.empty(n)
-        self.vals = np.empty((k, horizontal_edges_per_row(width) * height
-                              + width * (height - 1)))
+        self.vals = np.empty((k, build_box(width, height).n_edges))
         self.sym, self.count = np.empty(k, np.int32), np.empty(k, np.int32)
         self.rows = np.empty((k, height), np.int32)
         self.path = np.empty((height - 1) * width + 1, np.uint32)
@@ -379,7 +379,7 @@ def _sweep(geom: BoxGeometry, Js, forced, plan: _Plan) -> None:
         plan.vals[k] = J.values
     _run_sweep(plan, start, plan.vals[:len(Js)], src,
                [cells for cells, _ in forced])
-    plan.last = ([J.values for J in Js], forced, start)
+    plan.last = (forced, start)
 
 
 def _run_sweep(plan: _Plan, start: int, vals: np.ndarray, src, cells) -> None:
@@ -414,43 +414,29 @@ def _resume_row(geom: BoxGeometry, plan: _Plan, Js, forced) -> int:
     sweep; clears the plan's memory, since the sweep overwrites it.
 
     The frontier after row p depends only on the couplings of the edges
-    with ``max(u, v) // W <= p`` and on the signs forced on rows 0..p.  If
+    with ``geom.entry_row <= p`` and on the signs forced on rows 0..p.  If
     every problem agrees with the last sweep's problem in its slot on rows
     0..p, and that sweep left its frontier after row p, the sweep starts
-    there.  Couplings compare as bits, since -0.0 == 0.0; the comparison
-    stops at the first problem that rules a resume out."""
+    there.  Each problem's couplings compare with the copy the last sweep
+    ran on, ``plan.vals[k]``, never with the caller's array, whose contents
+    may have changed since.  They compare as bits, since -0.0 == 0.0; the
+    comparison stops at the first problem that rules a resume out."""
     last, plan.last = plan.last, None
     if last is None or len(last[0]) != len(Js):
         return 0
-    old_js, old_forced, low = last
+    old_forced, low = last
     need = max(low, 1) + 1      # rows that must agree for any resume
-    # edge 0 enters at row 0 (row 1 at W=1), below need: unequal floats rule
-    # a resume out, and equal ones (+-0.0 too) go on to the bitwise compare
-    if Js[0].values.item(0) != old_js[0].item(0):
-        return 0
-    entry = _entry_rows(geom.width, geom.height)
     agree = geom.height         # rows 0..agree-1 are equal in every problem
-    for J, old, (cells, _), (old_cells, _) in zip(Js, old_js, forced,
+    for J, old, (cells, _), (old_cells, _) in zip(Js, plan.vals, forced,
                                                   old_forced):
-        if J.values is not old:
-            moved = entry[J.values.view(np.int64) != old.view(np.int64)]
-            if len(moved):
-                agree = min(agree, int(moved.min()))
-        if cells != old_cells:      # a vertex whose forced sign differs
-            for cell in set(cells) ^ set(old_cells):
-                agree = min(agree, cell // 2 // geom.width)
+        moved = geom.entry_row[J.values.view(np.int64) != old.view(np.int64)]
+        if len(moved):
+            agree = min(agree, int(moved.min()))
+        for cell in set(cells) ^ set(old_cells):   # forced sign differs
+            agree = min(agree, cell // 2 // geom.width)
         if agree < need:
             return 0
     return agree - 1
-
-
-@lru_cache(maxsize=32)
-def _entry_rows(width: int, height: int) -> np.ndarray:
-    """The row at which each edge's coupling enters a sweep: max(u, v) // W."""
-    geom = build_box(width, height)
-    rows = np.maximum(geom.eu, geom.ev) // width
-    rows.setflags(write=False)
-    return rows
 
 
 def _best_pairs(geom: BoxGeometry, Js, forced, plan: _Plan) -> list[SpinPair]:
@@ -497,6 +483,26 @@ def _spin_products(geom: BoxGeometry, base: np.ndarray, free, idx: np.ndarray):
     return S, (S[:, geom.eu] * S[:, geom.ev]).astype(np.float64)
 
 
+def _energies(J: CouplingConfig, forced: dict[int, int]):
+    """Every configuration with the ``forced`` signs as ``(start, signs,
+    energies)`` per chunk of at most 2^16: row i of ``signs`` sets the j-th
+    vertex not forced from bit j of start + i (see ``_spin_products``), and
+    ``energies[i]`` is its -(products @ J.values)."""
+    geom = J.geom
+    free = [v for v in range(geom.n_vertices) if v not in forced]
+    base = np.zeros(geom.n_vertices, dtype=np.int8)
+    for v, s in forced.items():
+        base[v] = s
+    total = 1 << len(free)
+    step = 1 << min(len(free), _CHUNK_BITS)
+    for start in range(0, total, step):
+        idx = np.arange(start, min(start + step, total), dtype=np.int64)
+        S, prod = _spin_products(geom, base, free, idx)
+        E = -(prod @ J.values)
+        del prod                # before the caller builds on the chunk
+        yield start, S, E
+
+
 def brute_force(J: CouplingConfig, clamp: Clamp | None = None) -> SpinPair:
     """Exhaustive minimum over all configurations modulo flip.
 
@@ -504,26 +510,14 @@ def brute_force(J: CouplingConfig, clamp: Clamp | None = None) -> SpinPair:
     (plain enumeration, no dynamic programming).
     """
     geom = J.geom
-    V = geom.n_vertices
-    if V > MAX_BRUTE_VERTICES:
-        raise BudgetExceededError(f"{V} vertices exceed brute-force budget")
-    forced = _forced_signs(geom, clamp)
-    free = [v for v in range(V) if v not in forced]
-    k = len(free)
-    base = np.zeros(V, dtype=np.int8)
-    for v, s in forced.items():
-        base[v] = s
-
+    if geom.n_vertices > MAX_BRUTE_VERTICES:
+        raise BudgetExceededError(
+            f"{geom.n_vertices} vertices exceed brute-force budget")
     best_energy = np.inf
     best_pat = None
     best_signs = None
     n_best = 0
-    total = 1 << k
-    step = 1 << min(k, _CHUNK_BITS)
-    for start in range(0, total, step):
-        idx = np.arange(start, min(start + step, total), dtype=np.int64)
-        S, prod = _spin_products(geom, base, free, idx)
-        E = -(prod @ J.values)
+    for _, S, E in _energies(J, _forced_signs(geom, clamp)):
         m = float(E.min())
         if m < best_energy:
             best_energy = m

@@ -162,8 +162,7 @@ def test_criterion_5_two_bond_geometry():
 def test_criterion_6_super_satisfaction():
     g = build_box(5, 5)
     band = 2
-    bottom_edges = [e.id for e in g.edges
-                    if max(g.vertex_cr(e.u)[1], g.vertex_cr(e.v)[1]) <= 1]
+    bottom_edges = np.flatnonzero(g.entry_row <= 1)
     forced_ok = contour_ok = proxy_ok = True
     for i in range(100):
         J = sample_couplings(g, GAUSS, SEED + 6, i)
@@ -183,11 +182,8 @@ def test_criterion_6_super_satisfaction():
         # pair proxy: same couplings in the bottom band, redrawn above
         alt = sample_couplings(g, GAUSS, SEED + 6, i + (1 << 32))
         vals = alt.values.copy()
-        window = []
-        for e in g.edges:
-            if max(g.vertex_cr(e.u)[1], g.vertex_cr(e.v)[1]) <= band:
-                vals[e.id] = J_ss.values[e.id]
-                window.append(e.id)
+        window = np.flatnonzero(g.entry_row <= band)
+        vals[window] = J_ss.values[window]
         from eaglass.disorder import CouplingConfig
         J_pert = CouplingConfig(g, vals)
         beta = solve(g, J_pert)

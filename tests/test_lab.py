@@ -417,6 +417,78 @@ def test_cli_env_overrides(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_cli_missing_output_directory_fails_before_any_sample(
+        tmp_path, capsys, monkeypatch):
+    import eaglass.lab as lab
+    calls, solve_sample = [], lab._KINDS["solve"].sample
+
+    def counting(cfg, i):
+        calls.append(i)
+        return solve_sample(cfg, i)
+
+    monkeypatch.setitem(lab._KINDS, "solve",
+                        lab._KINDS["solve"]._replace(sample=counting))
+    args = ["solve", "--width", "3", "--height", "3", "--samples", "2"]
+    code = cli_main(args + ["--out", str(tmp_path / "missing" / "x")])
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+    assert calls == []
+    # a report file that cannot be written is one line and exit 1 as well
+    (tmp_path / "x.records.jsonl").mkdir()
+    code = cli_main(args + ["--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "x.records.jsonl" in err
+    assert calls == [0, 1]
+
+
+# every flag whose value goes to a config field of the same name
+FIELD_FLAGS = [
+    (["--seed", "5"], "master_seed", 5),
+    (["--samples", "3"], "samples", 3),
+    (["--out", "runs/x"], "out", "runs/x"),
+    (["--parallel", "2"], "parallel", 2),
+    (["--width", "5"], "width", 5),
+    (["--height", "4"], "height", 4),
+    (["--edge", "h:0,1"], "edge", "h:0,1"),
+    (["--edge2", "v:1,0"], "edge2", "v:1,0"),
+    (["--grid-lo", "-1.5"], "grid_lo", -1.5),
+    (["--grid-hi", "2.5"], "grid_hi", 2.5),
+    (["--grid-points", "13"], "grid_points", 13),
+    (["--n-list", "1,2"], "n_list", [1, 2]),
+    (["--k-list", "0,1"], "k_list", [0, 1]),
+    (["--n-pairs", "2:3,3:4"], "n_pairs", [[2, 3], [3, 4]]),
+    (["--proxy", "nested_volumes"], "proxy", "nested_volumes"),
+    (["--band-height", "2"], "band_height", 2),
+    (["--probes", "4"], "probes", 4),
+    (["--tol", "1e-6"], "tol", 1e-6),
+]
+
+
+@pytest.mark.parametrize("flag, key, value", FIELD_FLAGS,
+                         ids=[key for _, key, _ in FIELD_FLAGS])
+def test_each_field_flag_sets_its_key(flag, key, value, monkeypatch):
+    from eaglass.cli import _config_from_args, build_parser
+    monkeypatch.delenv("EAGLASS_OUT", raising=False)
+    monkeypatch.delenv("EAGLASS_PARALLEL", raising=False)
+    args = build_parser().parse_args(["wall-stats", *flag])
+    assert _config_from_args(args) == {"kind": "wall_stats", key: value}
+
+
+def test_field_flags_cover_every_flag_named_like_a_field():
+    from eaglass.cli import build_parser
+    args = build_parser().parse_args(["solve"])
+    dests = set(vars(args)) & set(ExperimentConfig.__dataclass_fields__)
+    assert dests - {"dist"} == {key for _, key, _ in FIELD_FLAGS}
+
+
+def test_box_n_applies_before_width_and_height():
+    from eaglass.cli import _config_from_args, build_parser
+    args = build_parser().parse_args(["solve", "--box-n", "2", "--width", "3"])
+    cfg = _config_from_args(args)
+    assert (cfg["width"], cfg["height"]) == (3, 5)
+
+
 def test_cli_hard_failure_exit_code(tmp_path, capsys, monkeypatch):
     import eaglass.lab as lab
 

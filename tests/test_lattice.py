@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -82,6 +83,18 @@ def test_box_invariants(w, h):
             assert 0 <= e.row < h - 1
     wraps = [e for e in g.edges if e.wrap]
     assert len(wraps) == (h if w >= 3 else 0)
+
+
+@pytest.mark.parametrize("w, h", [(1, 2), (1, 4), (2, 3), (3, 3), (5, 4)])
+def test_entry_row_is_the_upper_endpoint_row(w, h):
+    # a horizontal edge enters a row-by-row sweep at its own row and a
+    # vertical edge at the row of its upper endpoint
+    g = build_box(w, h)
+    assert g.entry_row.dtype == np.int64
+    assert g.entry_row.tolist() == [e.row + (e.kind == "v") for e in g.edges]
+    assert not g.entry_row.flags.writeable
+    with pytest.raises(ValueError):
+        g.entry_row[0] = 0
 
 
 @settings(max_examples=30, deadline=None)

@@ -268,6 +268,28 @@ def test_ties_match_bruteforce():
     assert n_tied >= 160
 
 
+def test_brute_force_across_enumeration_chunks_matches_solve():
+    # a 6x3 box free or with one clamped vertex leaves 17 free vertices,
+    # which brute_force walks in two chunks of 2^16 configurations; with
+    # {-1, 0, 1} couplings its ties, canonical choice and running minimum
+    # must carry from one chunk into the other
+    g = build_box(6, 3)
+    split = 0
+    for seed in range(6):
+        J = CouplingConfig(g, np.random.default_rng(seed).choice(
+            [-1.0, 0.0, 1.0], size=g.n_edges))
+        for cl in (None, Clamp((7,), (1,)), Clamp((17,), (1,))):
+            lows = [E.min() for _, _, E in
+                    solver._energies(J, solver._forced_signs(g, cl))]
+            assert len(lows) == 2
+            split += lows[0] == lows[1]     # optima in both chunks
+            a, b = solve(g, J, cl), brute_force(J, cl)
+            assert np.array_equal(a.signs, b.signs), (seed, cl)
+            assert a.tied == b.tied
+            assert a.energy.hex() == b.energy.hex()
+    assert split
+
+
 def test_tie_cap():
     g = build_box(4, 4)
     with pytest.raises(BudgetExceededError):
@@ -578,11 +600,6 @@ RESUME_SHAPES = [(1, 2), (3, 3), (4, 3), (3, 4), (2, 5), (2, 6), (1, 8),
                  (5, 5), (4, 6), (3, 7)]
 
 
-def _entry_rows(g):
-    """The row at which each edge enters the sweep."""
-    return np.maximum(g.eu, g.ev) // g.width
-
-
 def _first_forced_row(g, clamp):
     """The row of a problem's first forced vertex, H if it has none: its
     sweep keeps only the lower half of the frontiers of the rows above."""
@@ -661,7 +678,7 @@ def _next_problem(data, rng, g, p, J, clamp, clamp_rows, tied):
     0..p-1, redrawn elsewhere, maybe with each kept 0.0 turned into -0.0;
     the same clamp, or one drawn on rows p.. or anywhere."""
     vals = _draw_values(rng, g, tied)
-    keep = _entry_rows(g) < p
+    keep = g.entry_row < p
     vals[keep] = J.values[keep]
     if data.draw(st.integers(0, 3)) == 0:
         vals[keep & (vals == 0.0)] *= -1.0
@@ -697,7 +714,7 @@ def test_resumed_sweep_equals_a_fresh_one(shape, k, data):
         elif between == "tie_cap" and g.width * (g.height - 2) >= 15:
             # rows 2.. free: the sweep ends, its traceback hits the cap, and
             # the next problems share rows 0 and 1 with it
-            zero = _entry_rows(g) >= 2
+            zero = g.entry_row >= 2
             Js = [CouplingConfig(g, np.where(zero, 0.0, J.values)) for J in Js]
             with pytest.raises(BudgetExceededError):
                 solve_batch(Js, [None] * k)
@@ -728,7 +745,7 @@ def test_resume_chain_of_growing_shrinking_and_repeated_prefixes(monkeypatch):
     # on rows 0..p-1 and its clamped vertex 2, and redraws the rest, so the
     # clamp's second vertex, on row 6, always lies below the shared rows
     g = build_box(5, 7)
-    rows = _entry_rows(g)
+    rows = g.entry_row
     swept, per_sweep = _count_rows(monkeypatch), []
     Js = [sample_couplings(g, GAUSS, 8, k) for k in range(2)]
     solver._PLANS.store = {}
@@ -774,11 +791,32 @@ def test_resume_tells_minus_zero_from_zero():
     # that row's frontier from a sweep of 0.0 couplings
     g = build_box(3, 3)
     zero = np.zeros(g.n_edges)
-    minus = np.where(_entry_rows(g) == g.height - 1, -0.0, 0.0)
+    minus = np.where(g.entry_row == g.height - 1, -0.0, 0.0)
     solver._PLANS.store = {}
     for vals in (zero, minus, zero):
         J = CouplingConfig(g, vals)
         _assert_same_sweeps(_solve_and_bits([J], [None]), _fresh([J], [None]))
+
+
+def test_a_coupling_view_whose_base_changed_is_swept_afresh():
+    # CouplingConfig keeps the caller's array without a copy, so a view's
+    # base can hold other couplings at the next solve of the same config:
+    # the resume must compare them with the couplings the last sweep ran on
+    g = build_box(3, 3)
+    rng = np.random.default_rng(1)
+    base = rng.normal(size=3 * g.n_edges)
+    J = CouplingConfig(g, base[:g.n_edges])
+    pair = [CouplingConfig(g, base[g.n_edges:2 * g.n_edges]),
+            CouplingConfig(g, base[2 * g.n_edges:])]
+    clamps = [None, Clamp.opposite_pair(0, 4)]
+    solver._PLANS.store = {}
+    for _ in range(2):
+        _assert_same_states([solve(g, J)], [brute_force(J)])
+        base[:] = rng.normal(size=len(base))
+    for _ in range(2):
+        _assert_same_states(solve_batch(pair, clamps),
+                            [brute_force(J, cl) for J, cl in zip(pair, clamps)])
+        base[:] = rng.normal(size=len(base))
 
 
 def test_perturbed_exterior_second_solve_sweeps_only_the_rows_below_the_band(
@@ -932,10 +970,10 @@ def test_a_free_sweep_writes_only_the_lower_half_of_each_layer():
         forced = [solver._forced_cells(w, h, None)] * k
         plan.backptr[...] = 0xFF
         solver._sweep(g, Js, forced, plan)
-        below = _entry_rows(g) < h - 1     # the next sweep starts at row h-2
+        below = g.entry_row < h - 1     # the next sweep starts at row h-2
         solver._sweep(g, [CouplingConfig(g, np.where(
             below, J.values, -J.values)) for J in Js], forced, plan)
-        assert plan.last[2] == max(h - 2, 0)
+        assert plan.last[1] == max(h - 2, 0)
         assert plan.sym[:k].tolist() == [h] * k
         assert (plan.backptr[:, :, :k, half:] == 0xFF).all(), (w, h)
         assert (plan.backptr[:, :, :k, :half] <= 3).all(), (w, h)
@@ -983,7 +1021,7 @@ def test_a_free_solve_compares_flipped_rivals_before_rounding_absorbs_them(
     # larger coupling has absorbed their difference, and reports a tie;
     # so does ``brute_force``, which sums in floating point
     g = build_box(4, 4)
-    first = np.maximum(g.eu, g.ev) // 4 < 2
+    first = g.entry_row < 2
     rng = np.random.default_rng(seed)
     J = CouplingConfig(g, rng.normal(size=g.n_edges)
                        * np.where(first, 1e-18, 1.0))
@@ -1027,7 +1065,7 @@ def test_first_forced_row_anywhere_matches_bruteforce(w, data):
         _assert_same_sweeps(got, _fresh(Js, clamps))
         _assert_same_states(got[0], [brute_force(J, cl)
                                      for J, cl in zip(Js, clamps)])
-        keep = _entry_rows(g) < data.draw(st.integers(0, h))
+        keep = g.entry_row < data.draw(st.integers(0, h))
         Js = [CouplingConfig(g, np.where(keep, J.values,
                                          _draw_values(rng, g, tied)))
               for J in Js]
@@ -1063,7 +1101,7 @@ for w in range(1, 17):
                            for _ in range(k - 1)]
         for _ in range(2):  # the second sweep shares all but the last row
             solver.solve_batch(Js, clamps)
-            last = (np.maximum(g.eu, g.ev) // w) == h - 1
+            last = g.entry_row == h - 1
             Js = [CouplingConfig(g, np.where(last, -J.values, J.values))
                   for J in Js]
         clamps.reverse()
@@ -1285,7 +1323,7 @@ def test_solver_bits_are_pinned():
     feed(solve_batch(Js, clamps))
     g = build_box(15, 15)
     base = sample_couplings(g, GAUSS, 1107, 0)
-    band = _entry_rows(g) <= g.height // 2
+    band = g.entry_row <= g.height // 2
     pert = CouplingConfig(g, np.where(
         band, base.values, sample_couplings(g, GAUSS, 1107, 1).values))
     solver._PLANS.store = {}
@@ -1386,12 +1424,12 @@ def test_shared_row_costs_and_kernel_forced_cells_equal_per_problem_ones(
     for resumed in (False, True):
         forced = [solver._forced_cells(*shape, cl) for cl in clamps]
         solver._sweep(g, Js, forced, shared)
-        start = shared.last[2]
+        start = shared.last[1]
         assert (start > 0) == resumed
         _per_problem_sweeps(Js, forced, shared, single, start)
         # the next sweep keeps the couplings entering rows 0..p-1 and the
         # clamps, so it starts at row p-1 >= 1
-        keep = _entry_rows(g) < data.draw(st.integers(2, g.height))
+        keep = g.entry_row < data.draw(st.integers(2, g.height))
         moved = {id(J.values): CouplingConfig(g, np.where(
             keep, J.values, _draw_values(rng, g, tied))) for J in pool}
         Js, pool = [moved[id(J.values)] for J in Js], list(moved.values())

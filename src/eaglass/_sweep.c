@@ -163,36 +163,36 @@ static void row_costs(double *cost, const double *j, int w, int h, int nh,
 /* rowcost (kcap, h, 2^w): row costs of each problem, overwritten from row
  * start + 1 on by its frontier after that row, which is
  * rowcost[r + 1] = (frontier after the row's last step) + rowcost[r + 1];
- * rowcost[start] must hold the frontier after row start.  vals (k, e) holds
- * each problem's couplings, the vertical edges after the horizontal ones,
- * row by row; the sweep builds the row costs of the rows after start, or of
- * every row from row 0, copying them from problem src[p] <= p where that
- * holds the same couplings.  Problem p's ncells[p] forced cells follow those
- * of the problems before it in cells; they go into the same rows as inf.
- * sym[p] gets the row of its first forced cell, h if it has none: its
- * frontiers of rows r < sym[p] are symmetric and hold their 2^(w-1) entries
- * with bit w-1 down, its steps from those rows to rows < sym[p] are half
- * steps, and row sym[p] - 1 is filled out before its steps.  buf0 and buf1
- * (2^w each) take the column steps in turn.  backptr (h - 1, w, kcap, 2^w)
- * gets the code of problem p's step c of row r at [r, c, p], in its lower
- * half only for a half step, and that step adds the vertical coupling of
- * column c between rows r and r + 1. */
+ * rowcost[start] must hold the frontier after row start.  vals (kcap, e)
+ * holds each problem's couplings, the vertical edges after the horizontal
+ * ones, row by row; the sweep builds the row costs of the rows after start,
+ * or of every row from row 0, copying them from problem p - 1 where its
+ * horizontal couplings have the same bits.  Problem p's ncells[p] forced
+ * cells follow those of the problems before it in cells; they go into the
+ * same rows as inf.  sym[p] gets the row of its first forced cell, h if it
+ * has none: its frontiers of rows r < sym[p] are symmetric and hold their
+ * 2^(w-1) entries with bit w-1 down, its steps from those rows to rows
+ * < sym[p] are half steps, and row sym[p] - 1 is filled out before its
+ * steps.  buf0 and buf1 (2^w each) take the column steps in turn.  backptr
+ * (h - 1, w, kcap, 2^w) gets the code of problem p's step c of row r at
+ * [r, c, p], in its lower half only for a half step, and that step adds the
+ * vertical coupling of column c between rows r and r + 1. */
 void eaglass_sweep(int w, int h, int k, int kcap, int start,
                    double *rowcost, double *buf0, double *buf1,
                    unsigned char *backptr, int *sym, const double *vals,
-                   const int *src, const int *cells, const int *ncells)
+                   const int *cells, const int *ncells)
 {
     size_t n = (size_t)1 << w;
     int nh = w >= 3 ? w : w - 1, lo = start ? start + 1 : 0;
     size_t e = (size_t)nh * h + (size_t)w * (h - 1);
     for (int p = 0; p < k; p++) {
         double *cost = rowcost + (size_t)p * h * n;
-        if (src[p] < p)
-            memcpy(cost + (size_t)lo * n,
-                   rowcost + ((size_t)src[p] * h + lo) * n,
+        const double *j = vals + (size_t)p * e;
+        if (p && !memcmp(j, j - e, (size_t)nh * h * sizeof *j))
+            memcpy(cost + (size_t)lo * n, cost - (size_t)(h - lo) * n,
                    (size_t)(h - lo) * n * sizeof *cost);
         else
-            row_costs(cost, vals + (size_t)p * e, w, h, nh, lo);
+            row_costs(cost, j, w, h, nh, lo);
     }
     for (int p = 0; p < k; p++) {
         double *cost = rowcost + (size_t)p * h * n;

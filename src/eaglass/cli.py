@@ -14,6 +14,7 @@ import json
 import os
 import sys
 
+from .disorder import LAWS
 from .errors import ConfigError, HardAssertionFailure, SampleError
 from .lab import EXPERIMENT_KINDS, PROXY_KINDS, ExperimentConfig, run
 
@@ -59,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--height", type=int)
         p.add_argument("--box-n", type=int,
                        help="use the square box of half-width n (width=height=2n+1)")
-        p.add_argument("--dist", choices=["gaussian", "uniform_symmetric"])
+        p.add_argument("--dist", choices=list(LAWS))
         p.add_argument("--sigma", type=float)
         p.add_argument("--half-width", type=float)
         p.add_argument("--edge", help="edge as kind:col,row e.g. h:0,0")

@@ -23,6 +23,9 @@ from .lattice import BoxGeometry
 _PERSON = b"ea-coupling"
 _NORMAL = NormalDist()
 
+# each coupling law and the one scale parameter it reads
+LAWS = {"gaussian": "sigma", "uniform_symmetric": "half_width"}
+
 
 def _is_finite_number(x) -> bool:
     """An int or float (not a bool) that is neither infinite nor NaN."""
@@ -39,20 +42,16 @@ class DistributionSpec:
     half_width: float = 1.0
 
     def __post_init__(self):
-        for name in ("sigma", "half_width"):
+        for name in LAWS.values():
             if not _is_finite_number(getattr(self, name)):
                 raise ConfigError(f"{name} must be a finite number, "
                                   f"got {getattr(self, name)!r}")
-        if self.kind == "gaussian":
-            if not self.sigma > 0:
-                raise ConfigError("gaussian sigma must be > 0")
-        elif self.kind == "uniform_symmetric":
-            if not self.half_width > 0:
-                raise ConfigError("uniform_symmetric half_width must be > 0")
-        else:
+        if not isinstance(self.kind, str) or self.kind not in LAWS:
             raise ConfigError(
                 f"unsupported coupling distribution {self.kind!r}; "
                 "only symmetric continuous laws are allowed")
+        if not getattr(self, LAWS[self.kind]) > 0:
+            raise ConfigError(f"{self.kind} {LAWS[self.kind]} must be > 0")
 
     def from_uniform(self, u: float) -> float:
         if self.kind == "gaussian":
@@ -60,20 +59,19 @@ class DistributionSpec:
         return (2.0 * u - 1.0) * self.half_width
 
     def to_dict(self) -> dict:
-        if self.kind == "gaussian":
-            return {"kind": "gaussian", "sigma": self.sigma}
-        return {"kind": "uniform_symmetric", "half_width": self.half_width}
+        scale = LAWS[self.kind]
+        return {"kind": self.kind, scale: getattr(self, scale)}
 
     @staticmethod
     def from_dict(d: dict) -> "DistributionSpec":
+        """A law from its kind and at most the scale parameter it reads."""
         if not isinstance(d, dict) or "kind" not in d:
             raise ConfigError(f"bad distribution spec: {d!r}")
-        kind = d["kind"]
-        extra = set(d) - {"kind", "sigma", "half_width"}
+        kind = DistributionSpec(d["kind"]).kind     # a known law
+        extra = set(d) - {"kind", LAWS[kind]}
         if extra:
-            raise ConfigError(f"unknown distribution fields {sorted(extra)}")
-        return DistributionSpec(kind, sigma=d.get("sigma", 1.0),
-                                half_width=d.get("half_width", 1.0))
+            raise ConfigError(f"the {kind} law does not read {sorted(extra)}")
+        return DistributionSpec(**d)
 
 
 def _edge_uniform(master_seed: int, sample_index: int, key: tuple) -> float:

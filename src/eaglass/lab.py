@@ -823,8 +823,6 @@ def _sample_worker(payload):
     except HardAssertionFailure as exc_:
         return index, "hard_fail", {"message": str(exc_),
                                     "reproducer": exc_.reproducer}
-    except ConfigError:
-        raise
     except Exception:
         # any other failure is an internal error; keep it replayable
         return index, "error", {"message": f"sample {index}: "
@@ -842,9 +840,14 @@ def run(config: ExperimentConfig | dict) -> RunReport:
     else:
         cfg = config
         validate_config(cfg)
+    paths = ([f"{cfg.out}.records.jsonl", f"{cfg.out}.summary.json"]
+             if cfg.out else [])
     if cfg.out and not os.path.isdir(os.path.dirname(cfg.out) or "."):
         raise ConfigError(f"output directory of {str(cfg.out)!r} "
                           "does not exist")
+    for path in paths:      # checked before any sample, written after all
+        if os.path.isdir(path):
+            raise ConfigError(f"report path {path!r} is a directory")
     start = time.monotonic()
     core = cfg.core_dict()
     payloads = [(cfg, i) for i in range(cfg.samples)]
@@ -873,10 +876,8 @@ def run(config: ExperimentConfig | dict) -> RunReport:
     ).hexdigest()
     report = RunReport(core, records, aggregates, properties,
                        time.monotonic() - start, digest)
-    if cfg.out:
-        base = str(cfg.out)
-        report.records_path = base + ".records.jsonl"
-        report.summary_path = base + ".summary.json"
+    if paths:
+        report.records_path, report.summary_path = paths
         with open(report.records_path, "w") as fh:
             for rec in records:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")

@@ -21,10 +21,10 @@ and backpointer blocks, so its energies, backpointers and optimum are
 bit-identical to a solve of its own.  A sweep holds at most 2^13 frontier
 entries (K * 2^W), so from width 13 on every problem runs alone; ``solve``
 is the K=1 case.  A row's costs are minus its horizontal energy per row
-mask, summed edge by edge from 0.0; the kernel builds them once per
-coupling array of the sweep and copies them to every problem that holds
-the array, so the solver calls no BLAS and its bits do not depend on the
-machine's BLAS kernel.
+mask, summed edge by edge from 0.0; the kernel copies a problem's row
+costs from the problem before it where their horizontal couplings have the
+same bits and builds them otherwise, so the solver calls no BLAS and its
+bits do not depend on the machine's BLAS kernel.
 
 Each thread keeps one plan of arrays per box shape, and the plan remembers
 its last sweep.  A sweep of as many problems whose couplings and forced
@@ -231,7 +231,7 @@ def _kernel():
     if not path.exists():
         path = _build(name)
     lib = ctypes.CDLL(str(path))
-    lib.eaglass_sweep.argtypes = [ctypes.c_int] * 5 + [ctypes.c_void_p] * 9
+    lib.eaglass_sweep.argtypes = [ctypes.c_int] * 5 + [ctypes.c_void_p] * 8
     lib.eaglass_sweep.restype = None
     lib.eaglass_traceback.argtypes = [ctypes.c_int] * 5 + [ctypes.c_void_p] * 7
     return lib
@@ -279,7 +279,8 @@ class _Plan:
     backpointer block avoids the stall of a fresh allocation per solve.  The
     kernel's column steps take turns in ``cur`` and ``nxt``, so a warm sweep
     allocates no frontier-sized array; ``vals[k]`` holds a copy of problem
-    k's couplings, which the traceback and the next sweep's resume read.
+    k's couplings, which the kernel, the traceback and the next sweep's
+    resume read.
 
     ``rowcost[k, r]`` holds problem k's row costs of row r, which the kernel
     builds, then its frontier after row r: only its lower half on a row
@@ -373,40 +374,31 @@ def _sweep(geom: BoxGeometry, Js, forced, plan: _Plan) -> None:
     last sweep left there; the backpointers above it are the last sweep's,
     which are the same bits."""
     start = _resume_row(geom, plan, Js, forced)
-    first = {}
-    src = [first.setdefault(id(J.values), k) for k, J in enumerate(Js)]
     for k, J in enumerate(Js):
         plan.vals[k] = J.values
-    _run_sweep(plan, start, plan.vals[:len(Js)], src,
-               [cells for cells, _ in forced])
+    _run_sweep(plan, start, [cells for cells, _ in forced])
     plan.last = (forced, start)
 
 
-def _run_sweep(plan: _Plan, start: int, vals: np.ndarray, src, cells) -> None:
-    """Rows ``start``..H-2 of K problems in one call of the C kernel, whose
-    couplings ``vals`` holds as a contiguous (K, E) array.  The kernel builds
-    the row costs of the rows it sweeps into, or of every row from row 0:
-    problem k copies them from problem ``src[k]``, the first that holds the
-    same couplings, and ``cells[k]`` holds its forced cells (see
+def _run_sweep(plan: _Plan, start: int, cells) -> None:
+    """Rows ``start``..H-2 of the first K = ``len(cells)`` problems in one
+    call of the C kernel, on their couplings in ``plan.vals``.  The kernel
+    builds the row costs of the rows it sweeps into, or of every row from
+    row 0, and problem k copies them from problem k-1 where their horizontal
+    couplings have the same bits; ``cells[k]`` holds its forced cells (see
     ``_forced_cells``), which the kernel writes into its row costs as inf."""
-    k, h, w = len(vals), plan.rowcost.shape[1], plan.backptr.shape[1]
-    src = np.array(src, dtype=np.int32)
+    k, h, w = len(cells), plan.rowcost.shape[1], plan.backptr.shape[1]
     flat = np.array([x for c in cells for x in c], dtype=np.int32)
     if (k > len(plan.rowcost) or not 0 <= start < h
-            or vals.shape != (k, plan.vals.shape[1])
-            or vals.dtype != np.float64 or not vals.flags.c_contiguous
-            or src.shape != (k,) or len(cells) != k
-            or k and not ((0 <= src) & (src <= np.arange(k))).all()
-            or k and not (src[src] == src).all()
             or len(flat) and not 0 <= flat.min() <= flat.max() < 2 * h * w):
-        raise ValueError(f"a sweep of {vals.shape} {vals.dtype} couplings "
-                         f"from row {start} does not fit the plan")
+        raise ValueError(f"a sweep of {k} problems from row {start} "
+                         "does not fit the plan")
     counts = np.array([len(c) for c in cells], dtype=np.int32)
     at = plan.at
     _kernel().eaglass_sweep(
         w, h, k, plan.backptr.shape[2], start, at["rowcost"], at["cur"],
-        at["nxt"], at["backptr"], at["sym"], vals.ctypes.data,
-        src.ctypes.data, flat.ctypes.data, counts.ctypes.data)
+        at["nxt"], at["backptr"], at["sym"], at["vals"], flat.ctypes.data,
+        counts.ctypes.data)
 
 
 def _resume_row(geom: BoxGeometry, plan: _Plan, Js, forced) -> int:

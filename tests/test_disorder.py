@@ -1,10 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eaglass.disorder import (DistributionSpec, sample_couplings,
+from eaglass.disorder import (LAWS, DistributionSpec, sample_couplings,
                               super_satisfy, supersatisfied_threshold)
 from eaglass.errors import ConfigError
 from eaglass.lattice import build_box
@@ -21,6 +22,35 @@ def test_distribution_validation():
         DistributionSpec("uniform", half_width=1.0)  # asymmetric laws rejected
     with pytest.raises(ConfigError):
         DistributionSpec.from_dict({"kind": "gaussian", "lo": 0.9, "hi": 1.1})
+
+
+def test_each_law_reads_only_its_scale_parameter():
+    for kind, scale in LAWS.items():
+        spec = DistributionSpec.from_dict({"kind": kind, scale: 0.25})
+        assert spec.to_dict() == {"kind": kind, scale: 0.25}
+        assert DistributionSpec.from_dict(spec.to_dict()) == spec
+        with pytest.raises(ConfigError, match=f"{scale} must be > 0"):
+            DistributionSpec.from_dict({"kind": kind, scale: 0.0})
+        for other in set(LAWS.values()) - {scale}:
+            with pytest.raises(ConfigError, match=other):
+                DistributionSpec.from_dict({"kind": kind, other: 0.5})
+    with pytest.raises(ConfigError):
+        DistributionSpec.from_dict({"kind": ["gaussian"]})
+
+
+def test_sampled_bits_are_pinned():
+    # the bytes of both laws' couplings on a small and a wide box, at the
+    # extreme seeds and a sample index beyond 32 bits: a faster sampler must
+    # draw the same values
+    digest = hashlib.sha256()
+    for spec in (GAUSS, DistributionSpec("uniform_symmetric", half_width=0.5)):
+        for g in (build_box(3, 3), build_box(15, 15)):
+            for seed in (-2**63, 0, 7, 2**63 - 1):
+                for index in (0, 3, 2**32 + 1):
+                    digest.update(
+                        sample_couplings(g, spec, seed, index).values.tobytes())
+    assert digest.hexdigest() == (
+        "cbe8782256f5d6b0b61a305be166b5e07b8f201634df0f2631f1ff6fb8cb66de")
 
 
 @settings(max_examples=25, deadline=None)

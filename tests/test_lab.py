@@ -433,13 +433,20 @@ def test_cli_missing_output_directory_fails_before_any_sample(
     assert code == 1
     assert "config error" in capsys.readouterr().err
     assert calls == []
-    # a report file that cannot be written is one line and exit 1 as well
+    # a report path that is a directory is one line and exit 1 as well,
+    # before any sample and with the other report neither made nor changed
     (tmp_path / "x.records.jsonl").mkdir()
+    (tmp_path / "x.summary.json").write_text("old\n")
     code = cli_main(args + ["--out", str(tmp_path / "x")])
     assert code == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "x.records.jsonl" in err
-    assert calls == [0, 1]
+    assert calls == []
+    assert (tmp_path / "x.summary.json").read_text() == "old\n"
+    (tmp_path / "y.summary.json").mkdir()
+    assert cli_main(args + ["--out", str(tmp_path / "y")]) == 1
+    assert "y.summary.json" in capsys.readouterr().err
+    assert calls == [] and not (tmp_path / "y.records.jsonl").exists()
 
 
 # every flag whose value goes to a config field of the same name
@@ -503,11 +510,15 @@ def test_cli_hard_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert "REPRODUCER" in err
 
 
-def test_cli_internal_error_exit_code(capsys, monkeypatch):
+@pytest.mark.parametrize("error", [RuntimeError, ConfigError],
+                         ids=lambda e: e.__name__)
+def test_cli_internal_error_exit_code(error, capsys, monkeypatch):
+    # any exception inside a sample, a ConfigError too, is an internal
+    # error of that sample that carries a reproducer
     import eaglass.lab as lab
 
     def boom(cfg, i):
-        raise RuntimeError("synthetic internal error")
+        raise error("synthetic internal error")
 
     monkeypatch.setitem(lab._KINDS, "solve",
                         lab._KINDS["solve"]._replace(sample=boom))
@@ -515,11 +526,41 @@ def test_cli_internal_error_exit_code(capsys, monkeypatch):
                      "2", "--seed", "4"])
     assert code == 3
     err = capsys.readouterr().err
-    assert "RuntimeError: synthetic internal error" in err
+    assert f"{error.__name__}: synthetic internal error" in err
     line, = [ln for ln in err.splitlines() if ln.startswith("REPRODUCER ")]
     rep = json.loads(line[len("REPRODUCER "):])
     assert rep["seed"] == 4 and rep["sample"] == 0
     assert rep["config"]["kind"] == "solve"
+
+
+# a law's parameter that it does not read is a config error, whether it
+# comes from a flag, a config file, or both merged
+MISREAD_LAWS = [
+    (["--half-width", "0.5"], None),
+    (["--dist", "uniform_symmetric", "--sigma", "4"], None),
+    (["--dist", "gaussian"], {"kind": "uniform_symmetric", "half_width": 0.5}),
+    ([], {"kind": "gaussian", "sigma": 2.0, "half_width": 0.5}),
+]
+
+
+@pytest.mark.parametrize("flags, dist", MISREAD_LAWS,
+                         ids=["half-width", "sigma", "merged", "file"])
+def test_cli_rejects_a_parameter_the_law_does_not_read(
+        flags, dist, tmp_path, capsys):
+    args = ["solve", "--width", "3", "--height", "3", "--samples", "2"]
+    if dist is not None:
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps({"kind": "solve", "dist": dist}))
+        args += ["--config", str(path)]
+    assert cli_main(args + flags) == 1
+    assert capsys.readouterr().err.startswith("config error")
+
+
+def test_golden_content_hash_of_the_uniform_law():
+    cfg = dict(kind="solve", width=3, height=3,
+               dist={"kind": "uniform_symmetric", "half_width": 0.5})
+    assert run(dict(cfg, samples=3, master_seed=7)).content_hash == (
+        "72e8018c5e1bf4977fe1677fef9065cff94c8b5a1fb6545f810b09124f7b5342")
 
 
 # content hashes of one small config per kind (samples=3, master_seed=7);

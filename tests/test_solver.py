@@ -1,12 +1,15 @@
+import ctypes
 import hashlib
 import inspect
 import os
+import re
 import struct
 import subprocess
 import sys
 import threading
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -469,8 +472,9 @@ def test_kernel_row_costs_equal_the_left_to_right_sum(width, height):
     for mix in ("gaussian", "integers", "zeros", "huge"):
         vals = rng.normal(size=(1, g.n_edges))
         vals[0, :n_h * height] = _draw_mix(rng, mix, n_h * height)
+        plan.vals[:1] = vals
         for cells in ((), (0,)):
-            solver._run_sweep(plan, 0, vals, [0], [cells])
+            solver._run_sweep(plan, 0, [cells])
             want = reference.row_costs(vals[0], width, height)
             if cells:
                 want[0, ::2] = np.inf
@@ -503,10 +507,9 @@ def _kernel_row_costs(width, j_rows):
     out = np.empty((len(j_rows), 1 << width))
     for lo in range(0, len(j_rows), len(plan.rowcost)):
         block = j_rows[lo:lo + len(plan.rowcost)]
-        vals = np.zeros((len(block), plan.vals.shape[1]))
-        vals[:, :n_h] = block
-        solver._run_sweep(plan, 0, vals, range(len(block)),
-                          [()] * len(block))
+        plan.vals[:len(block)] = 0.0
+        plan.vals[:len(block), :n_h] = block
+        solver._run_sweep(plan, 0, [()] * len(block))
         out[lo:lo + len(block)] = plan.rowcost[:len(block), 0]
     return out
 
@@ -731,9 +734,9 @@ def _count_rows(monkeypatch):
     one call per sweep."""
     swept = [0]
 
-    def counted_sweep(plan, start, vals, src, cells):
+    def counted_sweep(plan, start, cells):
         swept[0] += plan.rowcost.shape[1] - 1 - start
-        return run_sweep(plan, start, vals, src, cells)
+        return run_sweep(plan, start, cells)
 
     run_sweep = solver._run_sweep
     monkeypatch.setattr(solver, "_run_sweep", counted_sweep)
@@ -864,20 +867,19 @@ def _rotate_to_identity(masks, w, c):
 def _draw_sweep(rng, k, g):
     """Couplings of k problems on box g, each from one mix: integers and
     +-0.0, which tie; signed zeros alone, whose signs every minimum and sum
-    must keep; or gaussian values.  A problem may share an earlier one's
-    couplings, as its first slot ``src``.  Each has a first forced row drawn
+    must keep; or gaussian values.  A problem may repeat the couplings of
+    the problem before it, all of them or only the horizontal ones, whose
+    row costs the kernel then copies.  Each has a first forced row drawn
     from 0..H (H: none, a free problem), with a forced cell there and up to
     2 more on the rows after it, even both bits of one vertex."""
-    vals, src, cells, syms = np.empty((k, g.n_edges)), [], [], []
+    vals, cells, syms = np.empty((k, g.n_edges)), [], []
+    horizontal = g.n_edges - g.width * (g.height - 1)
     for p in range(k):
-        if p and rng.integers(3) == 0:
-            src.append(src[int(rng.integers(p))])
-            vals[p] = vals[src[-1]]
-        else:
-            src.append(p)
-            vals[p] = _draw_mix(
-                rng, ("gaussian", "integers", "zeros")[rng.integers(3)],
-                g.n_edges)
+        vals[p] = _draw_mix(
+            rng, ("gaussian", "integers", "zeros")[rng.integers(3)],
+            g.n_edges)
+        repeat = (0, g.n_edges, horizontal)[rng.integers(3) if p else 0]
+        vals[p, :repeat] = vals[p - 1, :repeat]
         syms.append(int(rng.integers(g.height + 1)))
         if syms[-1] == g.height:
             cells.append(())
@@ -886,7 +888,7 @@ def _draw_sweep(rng, k, g):
                             size=rng.integers(0, 3))
         cells.append((*map(int, more), int(rng.integers(
             2 * syms[-1] * g.width, 2 * (syms[-1] + 1) * g.width))))
-    return vals, src, cells, syms
+    return vals, cells, syms
 
 
 @settings(max_examples=60, deadline=None)
@@ -901,12 +903,16 @@ def test_kernel_sweep_equals_the_bit_replacing_reference(w, h, data):
     # codes equal the lower half of full steps over the flipped-and-mirrored
     # frontier; row sym - 1 is filled out before the first full step.  A
     # sweep from row s > 0 starts from the frontier in row s and writes no
-    # row above it
-    g, plan = build_box(w, h), solver._Plan(w, h)
+    # row above it.  The plan holds at least 2 problems, so that a problem
+    # can copy the row costs of the one before it at every width
+    g = build_box(w, h)
+    with mock.patch.object(solver, "_BATCH_STATES",
+                           max(solver._BATCH_STATES, 2 << w)):
+        plan = solver._Plan(w, h)
     k = data.draw(st.integers(1, min(len(plan.rowcost), 64 if w <= 7 else 4)))
     start = data.draw(st.integers(0, h - 2))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    vals, src, cells, syms = _draw_sweep(rng, k, g)
+    vals, cells, syms = _draw_sweep(rng, k, g)
     n, half, masks = 1 << w, 1 << w - 1, np.arange(1 << w)
     lo = start + 1 if start else 0
     want = np.full((k, h, n), 7.5)
@@ -921,7 +927,8 @@ def test_kernel_sweep_equals_the_bit_replacing_reference(w, h, data):
     plan.rowcost[:k] = want
     plan.rowcost[:k, lo:] = np.nan
     plan.backptr[...] = 0xFF
-    solver._run_sweep(plan, start, vals, src, cells)
+    plan.vals[:k] = vals
+    solver._run_sweep(plan, start, cells)
     assert plan.sym[:k].tolist() == syms
     syms = np.array(syms)
     vert = vals[:, g.n_edges - w * (h - 1):].reshape(k, h - 1, w)
@@ -1134,7 +1141,7 @@ def test_the_kernel_runs_clean_under_address_and_ub_sanitizers(tmp_path):
 def test_a_warm_sweep_allocates_nothing():
     # the kernel's column steps take turns in the plan's two step buffers
     # and the couplings go to the plan too; a sweep allocates only small
-    # arrays and the map of its coupling arrays to their first slot
+    # arrays
     for w, h, k in ((15, 15, 1), (7, 4, 64)):
         g = build_box(w, h)
         Js = [sample_couplings(g, GAUSS, 11, i) for i in range(k)]
@@ -1396,7 +1403,8 @@ def _per_problem_sweeps(Js, forced, shared, single, start):
     Asserts that each gives the same frontiers and backpointers."""
     for i, (J, (cells, _)) in enumerate(zip(Js, forced)):
         single.rowcost[0, start] = shared.rowcost[i, start]
-        solver._run_sweep(single, start, J.values[None], [0], [cells])
+        single.vals[0] = J.values
+        solver._run_sweep(single, start, [cells])
         sym = shared.sym[i]
         assert single.sym[0] == sym
         assert (_swept_bytes(shared, i, sym, start)
@@ -1407,11 +1415,12 @@ def _per_problem_sweeps(Js, forced, shared, single, start):
 @given(st.sampled_from(RESUME_SHAPES), st.integers(1, 8), st.data())
 def test_shared_row_costs_and_kernel_forced_cells_equal_per_problem_ones(
         shape, k, data):
-    # k problems on 1 to 3 coupling arrays, whose row costs a sweep builds
-    # once per array and copies, with each problem's forced signs written as
-    # inf after the copy: every frontier and backpointer the kernel sweeps
-    # equals, bit for bit, a sweep of the problem alone; fresh, then resumed
-    # from the rows the next sweep shares with it
+    # k problems on 1 to 3 coupling arrays, whose row costs a sweep copies
+    # from the problem before where that holds the same array, with each
+    # problem's forced signs written as inf after the copy: every frontier
+    # and backpointer the kernel sweeps equals, bit for bit, a sweep of the
+    # problem alone; fresh, then resumed from the rows the next sweep shares
+    # with it
     g = build_box(*shape)
     k = min(k, solver._BATCH_STATES >> g.width)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -1440,6 +1449,36 @@ def test_the_kernel_compiles_without_warnings(tmp_path):
            "-c", str(solver._SOURCE), "-o", str(tmp_path / "sweep.o")]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_kernel_argtypes_match_the_exported_prototypes():
+    # a ctypes signature that disagrees with the C one is undefined
+    # behaviour: each exported function takes one c_int per int and one
+    # c_void_p per pointer, and returns what its prototype says
+    exported = re.findall(r"^(void|int) (eaglass_\w+)\(([^)]*)\)",
+                          solver._SOURCE.read_text(), re.MULTILINE)
+    assert [name for _, name, _ in exported] == ["eaglass_sweep",
+                                                 "eaglass_traceback"]
+    lib = solver._kernel()
+    for ret, name, params in exported:
+        want = []
+        for param in params.split(","):
+            assert "*" in param or param.split()[0] == "int", param
+            want.append(ctypes.c_void_p if "*" in param else ctypes.c_int)
+        assert getattr(lib, name).argtypes == want, name
+        assert getattr(lib, name).restype == (
+            None if ret == "void" else ctypes.c_int), name
+
+
+def test_a_sweep_that_does_not_fit_the_plan_raises():
+    # the checks on the caller's data: the problem count against the plan's
+    # capacity, the start row and the forced cells' range
+    plan = solver._Plan(3, 3)
+    cap = len(plan.rowcost)
+    for start, cells in ((0, [()] * (cap + 1)), (-1, [()]), (3, [()]),
+                         (0, [(18,)]), (0, [(), (-1,)])):
+        with pytest.raises(ValueError, match="does not fit the plan"):
+            solver._run_sweep(plan, start, cells)
 
 
 def test_tie_cap_inside_a_batch():

@@ -1,31 +1,36 @@
 /* The transfer sweep and traceback of eaglass.solver, loaded with ctypes.
  *
- * A problem's frontier is a shift register of its row: bit 0 of each mask
- * is the current column's old spin, and a column step pops it and pushes the
- * new spin as bit W-1.  The vertical edge costs -J * old * new; with
- * jm = -J for a new spin down and +J for up, a = cur[2i] + jm is the old
- * spin down and d = cur[2i+1] - jm the old spin up.  The new entry is
- * np.minimum(a, d), ties (+-0.0 too) going to d and NaN propagating, and the
- * backpointer is 1 / 2 / 3 for old spin down, up, or a tie, 0 if NaN.  The
- * solver's pinned bits rest on exactly these IEEE operations, so the build
- * must not contract or reassociate them (no -ffast-math, -ffp-contract=off).
+ * A row mask has bit c for column c, 1 for spin +1.  Between rows r and
+ * r + 1 a problem's frontier keeps every mask in place: column step c
+ * replaces bit c, the old spin of column c (row r), by its new spin (row
+ * r + 1), so it pairs mask i (bit c down) with i | 2^c, and after the row's
+ * last step every mask is a mask of row r + 1.  The vertical edge costs
+ * -J * old * new; with jm = -J for a new spin down and +J for up,
+ * a = x + jm is the old spin down (x the entry of the pair's mask with bit c
+ * down) and d = y - jm the old spin up.  The new entry is np.minimum(a, d),
+ * ties (+-0.0 too) going to d and NaN propagating, and its 2-bit code is
+ * 1 / 2 / 3 for old spin down, up, or a tie, 0 if NaN; a layer holds four
+ * codes per byte, entry i's at bits 2 * (i % 4) of byte i / 4.  The solver's
+ * pinned bits rest on exactly these IEEE operations, so the build must not
+ * contract or reassociate them (no -ffast-math, -ffp-contract=off).
  *
- * A row mask has bit c for column c, 1 for spin +1.  Its row cost is minus
- * the row's horizontal energy, summed edge by edge from 0.0 in edge order,
- * so its bits, too, rest on these operations alone and not on the
- * summation order of some CPU's BLAS kernel.  A forced sign enters as a
- * cell 2 * vertex + b: every row mask holding bit b at that vertex costs
- * inf.  The traceback walks the backpointers from the last row up, one
+ * A row's cost is minus its horizontal energy, summed edge by edge from 0.0
+ * in edge order, so its bits, too, rest on these operations alone and not
+ * on the summation order of some CPU's BLAS kernel.  A forced sign enters
+ * as a cell 2 * vertex + b: every row mask holding bit b at that vertex
+ * costs inf.  The traceback walks the codes from the last row up, one
  * optimal configuration at a time, so it needs no buffer of all of them.
  *
  * With no field, a mask m and its flip ~m go through the same operations
  * (x - y is x + -y), so until a problem's first forced row its frontiers
  * are symmetric and the sweep keeps only their lower halves, the masks with
- * bit w-1 down: the half step is the full step's new-spin-down half, with
- * the entries of pairs beyond the stored half read as the mirrors of those
- * below.  Its entries are the full step's, up to the sign of a zero, which
- * no comparison sees.  A free problem forces no row, so each of its pairs
- * ends once in the lower half of its final frontier.
+ * bit w-1 down, and only the lower halves of those rows' costs.  Steps
+ * c < w-1 pair masks of the lower half alone; step w-1 pairs mask i with
+ * i | 2^(w-1), whose entry is that of its flip, the mirrored entry
+ * 2^(w-1) - 1 - i.  These steps' entries are the full steps', up to the
+ * sign of a zero, which no comparison sees.
+ * A free problem forces no row, so each of its pairs ends once in the lower
+ * half of its final frontier.
  */
 
 #include <math.h>
@@ -40,71 +45,143 @@
 
 /* the entry of a new mask whose predecessors cost a (old spin down) and d
  * (old spin up): their minimum into *out and its code into *code */
-static inline void pick(double a, double d, double *out, unsigned char *code)
+static inline void pick(double a, double d, double *out, unsigned *code)
 {
-    *code = (unsigned char)((a <= d) | (a >= d) << 1);
+    *code = (a <= d) | (a >= d) << 1;
     *out = (a < d || a != a) ? a : d;
-}
-
-CLONES
-static void step(const double *restrict cur, double *restrict nxt,
-                 unsigned char *restrict bp, double j, size_t half)
-{
-    for (size_t i = 0; i < half; i++) {
-        double x = cur[2 * i], y = cur[2 * i + 1];
-        pick(x + -j, y - -j, nxt + i, bp + i);      /* new spin down: jm = -J */
-        pick(x + j, y - j, nxt + half + i, bp + half + i);  /* up: jm = +J */
-    }
 }
 
 typedef double v4d __attribute__((vector_size(32)));
 typedef long long v4l __attribute__((vector_size(32)));
-typedef unsigned char v4c __attribute__((vector_size(4)));
 
-/* pick on four lanes */
-static inline void pick4(const v4d *a, const v4d *d, v4d *out, v4c *code)
+/* pick on four lanes; returns their codes, lane l's times *at[l] (4^e for
+ * its entry e of a block of eight), so that the lanes' sum packs them */
+static inline unsigned pick4(const v4d *a, const v4d *d, v4d *out,
+                             const v4l *at)
 {
     v4l lo = (*a < *d) | (*a != *a);
-    *code = __builtin_convertvector(((*a <= *d) & 1) | ((*a >= *d) & 2), v4c);
+    v4l code = ((*a <= *d) & *at) | ((*a >= *d) & (*at + *at));
     *out = (v4d)(((v4l)*a & lo) | ((v4l)*d & ~lo));
+    return (unsigned)(code[0] | code[1] | code[2] | code[3]);
 }
 
-/* step on a symmetric frontier, whose half (2^(w-1)) entries are the masks
- * with bit w-1 down: new entry i < half / 2 takes the pair (cur[2i],
- * cur[2i+1]) as step's new-spin-down entry does, and entry half - 1 - i, the
- * flip of step's new-spin-up entry half + i, takes the mirrored pair
- * (cur[2i+1], cur[2i]).  At w = 1 the one entry is both predecessors. */
-CLONES
-static void half_step(const double *restrict cur, double *restrict nxt,
-                      unsigned char *restrict bp, double j, size_t half)
+static const v4l AT0123 = {1, 4, 16, 64}, AT3210 = {64, 16, 4, 1},
+                 AT0246 = {1, 16, 256, 4096}, AT1357 = {4, 64, 1024, 16384},
+                 AT0145 = {1, 4, 256, 1024}, AT2367 = {16, 64, 4096, 16384};
+
+/* step c of m < 8 entries (a frontier of w <= 3), in a copy so that cur
+ * may be nxt; on a symmetric frontier (mirror), step w-1 */
+static void small_step(const double *cur, double *nxt, unsigned char *bp,
+                       double j, size_t m, int c, int mirror)
 {
-    size_t q = half / 2;
-    if (q < 4) {                                    /* w <= 3 */
-        for (size_t i = 0; i < q; i++) {
-            double x = cur[2 * i], y = cur[2 * i + 1];
-            pick(x + -j, y - -j, nxt + i, bp + i);
-            pick(y + -j, x - -j, nxt + half - 1 - i, bp + half - 1 - i);
+    double e[8];
+    unsigned code;
+    size_t lo = (size_t)1 << c;
+    memset(bp, 0, (m + 3) / 4);
+    for (size_t i = 0; i < m; i++) {
+        if (mirror)
+            pick(cur[i] + -j, cur[m - 1 - i] - -j, e + i, &code);
+        else if (i & lo)
+            pick(cur[i - lo] + j, cur[i] - j, e + i, &code);
+        else
+            pick(cur[i] + -j, cur[i + lo] - -j, e + i, &code);
+        bp[i / 4] |= (unsigned char)(code << 2 * (i % 4));
+    }
+    memcpy(nxt, e, m * sizeof *e);
+}
+
+/* step c >= 2 of m entries: pairs of contiguous blocks of four */
+CLONES
+static void block_step(const double *cur, double *nxt, unsigned char *bp,
+                       double j, size_t m, int c)
+{
+    size_t lo = (size_t)1 << c;
+    for (size_t hi = 0; hi < m; hi += 2 * lo)
+        for (size_t i = hi; i < hi + lo; i += 4) {
+            v4d x, y, dn, up;
+            memcpy(&x, cur + i, sizeof x);
+            memcpy(&y, cur + i + lo, sizeof y);
+            v4d a = x + -j, d = y - -j, au = x + j, du = y - j;
+            bp[i / 4] = (unsigned char)pick4(&a, &d, &dn, &AT0123);
+            bp[(i + lo) / 4] = (unsigned char)pick4(&au, &du, &up, &AT0123);
+            memcpy(nxt + i, &dn, sizeof dn);
+            memcpy(nxt + i + lo, &up, sizeof up);
         }
-        if (half == 1)
-            pick(cur[0] + -j, cur[0] - -j, nxt, bp);
-        return;
+}
+
+/* step 0 or 1 of m >= 8 entries, eight at a time: x and y gather the old
+ * spins down and up of the pairs, whose new entries dn and up scatter back
+ * (entries 0, 2, 4, 6 and 1, 3, 5, 7 at c = 0; 0, 1, 4, 5 and 2, 3, 6, 7 at
+ * c = 1) */
+CLONES
+static void pair_step(const double *cur, double *nxt, unsigned char *bp,
+                      double j, size_t m, int c)
+{
+    for (size_t i = 0; i < m; i += 8) {
+        v4d c0, c1, x, y, dn, up;
+        memcpy(&c0, cur + i, sizeof c0);
+        memcpy(&c1, cur + i + 4, sizeof c1);
+        if (c == 0) {
+            x = (v4d){c0[0], c0[2], c1[0], c1[2]};
+            y = (v4d){c0[1], c0[3], c1[1], c1[3]};
+        } else {
+            x = (v4d){c0[0], c0[1], c1[0], c1[1]};
+            y = (v4d){c0[2], c0[3], c1[2], c1[3]};
+        }
+        v4d a = x + -j, d = y - -j, au = x + j, du = y - j;
+        unsigned code = c == 0
+            ? pick4(&a, &d, &dn, &AT0246) | pick4(&au, &du, &up, &AT1357)
+            : pick4(&a, &d, &dn, &AT0145) | pick4(&au, &du, &up, &AT2367);
+        if (c == 0) {
+            c0 = (v4d){dn[0], up[0], dn[1], up[1]};
+            c1 = (v4d){dn[2], up[2], dn[3], up[3]};
+        } else {
+            c0 = (v4d){dn[0], dn[1], up[0], up[1]};
+            c1 = (v4d){dn[2], dn[3], up[2], up[3]};
+        }
+        memcpy(nxt + i, &c0, sizeof c0);
+        memcpy(nxt + i + 4, &c1, sizeof c1);
+        bp[i / 4] = (unsigned char)code;
+        bp[i / 4 + 1] = (unsigned char)(code >> 8);
     }
-    for (size_t i = 0; i < q; i += 4) {
-        v4d c0, c1, lo, hi;
-        v4c b, e;
-        memcpy(&c0, cur + 2 * i, sizeof c0);
-        memcpy(&c1, cur + 2 * i + 4, sizeof c1);
-        v4d x = {c0[0], c0[2], c1[0], c1[2]}, y = {c0[1], c0[3], c1[1], c1[3]};
+}
+
+/* step w-1 of a symmetric frontier of m >= 8 entries: entry i pairs with
+ * the mirrored entry m - 1 - i, which stands for the flip of i | 2^(w-1),
+ * and entry m - 1 - i takes the mirrored pair; lanes l of y, the second
+ * entries and their codes run backwards, m - 1 - i - l */
+CLONES
+static void mirror_step(const double *cur, double *nxt, unsigned char *bp,
+                        double j, size_t m)
+{
+    for (size_t i = 0; i < m / 2; i += 4) {
+        v4d x, y, lo, hi;
+        memcpy(&x, cur + i, sizeof x);
+        memcpy(&y, cur + m - 4 - i, sizeof y);
+        y = (v4d){y[3], y[2], y[1], y[0]};
         v4d a = x + -j, d = y - -j, am = y + -j, dm = x - -j;
-        pick4(&a, &d, &lo, &b);
-        pick4(&am, &dm, &hi, &e);
+        bp[i / 4] = (unsigned char)pick4(&a, &d, &lo, &AT0123);
+        bp[(m - 4 - i) / 4] = (unsigned char)pick4(&am, &dm, &hi, &AT3210);
+        hi = (v4d){hi[3], hi[2], hi[1], hi[0]};
         memcpy(nxt + i, &lo, sizeof lo);
-        memcpy(bp + i, &b, sizeof b);
-        hi = (v4d){hi[3], hi[2], hi[1], hi[0]};     /* lane l is entry */
-        e = (v4c){e[3], e[2], e[1], e[0]};          /* half - 1 - i - l */
-        memcpy(nxt + half - 4 - i, &hi, sizeof hi);
-        memcpy(bp + half - 4 - i, &e, sizeof e);
+        memcpy(nxt + m - 4 - i, &hi, sizeof hi);
     }
+}
+
+/* column step c of the m entries of cur into nxt, which may be cur; a
+ * step with m < 2^w entries is one on a symmetric frontier */
+static void column_step(const double *cur, double *nxt, unsigned char *bp,
+                        double j, size_t m, int c, int w)
+{
+    int mirror = m < (size_t)1 << w && c == w - 1;
+    if (m < 8)
+        small_step(cur, nxt, bp, j, m, c, mirror);
+    else if (mirror)
+        mirror_step(cur, nxt, bp, j, m);
+    else if (c < 2)
+        pair_step(cur, nxt, bp, j, m, c);
+    else
+        block_step(cur, nxt, bp, j, m, c);
 }
 
 /* inf on the entries of row (2^w) whose mask has bit c equal to b */
@@ -122,18 +199,29 @@ static void forbid(double *row, size_t n, int c, int b)
  * that order from 0.0, + where bits a and a+1 (mod w) of m agree.  The sum
  * over edges 0..a-1 depends on bits 0..a only, so a row starts as the sums
  * of one column and doubles once per edge; the wrap edge (w >= 3) comes
- * last. */
+ * last.  A row r < sym gets only its lower half, the masks with bit w-1
+ * down, which its last doubling keeps in place. */
 static void row_costs(double *cost, const double *j, int w, int h, int nh,
-                      int lo)
+                      int lo, int sym)
 {
     size_t n = (size_t)1 << w;
     for (int r = lo; r < h; r++) {
         double *row = cost + (size_t)r * n;
         const double *jr = j + (size_t)r * nh;
-        row[0] = row[1] = 0.0;
+        size_t m = r < sym ? n / 2 : n;         /* the entries built */
+        row[0] = 0.0;
+        if (m > 1)
+            row[1] = 0.0;
         for (int a = 0; a < w - 1; a++) {   /* edge a joins columns a, a+1 */
             size_t q = (size_t)1 << a, s = 2 * q;
             double x = jr[a];
+            if (s == m) {               /* bit a + 1 = w - 1 stays down */
+                for (size_t i = 0; i < q; i++)
+                    row[i] = row[i] + x;
+                for (size_t i = q; i < s; i++)
+                    row[i] = row[i] + -x;
+                continue;
+            }
             for (size_t i = 0; i < q; i++) {    /* bit a down */
                 double t = row[i];
                 row[s + i] = t + -x;
@@ -150,11 +238,13 @@ static void row_costs(double *cost, const double *j, int w, int h, int nh,
             for (size_t i = 0; i < n / 2; i += 2) {
                 row[i] = -(row[i] + x);
                 row[i + 1] = -(row[i + 1] + -x);
-                row[n / 2 + i] = -(row[n / 2 + i] + -x);
-                row[n / 2 + i + 1] = -(row[n / 2 + i + 1] + x);
+            }
+            for (size_t i = n / 2; i < m; i += 2) {
+                row[i] = -(row[i] + -x);
+                row[i + 1] = -(row[i + 1] + x);
             }
         } else {
-            for (size_t i = 0; i < n; i++)
+            for (size_t i = 0; i < m; i++)
                 row[i] = -row[i];
         }
     }
@@ -165,45 +255,51 @@ static void row_costs(double *cost, const double *j, int w, int h, int nh,
  * rowcost[r + 1] = (frontier after the row's last step) + rowcost[r + 1];
  * rowcost[start] must hold the frontier after row start.  vals (kcap, e)
  * holds each problem's couplings, the vertical edges after the horizontal
- * ones, row by row; the sweep builds the row costs of the rows after start,
- * or of every row from row 0, copying them from problem p - 1 where its
- * horizontal couplings have the same bits.  Problem p's ncells[p] forced
- * cells follow those of the problems before it in cells; they go into the
- * same rows as inf.  sym[p] gets the row of its first forced cell, h if it
- * has none: its frontiers of rows r < sym[p] are symmetric and hold their
- * 2^(w-1) entries with bit w-1 down, its steps from those rows to rows
- * < sym[p] are half steps, and row sym[p] - 1 is filled out before its
- * steps.  buf0 and buf1 (2^w each) take the column steps in turn.  backptr
- * (h - 1, w, kcap, 2^w) gets the code of problem p's step c of row r at
- * [r, c, p], in its lower half only for a half step, and that step adds the
- * vertical coupling of column c between rows r and r + 1. */
+ * ones, row by row.  Problem p's ncells[p] forced cells follow those of the
+ * problems before it in cells, and sym[p] gets the row of its first one, h
+ * if it has none: its frontiers of rows r < sym[p] are symmetric and hold
+ * their 2^(w-1) entries with bit w-1 down, its steps from those rows to
+ * rows < sym[p] run on them, and row sym[p] - 1 is filled out before its
+ * steps.  The sweep builds the row costs of the rows after start, or of
+ * every row from row 0, only their lower halves on rows < sym[p]; problem
+ * p copies them from problem p - 1 where its horizontal couplings have the
+ * same bits and sym[p - 1] <= sym[p].  The forced cells go into the same
+ * rows as inf.  buf (2^w) takes a row's column steps in place.  backptr
+ * (h - 1, w, kcap, ceil(2^w / 4)) gets the codes of problem p's step c of
+ * row r at [r, c, p], those of the lower half only for a step on a
+ * symmetric frontier, and that step adds the vertical coupling of column c
+ * between rows r and r + 1. */
 void eaglass_sweep(int w, int h, int k, int kcap, int start,
-                   double *rowcost, double *buf0, double *buf1,
-                   unsigned char *backptr, int *sym, const double *vals,
-                   const int *cells, const int *ncells)
+                   double *rowcost, double *buf, unsigned char *backptr,
+                   int *sym, const double *vals, const int *cells,
+                   const int *ncells)
 {
-    size_t n = (size_t)1 << w;
+    size_t n = (size_t)1 << w, nb = (n + 3) / 4;
     int nh = w >= 3 ? w : w - 1, lo = start ? start + 1 : 0;
     size_t e = (size_t)nh * h + (size_t)w * (h - 1);
+    const int *cell = cells;
     for (int p = 0; p < k; p++) {
         double *cost = rowcost + (size_t)p * h * n;
         const double *j = vals + (size_t)p * e;
-        if (p && !memcmp(j, j - e, (size_t)nh * h * sizeof *j))
-            memcpy(cost + (size_t)lo * n, cost - (size_t)(h - lo) * n,
-                   (size_t)(h - lo) * n * sizeof *cost);
+        sym[p] = h;
+        for (int i = 0; i < ncells[p]; i++, cell++)
+            if (*cell / 2 / w < sym[p])
+                sym[p] = *cell / 2 / w;
+        if (p && sym[p - 1] <= sym[p]
+            && !memcmp(j, j - e, (size_t)nh * h * sizeof *j))
+            for (int r = lo; r < h; r++)
+                memcpy(cost + (size_t)r * n, cost - (size_t)(h - r) * n,
+                       (r < sym[p] ? n / 2 : n) * sizeof *cost);
         else
-            row_costs(cost, j, w, h, nh, lo);
+            row_costs(cost, j, w, h, nh, lo, sym[p]);
     }
     for (int p = 0; p < k; p++) {
         double *cost = rowcost + (size_t)p * h * n;
         const double *j = vals + (size_t)p * e + (size_t)nh * h;
-        sym[p] = h;
         for (int i = 0; i < ncells[p]; i++, cells++) {
             int v = *cells / 2, r = v / w;
             if (r >= lo)
                 forbid(cost + (size_t)r * n, n, v % w, *cells % 2);
-            if (r < sym[p])
-                sym[p] = r;
         }
         for (int r = start; r < h - 1; r++) {
             double *cur = cost + (size_t)r * n;
@@ -212,18 +308,14 @@ void eaglass_sweep(int w, int h, int k, int kcap, int start,
                 for (size_t i = n / 2; i < n; i++)
                     cur[i] = cur[n - 1 - i];
             for (int c = 0; c < w; c++) {
-                double *nxt = c & 1 ? buf1 : buf0;
-                unsigned char *bp =
-                    backptr + (((size_t)r * w + c) * kcap + p) * n;
-                if (m < n)
-                    half_step(cur, nxt, bp, j[r * w + c], n / 2);
-                else
-                    step(cur, nxt, bp, j[r * w + c], n / 2);
-                cur = nxt;
+                column_step(cur, buf, backptr + (((size_t)r * w + c) * kcap
+                                                 + p) * nb,
+                            j[r * w + c], m, c, w);
+                cur = buf;
             }
             double *row = cost + (size_t)(r + 1) * n;
             for (size_t i = 0; i < m; i++)
-                row[i] = cur[i] + row[i];
+                row[i] = buf[i] + row[i];
         }
     }
 }
@@ -253,6 +345,12 @@ static void keep(const unsigned *path, int w, int h, int anchor, int *best,
     }
 }
 
+/* the code of entry i of a layer */
+static unsigned code(const unsigned char *layer, size_t i)
+{
+    return layer[i / 4] >> 2 * (i % 4) & 3;
+}
+
 /* the minimum of v[0..n-1], NaN if one is NaN, as numpy's min */
 static double minimum(const double *v, size_t n)
 {
@@ -268,27 +366,27 @@ static double minimum(const double *v, size_t n)
  * back: count[p] gets their number and rows[p] (h masks) the smallest
  * canonical one, whose spin +1 is the anchor[p] vertex's.  A final frontier
  * that is symmetric (sym[p] = h) holds one member of each flipped pair, so
- * each pair is walked once.  The walk steps back from mask m over code b to
- * (m << 1 | b >> 1) mod 2^w, the new spin dropping out of bit w-1 and the
- * old one coming back as bit 0; a tie (b = 3) takes old spin 1 first and
- * old spin 0 on the way back.  A half step stored no mask m >= 2^(w-1): its
- * code is that of ~m with old spins 0 and 1 swapped.  path holds the
- * (h - 1) * w + 1 masks of the current walk, row h-1 first.  Returns 2 if
- * a problem's minimum is not finite (checked first), 1 once a problem has
- * more than cap optimal configurations, else 0. */
+ * each pair is walked once.  The walk steps back over step c from mask m
+ * with code b by putting the old spin back as bit c; a tie (b = 3) takes
+ * old spin 1 first and old spin 0 on the way back.  A step on a symmetric
+ * frontier stored no code of a mask m >= 2^(w-1): its code is that of ~m
+ * with old spins 0 and 1 swapped.  path holds the (h - 1) * w + 1 masks of
+ * the current walk, row h-1 first.  Returns 2 if a problem's minimum is not
+ * finite (checked first), 1 once a problem has more than cap optimal
+ * configurations, else 0. */
 int eaglass_traceback(int w, int h, int k, int kcap, int cap,
                       const double *rowcost, const unsigned char *backptr,
                       const int *sym, const int *anchor, unsigned *path,
                       int *rows, int *count)
 {
-    size_t n = (size_t)1 << w, steps = (size_t)(h - 1) * w;
+    size_t n = (size_t)1 << w, nb = (n + 3) / 4, steps = (size_t)(h - 1) * w;
     for (int p = 0; p < k; p++)
         if (!isfinite(minimum(rowcost + ((size_t)p * h + h - 1) * n,
                               sym[p] < h ? n : n / 2)))
             return 2;
     for (int p = 0; p < k; p++) {
         const double *final = rowcost + ((size_t)p * h + h - 1) * n;
-        const unsigned char *bp = backptr + (size_t)p * n;
+        const unsigned char *bp = backptr + (size_t)p * nb;
         size_t size = sym[p] < h ? n : n / 2;
         double best = minimum(final, size);
         count[p] = 0;
@@ -300,15 +398,15 @@ int eaglass_traceback(int w, int h, int k, int kcap, int cap,
             for (;;) {
                 for (; t < steps; t++) {
                     size_t r = h - 2 - t / w, c = w - 1 - t % w;
-                    const unsigned char *at = bp + ((r * w + c) * kcap) * n;
+                    const unsigned char *at = bp + (r * w + c) * kcap * nb;
                     unsigned b, s = path[t];
                     if (r + 1 < (size_t)sym[p] && s >= n / 2) {
-                        b = at[n - 1 - s];
+                        b = code(at, n - 1 - s);
                         b = (b & 1) << 1 | b >> 1;
                     } else {
-                        b = at[s];
+                        b = code(at, s);
                     }
-                    path[t + 1] = (unsigned)((s << 1) & (n - 1)) | b >> 1;
+                    path[t + 1] = (s & ~(1u << c)) | (b >> 1) << c;
                     if (b == 3)
                         path[t] |= TIE;
                 }
@@ -321,7 +419,7 @@ int eaglass_traceback(int w, int h, int k, int kcap, int cap,
                 if (t-- == 0)
                     break;
                 path[t] &= ~TIE;
-                path[t + 1] = (unsigned)((path[t] << 1) & (n - 1));
+                path[t + 1] = path[t] & ~(1u << (w - 1 - t % w));
                 t++;
             }
         }

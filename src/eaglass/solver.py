@@ -1,19 +1,20 @@
 """Exact minimizers of the box Hamiltonian, with a brute-force oracle.
 
 ``solve`` runs a row-by-row dynamic program over per-row spin bitmasks in
-O(height * width * 2^width): each row-to-row transition is W column steps
-of a shift register, and the wrap coupling enters through the intra-row
-cost.  A small C kernel, ``_sweep.c``, builds the row costs and runs every
-row and column step of a sweep in one call and its traceback in another;
-it is compiled with the system's ``cc`` on first use and cached in the
-package's ``__pycache__`` (see ``_kernel``).  Backpointers record every
-optimal choice, so exact ties are enumerated and broken deterministically:
-the returned configuration has the lexicographically smallest canonical bit
-pattern among all minimizers, and the pair is flagged as tied.  The
-traceback walks each problem's optimal configurations depth first, a tie
-branching the walk, and keeps the smallest canonical one; a problem with
-more than ``_TIE_CAP`` (20,000) of them raises ``BudgetExceededError``.
-Python then only turns row masks into signs and sums the energies.
+O(height * width * 2^width): each row-to-row transition is W column steps,
+step c replacing bit c of every mask in place, and the wrap coupling enters
+through the intra-row cost.  A small C kernel, ``_sweep.c``, builds the row
+costs and runs every row and column step of a sweep in one call and its
+traceback in another; it is compiled with the system's ``cc`` on first use
+and cached in the package's ``__pycache__`` (see ``_kernel``).  Backpointers
+record every optimal choice as a 2-bit code, so exact ties are enumerated
+and broken deterministically: the returned configuration has the
+lexicographically smallest canonical bit pattern among all minimizers, and
+the pair is flagged as tied.  The traceback walks each problem's optimal
+configurations depth first, a tie branching the walk, and keeps the
+smallest canonical one; a problem with more than ``_TIE_CAP`` (20,000) of
+them raises ``BudgetExceededError``.  Python then only turns row masks into
+signs and sums the energies.
 
 ``solve_batch`` runs K problems on one box shape through each kernel sweep
 and traceback: each problem keeps its own slots of the row-cost, frontier
@@ -37,16 +38,16 @@ array, whose base (a ``CouplingConfig`` keeps a view) may have changed.
 Configurations are pairs modulo a global flip.  A clamp's signs pin one
 representative, which the kernel enters as infinite row costs.  With no
 field a row mask and its flip cost the same until a problem's first forced
-row, so on the rows before it the kernel keeps only the masks with bit W-1
-down and runs half-size steps; a free problem forces nothing, sweeps at half
-size throughout and traces back one member of each pair.  Its entries are
-the minima of a vertex-0-pinned sweep's over each mask and its flip, so it
-finds the same optimal pairs, unless rounding makes two of them tie.  It
-meets a configuration's flipped rivals earlier than a pinned sweep would,
-while their partial sums are smaller: where couplings span some 15
-decades and the small ones come first, a pinned sweep compares the rivals
-only after a far larger coupling has absorbed their difference and can
-report a tie where this one finds the exact minimizer.  The stored
+row, so on the rows before it the kernel builds and keeps only the masks
+with bit W-1 down and runs half-size steps; a free problem forces nothing,
+sweeps at half size throughout and traces back one member of each pair.
+Its entries are the minima of a vertex-0-pinned sweep's over each mask and
+its flip, so it finds the same optimal pairs, unless rounding makes two of
+them tie.  It meets a configuration's flipped rivals earlier than a pinned
+sweep would, while their partial sums are smaller: where couplings span
+some 15 decades and the small ones come first, a pinned sweep compares the
+rivals only after a far larger coupling has absorbed their difference and
+can report a tie where this one finds the exact minimizer.  The stored
 canonical form gives +1 to the lowest-indexed vertex not determined by the
 clamp (vertex 0 when free), so equal pairs compare equal elementwise;
 ``brute_force`` pins vertex 0 at +1.
@@ -231,7 +232,7 @@ def _kernel():
     if not path.exists():
         path = _build(name)
     lib = ctypes.CDLL(str(path))
-    lib.eaglass_sweep.argtypes = [ctypes.c_int] * 5 + [ctypes.c_void_p] * 8
+    lib.eaglass_sweep.argtypes = [ctypes.c_int] * 5 + [ctypes.c_void_p] * 7
     lib.eaglass_sweep.restype = None
     lib.eaglass_traceback.argtypes = [ctypes.c_int] * 5 + [ctypes.c_void_p] * 7
     return lib
@@ -275,19 +276,20 @@ _PLANS = threading.local()
 
 class _Plan:
     """The arrays of one box shape, kept per thread, with room for
-    ``len(rowcost)`` problems in one sweep.  Reusing the multi-megabyte
-    backpointer block avoids the stall of a fresh allocation per solve.  The
-    kernel's column steps take turns in ``cur`` and ``nxt``, so a warm sweep
-    allocates no frontier-sized array; ``vals[k]`` holds a copy of problem
-    k's couplings, which the kernel, the traceback and the next sweep's
-    resume read.
+    ``len(rowcost)`` problems in one sweep.  Reusing the row-cost and
+    backpointer blocks avoids the stall of a fresh allocation per solve.
+    ``backptr[r, c, k]`` holds the 2-bit codes of problem k's column step c
+    of row r, four to a byte.  The kernel runs a row's column steps in place
+    in ``buf``, so a warm sweep allocates no frontier-sized array;
+    ``vals[k]`` holds a copy of problem k's couplings, which the kernel, the
+    traceback and the next sweep's resume read.
 
     ``rowcost[k, r]`` holds problem k's row costs of row r, which the kernel
-    builds, then its frontier after row r: only its lower half on a row
-    before ``sym[k]``, the problem's first forced row (H if none), which the
-    sweep writes.  The traceback writes ``rows``, ``count`` and ``path``.
-    The arrays never move, so ``at`` keeps their addresses for the kernel
-    calls.  ``last`` remembers the sweep that last ran to its end, whose
+    builds, then its frontier after row r: on a row before ``sym[k]``, the
+    problem's first forced row (H if none), only the lower half of each,
+    which the sweep writes.  The traceback writes ``rows``, ``count`` and
+    ``path``.  The arrays never move, so ``at`` keeps their addresses for the
+    kernel calls.  ``last`` remembers the sweep that last ran to its end, whose
     couplings ``vals`` still holds: its forced cells and start row s.  That
     sweep left its backpointers in ``backptr`` and its frontiers in
     ``rowcost[:, r]`` for every r >= s, so a sweep of as many problems that
@@ -297,9 +299,9 @@ class _Plan:
     def __init__(self, width: int, height: int):
         n = 1 << width
         k = max(1, _BATCH_STATES >> width)
-        self.backptr = np.empty((height - 1, width, k, n), dtype=np.uint8)
+        self.backptr = np.empty((height - 1, width, k, (n + 3) // 4), np.uint8)
         self.rowcost = np.empty((k, height, n))
-        self.cur, self.nxt = np.empty(n), np.empty(n)
+        self.buf = np.empty(n)
         self.vals = np.empty((k, build_box(width, height).n_edges))
         self.sym, self.count = np.empty(k, np.int32), np.empty(k, np.int32)
         self.rows = np.empty((k, height), np.int32)
@@ -385,8 +387,9 @@ def _run_sweep(plan: _Plan, start: int, cells) -> None:
     call of the C kernel, on their couplings in ``plan.vals``.  The kernel
     builds the row costs of the rows it sweeps into, or of every row from
     row 0, and problem k copies them from problem k-1 where their horizontal
-    couplings have the same bits; ``cells[k]`` holds its forced cells (see
-    ``_forced_cells``), which the kernel writes into its row costs as inf."""
+    couplings have the same bits and k-1's first forced row is not below
+    its own; ``cells[k]`` holds its forced cells (see ``_forced_cells``),
+    which the kernel writes into its row costs as inf."""
     k, h, w = len(cells), plan.rowcost.shape[1], plan.backptr.shape[1]
     flat = np.array([x for c in cells for x in c], dtype=np.int32)
     if (k > len(plan.rowcost) or not 0 <= start < h
@@ -396,8 +399,8 @@ def _run_sweep(plan: _Plan, start: int, cells) -> None:
     counts = np.array([len(c) for c in cells], dtype=np.int32)
     at = plan.at
     _kernel().eaglass_sweep(
-        w, h, k, plan.backptr.shape[2], start, at["rowcost"], at["cur"],
-        at["nxt"], at["backptr"], at["sym"], at["vals"], flat.ctypes.data,
+        w, h, k, plan.backptr.shape[2], start, at["rowcost"], at["buf"],
+        at["backptr"], at["sym"], at["vals"], flat.ctypes.data,
         counts.ctypes.data)
 
 

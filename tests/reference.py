@@ -3,17 +3,18 @@ compare the library against.
 
 ``row_costs`` is minus each row mask's horizontal energy as the solver
 sums it, with no BLAS: the sign products of the table the solver once kept,
-added left to right.  ``column_step`` is the solver's column step as it was
-before the frontier became a shift register: it replaces bit c of every mask
-in place.  ``half_step`` is the kernel's column step on a symmetric
-frontier, which holds only the masks with bit W-1 down.
-``best_pair`` is a walk of one problem's backpointers with Python sets, the
-traceback as it was before it went batched, on the shift-register layout of
-the backpointers; ``unfold`` gives it the whole layers of a sweep whose
-first rows ran half steps.  ``verify_gsp_loop`` is ``verify_gsp`` as it was before its
-sums were grouped by boundary length: one 1-D sum per flip.  ``locate_flip``
-brackets a critical value by bisection on full re-solves, independent of the
-exterior-energy formula that ``excitation.critical_value`` uses.
+added left to right.  ``column_step`` is the kernel's column step in numpy:
+it replaces bit c of every mask in place.  On a symmetric frontier, which
+holds only the masks with bit W-1 down, steps c < W-1 are column steps of
+that half, and ``mirror_step`` is step W-1.  ``unpack`` reads the kernel's
+2-bit codes, four to a byte.  ``best_pair`` is a walk of one problem's
+backpointers with Python sets, the traceback as it was before it went
+batched; ``unfold`` gives it the whole layers of a sweep whose first rows
+ran on symmetric frontiers.  ``verify_gsp_loop`` is ``verify_gsp`` as it
+was before its sums were grouped by boundary length: one 1-D sum per flip.
+``locate_flip`` brackets a critical value by bisection on full re-solves,
+independent of the exterior-energy formula that ``excitation.critical_value``
+uses.
 ``grid_labels_loop`` is ``grid_labels_enumeration`` as it was before it
 reduced the enumeration to product-class minima: one argmin over every
 configuration per grid row.
@@ -85,35 +86,35 @@ def _pick(a, d, out, code):
     code[...] = (a <= d) | ((a >= d) << 1)
 
 
-def half_step(cur, nxt, j_vert, bp):
-    """One column step of K problems whose frontiers are symmetric, in the
-    kernel's shift-register layout.
+def mirror_step(cur, nxt, j_vert, bp):
+    """Column step W-1 of K problems whose frontiers are symmetric.
 
-    ``cur``, ``nxt`` and ``bp`` have shape (K, 2^(W-1)): entry m is that of
-    mask m with bit W-1 down, which equals the entry of its flip ~m.  New
-    entry i < 2^(W-2) takes x = cur[2i] (old spin down) and y = cur[2i+1]
-    (up) as the full step's new-spin-down entry does, a = x + -J and
-    d = y - -J; entry 2^(W-1)-1-i is the flip of the full step's new-spin-up
-    entry 2^(W-1)+i, a = y + -J and d = x - -J.  At W=1 the one entry is
-    both predecessors.  ``j_vert`` broadcasts against (K, 1).
+    ``cur``, ``nxt`` and ``bp`` have shape (K, 2^(W-1)): entry i is that of
+    mask i with bit W-1 down, which equals the entry of its flip.  Its pair's
+    mask with bit W-1 up, i | 2^(W-1), is the flip of the mirrored entry
+    2^(W-1)-1-i, so new entry i takes a = cur[i] + -J (old spin down) and
+    d = cur[2^(W-1)-1-i] - -J (up).  At W=1 the one entry is both
+    predecessors.  ``j_vert`` broadcasts against (K, 1).
     """
-    half = cur.shape[1]
-    if half == 1:
-        _pick(cur + -j_vert, cur - -j_vert, nxt, bp)
-        return
-    x, y, q = cur[:, 0::2], cur[:, 1::2], half // 2
-    _pick(x + -j_vert, y - -j_vert, nxt[:, :q], bp[:, :q])
-    _pick(y + -j_vert, x - -j_vert, nxt[:, q:][:, ::-1], bp[:, q:][:, ::-1])
+    _pick(cur + -j_vert, cur[:, ::-1] - -j_vert, nxt, bp)
+
+
+def unpack(packed, n):
+    """The first n 2-bit codes of each layer of ``packed`` (..., ceil(n/4)),
+    entry i's at bits 2 * (i % 4) of byte i / 4."""
+    codes = (packed[..., None] >> np.arange(0, 8, 2, dtype=np.uint8)) & 3
+    return codes.reshape(*packed.shape[:-1], 4 * packed.shape[-1])[..., :n]
 
 
 def unfold(backptr, final, sym):
-    """One problem's backpointers (H-1, W, 2^W) and final frontier (2^W,)
-    as ``best_pair`` reads them, from a sweep whose rows before ``sym``
-    were symmetric: a layer r with r + 1 < sym holds only its masks below
-    2^(W-1), and mask m above takes the code of ~m with old spins down and
-    up swapped; a symmetric final frontier (sym = H) keeps its lower half,
-    one member of each flipped pair, and gets inf above it."""
-    backptr, final = backptr.copy(), final.copy()
+    """One problem's packed backpointers (H-1, W, ceil(2^W/4)) and final
+    frontier (2^W,) as ``best_pair`` reads them, (H-1, W, 2^W) codes, from
+    a sweep whose rows before ``sym`` were symmetric: a layer r with
+    r + 1 < sym holds only its masks below 2^(W-1), and mask m above takes
+    the code of ~m with old spins down and up swapped; a symmetric final
+    frontier (sym = H) keeps its lower half, one member of each flipped
+    pair, and gets inf above it."""
+    backptr, final = unpack(backptr, len(final)), final.copy()
     half = len(final) // 2
     for r in range(min(sym, len(backptr) + 1) - 1):
         low = backptr[r, :, :half]
@@ -125,11 +126,10 @@ def unfold(backptr, final, sym):
 
 def enumerate_optimal(backptr, finals):
     """Every optimal row-mask sequence of one problem, grown from the top row
-    down; ``backptr`` has shape (H-1, W, 2^W), indexed by the shift-register
-    mask after each column step.  Stepping back from such a mask drops the
-    new spin at bit W-1 and puts the old spin back at bit 0.  Raises past
-    ``_TIE_CAP`` of them (a partial sequence always completes)."""
-    full = (1 << backptr.shape[1]) - 1
+    down; ``backptr`` has shape (H-1, W, 2^W), indexed by the mask after
+    each column step.  Stepping back over step c puts the old spin back as
+    bit c.  Raises past ``_TIE_CAP`` of them (a partial sequence always
+    completes)."""
     seqs = [(m,) for m in finals]
     for r in reversed(range(backptr.shape[0])):
         grown = []
@@ -138,11 +138,11 @@ def enumerate_optimal(backptr, finals):
             for c in reversed(range(backptr.shape[1])):
                 bp, prev = backptr[r, c], set()
                 for st in states:
-                    ch, shifted = bp[st], (st << 1) & full
+                    ch, down = bp[st], st & ~(1 << c)
                     if ch & 1:
-                        prev.add(shifted)
+                        prev.add(down)
                     if ch & 2:
-                        prev.add(shifted | 1)
+                        prev.add(down | 1 << c)
                 states = prev
             grown.extend((p,) + seq for p in states)
             if len(grown) > _TIE_CAP:
@@ -154,7 +154,7 @@ def enumerate_optimal(backptr, finals):
 def best_pair(geom: BoxGeometry, J: CouplingConfig, clamp: Clamp | None,
               backptr, final) -> SpinPair:
     """The canonical optimum of one problem from its final frontier (2^W,)
-    and backpointers (H-1, W, 2^W)."""
+    and codes (H-1, W, 2^W)."""
     best = final.min()
     if not np.isfinite(best):
         raise RuntimeError("no admissible configuration (unsatisfiable clamp?)")

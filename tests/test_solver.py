@@ -458,13 +458,13 @@ def test_kernel_row_costs_equal_the_left_to_right_sum(width, height):
     # the kernel builds each row's costs itself, in the summation order of
     # the reference and with no BLAS: a sweep leaves row 0's costs in place,
     # bit for bit, and the frontier after each later row equals the
-    # reference steps over the reference row costs.  A free problem runs
-    # half steps on every row and holds the lower half of each frontier;
-    # with vertex 0 forced up (cell 0: inf on row 0's masks with bit 0
-    # down) every row runs full steps, checked against the bit-replacing
-    # column steps (both up to W=13 and on 3 rows beyond, where the numpy
-    # steps are slow; not for sums that overflow, whose NaN the frontiers'
-    # minima then pass on)
+    # reference steps over the reference row costs.  A free problem builds
+    # and keeps the lower half of each row, with column steps of that half
+    # and the mirrored step W-1; with vertex 0 forced up (cell 0: inf on row
+    # 0's masks with bit 0 down) every row is whole and runs full column
+    # steps (both up to W=13 and on 3 rows beyond, where the numpy steps are
+    # slow; not for sums that overflow, whose NaN the frontiers' minima then
+    # pass on)
     g = build_box(width, height)
     n_h = horizontal_edges_per_row(width)
     rng = np.random.default_rng(width * height)
@@ -478,20 +478,21 @@ def test_kernel_row_costs_equal_the_left_to_right_sum(width, height):
             want = reference.row_costs(vals[0], width, height)
             if cells:
                 want[0, ::2] = np.inf
-            assert plan.rowcost[0, 0].tobytes() == want[0].tobytes(), mix
+            n = 1 << width - 1 + len(cells)     # the entries a row keeps
+            assert plan.rowcost[0, 0, :n].tobytes() == want[0, :n].tobytes(), \
+                mix
             if mix == "huge":
                 continue
             rows = height if width <= 13 else min(height, 3)
             vert = vals[0, n_h * height:].reshape(height - 1, width)
-            n = 1 << width - 1 + len(cells)     # the entries a row keeps
             for r in range(rows - 1):
                 cur = want[None, r, :n].copy()
                 for c in range(width):
                     nxt, bp = np.empty_like(cur), np.empty(cur.shape, np.uint8)
-                    if cells:
+                    if cells or c < width - 1:
                         reference.column_step(cur, nxt, vert[r, c], bp, c)
                     else:
-                        reference.half_step(cur, nxt, vert[r, c], bp)
+                        reference.mirror_step(cur, nxt, vert[r, c], bp)
                     cur = nxt
                 want[r + 1, :n] += cur[0]
             assert (plan.rowcost[0, :rows, :n].tobytes()
@@ -501,16 +502,22 @@ def test_kernel_row_costs_equal_the_left_to_right_sum(width, height):
 def _kernel_row_costs(width, j_rows):
     """(R, 2^W): the kernel's row costs of each row of horizontal couplings
     ``j_rows`` (R, n_h), each put in row 0 of a problem on a box of height 2
-    and swept in blocks of as many problems as one sweep holds."""
+    and swept in blocks of as many problems as one sweep holds.  A free
+    problem builds only the lower half of its rows, so each block is swept
+    with vertex 0 forced, which builds row 0 whole: once with inf on the
+    masks with bit 0 down (cell 0), once on those with bit 0 up (cell 1),
+    each time keeping the costs of the other masks."""
     plan = solver._Plan(width, 2)
     n_h = horizontal_edges_per_row(width)
+    odd = np.arange(1 << width) % 2 == 1
     out = np.empty((len(j_rows), 1 << width))
     for lo in range(0, len(j_rows), len(plan.rowcost)):
         block = j_rows[lo:lo + len(plan.rowcost)]
         plan.vals[:len(block)] = 0.0
         plan.vals[:len(block), :n_h] = block
-        solver._run_sweep(plan, 0, [()] * len(block))
-        out[lo:lo + len(block)] = plan.rowcost[:len(block), 0]
+        for cell, kept in ((0, odd), (1, ~odd)):
+            solver._run_sweep(plan, 0, [(cell,)] * len(block))
+            out[lo:lo + len(block), kept] = plan.rowcost[:len(block), 0, kept]
     return out
 
 
@@ -612,14 +619,15 @@ def _first_forced_row(g, clamp):
 def _swept_bytes(plan, p, sym, start=0):
     """The bytes of problem p's frontiers of rows start.. and backpointers
     of rows start.. that its sweep wrote, for a first forced row ``sym``:
-    the lower half of a frontier of a row r < sym and of a layer of half
-    steps (r + 1 < sym), the whole of the others."""
+    the lower half of a frontier of a row r < sym, the max(1, 2^(W-3))
+    bytes of the codes of a layer's lower half where its step ran on a
+    symmetric frontier (r + 1 < sym), the whole of the others."""
     n, h = plan.rowcost.shape[2], plan.rowcost.shape[1]
     return b"".join(
         [plan.rowcost[p, r, :n // 2 if r < sym else n].tobytes()
          for r in range(start, h)]
-        + [plan.backptr[r, :, p, :n // 2 if r + 1 < sym else n].tobytes()
-           for r in range(start, h - 1)])
+        + [plan.backptr[r, :, p, :max(1, n // 8) if r + 1 < sym else None]
+           .tobytes() for r in range(start, h - 1)])
 
 
 def _solve_and_bits(Js, clamps):
@@ -845,23 +853,17 @@ def test_perturbed_exterior_second_solve_sweeps_only_the_rows_below_the_band(
 
 def test_plan_holds_no_frontier_block():
     # the frontiers a sweep leaves behind live in its row-cost block, so a
-    # W=15 plan holds no (K, H, 2^W) frontier block: only the row costs,
-    # backpointers, two step frontiers, the couplings and the traceback's
-    # first forced rows, masks, counts and path (912 bytes)
+    # W=15 plan holds no (K, H, 2^W) frontier block: only the row costs
+    # (3,932,160 bytes), the 2-bit backpointer codes (1,720,320), one step
+    # frontier (262,144), the couplings (3,480) and the traceback's first
+    # forced rows, masks, counts and path (912)
     plan = solver._plan(15, 15)
     assert sum(a.nbytes for a in vars(plan).values()
-               if isinstance(a, np.ndarray)) == 11_342_120
+               if isinstance(a, np.ndarray)) == 5_919_016
 
 
 # --------------------------------------------------------------------------
-# the kernel's column step pops bit 0 of every mask and pushes the new spin
-# as bit W-1
-
-
-def _rotate_to_identity(masks, w, c):
-    """The bit-replacing kernel's mask after column step c for each
-    shift-register mask: rotated left by c + 1 bits."""
-    return ((masks << (c + 1)) | (masks >> (w - c - 1))) & ((1 << w) - 1)
+# the kernel's column step c replaces bit c of every mask in place
 
 
 def _draw_sweep(rng, k, g):
@@ -898,13 +900,15 @@ def test_kernel_sweep_equals_the_bit_replacing_reference(w, h, data):
     # costs, forced cells, steps and row adds: every backpointer layer and
     # each row's frontier, bit for bit; up to 64 problems (suite7's sweeps)
     # at W <= 7, each with its first forced row sym before, at or after the
-    # start.  A row r + 1 < sym comes from half steps, which write the lower
-    # half of the row and of each backpointer layer, and whose frontiers and
-    # codes equal the lower half of full steps over the flipped-and-mirrored
-    # frontier; row sym - 1 is filled out before the first full step.  A
-    # sweep from row s > 0 starts from the frontier in row s and writes no
-    # row above it.  The plan holds at least 2 problems, so that a problem
-    # can copy the row costs of the one before it at every width
+    # start.  A row r < sym gets only the lower half of its row costs, and a
+    # row r + 1 < sym comes from steps on the symmetric frontier, which
+    # write the lower half of the row and the codes of the lower half of
+    # each layer, and whose frontiers and codes equal the lower half of full
+    # steps over the flipped-and-mirrored frontier; row sym - 1 is filled
+    # out before the first full step.  A sweep from row s > 0 starts from
+    # the frontier in row s and writes no row above it.  The plan holds at
+    # least 2 problems, so that a problem can copy the row costs of the one
+    # before it at every width
     g = build_box(w, h)
     with mock.patch.object(solver, "_BATCH_STATES",
                            max(solver._BATCH_STATES, 2 << w)):
@@ -920,6 +924,7 @@ def test_kernel_sweep_equals_the_bit_replacing_reference(w, h, data):
                               rng.normal(size=(k, n)))
     for i in range(k):
         want[i, lo:] = reference.row_costs(vals[i], w, h)[lo:]
+        want[i, lo:syms[i], half:] = np.nan     # never built
         for cell in cells[i]:
             v, bit = divmod(cell, 2)
             if v // w >= lo:
@@ -942,37 +947,40 @@ def test_kernel_sweep_equals_the_bit_replacing_reference(w, h, data):
             mirrored = np.concatenate([cur, cur[:, ::-1]], axis=1)
             for c in range(w):
                 nxt, bp = np.empty_like(cur), np.zeros(cur.shape, np.uint8)
-                ident = _rotate_to_identity(masks, w, c)
-                if full:
-                    reference.column_step(cur, nxt, vert[sel, r, c, None, None],
-                                          bp, c)
-                    bp = bp[:, ident]
+                j = vert[sel, r, c, None, None]
+                if full or c < w - 1:
+                    reference.column_step(cur, nxt, j, bp, c)
                 else:
-                    reference.half_step(cur, nxt, vert[sel, r, c, None], bp)
+                    reference.mirror_step(cur, nxt, j[:, 0], bp)
+                if not full:
                     step = np.empty_like(mirrored)
                     codes = np.zeros(mirrored.shape, np.uint8)
-                    reference.column_step(mirrored, step,
-                                          vert[sel, r, c, None, None], codes, c)
-                    assert np.array_equal(step[:, ident][:, :half], nxt,
-                                          equal_nan=True)
-                    assert np.array_equal(codes[:, ident][:, :half], bp)
-                    assert (plan.backptr[r, c, sel, half:] == 0xFF).all()
+                    reference.column_step(mirrored, step, j, codes, c)
+                    assert np.array_equal(step[:, :half], nxt, equal_nan=True)
+                    assert np.array_equal(codes[:, :half], bp)
+                    assert (plan.backptr[r, c, sel, max(1, half // 4):]
+                            == 0xFF).all()
                     mirrored = step
-                assert np.array_equal(plan.backptr[r, c, sel, :m], bp)
+                layer = reference.unpack(plan.backptr[r, c, sel], n)
+                assert np.array_equal(layer[:, :m], bp)
                 cur = nxt
             want[sel, r + 1, :m] = cur + want[sel, r + 1, :m]
-    # the upper half of a half row keeps its row costs (or the fill)
+    # the upper half of a row r < sym keeps the NaN it was filled with, or
+    # the fill of row sym - 1
     assert plan.rowcost[:k].tobytes() == want.tobytes()
     assert (plan.backptr[:start] == 0xFF).all()
 
 
 def test_a_free_sweep_writes_only_the_lower_half_of_each_layer():
     # a free problem's frontiers are symmetric on every row, so its sweep,
-    # fresh or resumed, runs half steps alone: the upper half of each of its
-    # backpointer layers keeps the 0xFF it was filled with
+    # fresh or resumed, steps on lower halves alone: it writes the first
+    # max(1, 2^(W-3)) bytes of each of its backpointer layers, gaussian
+    # couplings give no tie there (code 3, as in the fill), and the rest
+    # keeps the 0xFF it was filled with
     for w, h in ((1, 3), (2, 4), (3, 3), (4, 5), (7, 4), (12, 3), (16, 2)):
         g, plan = build_box(w, h), solver._Plan(w, h)
         k, half = min(len(plan.rowcost), 3), 1 << w - 1
+        written = max(1, half // 4)
         Js = [sample_couplings(g, GAUSS, 13, i) for i in range(k)]
         forced = [solver._forced_cells(w, h, None)] * k
         plan.backptr[...] = 0xFF
@@ -982,15 +990,59 @@ def test_a_free_sweep_writes_only_the_lower_half_of_each_layer():
             below, J.values, -J.values)) for J in Js], forced, plan)
         assert plan.last[1] == max(h - 2, 0)
         assert plan.sym[:k].tolist() == [h] * k
-        assert (plan.backptr[:, :, :k, half:] == 0xFF).all(), (w, h)
-        assert (plan.backptr[:, :, :k, :half] <= 3).all(), (w, h)
+        assert (plan.backptr[:, :, :k, written:] == 0xFF).all(), (w, h)
+        codes = reference.unpack(plan.backptr[:, :, :k, :written], half)
+        assert ((codes == 1) | (codes == 2)).all(), (w, h)
+
+
+def test_a_sweep_reads_no_row_cost_it_did_not_build():
+    # row costs filled with NaN and codes with 0xFF: a sweep that read the
+    # upper half of a row before a problem's first forced row, which it
+    # never builds, or a code it never wrote, would pass the NaN on or walk
+    # a wrong path.  At every width, five problems on one coupling array
+    # whose first forced rows run H, 1, 2, H, 0: problem p copies its row
+    # costs from problem p - 1 only where p - 1's first forced row is not
+    # below its own (here p = 2 and 3), and builds them otherwise.  Fresh,
+    # then resumed at row H-2 with the last row's couplings flipped; each
+    # sweep must equal one in a plan filled with zeros, and the upper
+    # halves of the rows it built before row sym - 1 (every row if free)
+    # keep their NaN
+    for w in range(1, 17):
+        h = 3 if w > 12 else 4
+        g = build_box(w, h)
+        with mock.patch.object(solver, "_BATCH_STATES",
+                               max(solver._BATCH_STATES, 5 << w)):
+            plans = [solver._Plan(w, h), solver._Plan(w, h)]
+        plans[0].rowcost[...], plans[0].backptr[...] = np.nan, 0xFF
+        plans[1].rowcost[...], plans[1].backptr[...] = 0.0, 0
+        syms = [h, 1, 2, h, 0]
+        forced = [solver._forced_cells(w, h, None if r == h else Clamp(
+            (r * w + w // 2,), (-1,))) for r in syms]
+        J = sample_couplings(g, GAUSS, 23, w)
+        last = g.entry_row == h - 1
+        for Js, lo in (([J] * 5, 0), ([CouplingConfig(
+                g, np.where(last, -J.values, J.values))] * 5, h - 1)):
+            got = []
+            for plan in plans:
+                solver._sweep(g, Js, forced, plan)
+                assert plan.last[1] == max(lo - 1, 0)
+                assert plan.sym[:5].tolist() == syms
+                got.append((solver._best_pairs(g, Js, forced, plan),
+                            [_swept_bytes(plan, p, sym, plan.last[1])
+                             for p, sym in enumerate(syms)]))
+            _assert_same_states(got[0][0], got[1][0])
+            assert got[0][1] == got[1][1], w
+            for p, sym in enumerate(syms):
+                unfilled = plans[0].rowcost[
+                    p, lo:h if sym == h else max(sym - 1, 0), 1 << w - 1:]
+                assert np.isnan(unfilled).all(), (w, p)
 
 
 def test_a_free_problem_counts_each_pair_once():
     # a 7x3 box whose couplings are 0 but on the last row's edges: its final
-    # frontier's lower half holds that row's costs, as does its upper half,
-    # which the sweep never overwrites.  The traceback reads the lower half
-    # only, one member of each of the 2^14 optimal pairs, under the tie cap
+    # frontier's lower half holds that row's costs, and its upper half was
+    # never built.  The traceback reads the lower half only, one member of
+    # each of the 2^14 optimal pairs, under the tie cap
     g = build_box(7, 3)
     last = np.array([e.u // 7 == 2 and e.v // 7 == 2 for e in g.edges])
     J = CouplingConfig(g, np.where(last, 1.0, 0.0))
@@ -1036,6 +1088,48 @@ def test_a_free_solve_compares_flipped_rivals_before_rounding_absorbs_them(
     for state in (solve(g, J), solve_batch([J, J], [None, None])[1]):
         assert not state.tied and state.signs.tolist() == exact
     assert solve(g, J, Clamp((0,), (1,))).tied
+
+
+def test_a_gauge_transform_maps_each_solve_onto_its_image():
+    # the gauge map J'_uv = e_u e_v J_uv, with clamp signs e_v s_v, maps
+    # every term of every configuration s onto the bit-equal term of e s,
+    # and the kernel does the same IEEE operations on it: the tie flags and
+    # the tie cap match, and an untied minimizer maps onto its image,
+    # canonicalized, with the same energy bits (a tied problem may keep
+    # another member of its class).  Every width, gaussian, +-1 and
+    # 15-decade couplings, every other problem with a 1-3 vertex clamp
+    rng = np.random.default_rng(2207)
+    for w in range(1, 17):
+        g = build_box(w, int(rng.integers(2, max(2, min(6, 24 // w)) + 1)))
+        for i in range(30 if w <= 12 else 6):
+            vals = (rng.normal(size=g.n_edges),
+                    rng.choice([-1.0, 1.0], g.n_edges),
+                    rng.normal(size=g.n_edges)
+                    * 10.0 ** rng.integers(-7, 8, g.n_edges))[i % 3]
+            e = rng.choice(np.array([-1, 1], np.int8), g.n_vertices)
+            clamp = image = None
+            if i % 2:
+                verts = rng.choice(g.n_vertices, min(g.n_vertices, int(
+                    rng.integers(1, 4))), replace=False)
+                signs = rng.choice([-1, 1], len(verts))
+                clamp = Clamp(verts.tolist(), signs.tolist())
+                image = Clamp(verts.tolist(), (e[verts] * signs).tolist())
+            states, gauged = [], e[g.eu] * e[g.ev] * vals
+            for J, cl in ((CouplingConfig(g, vals), clamp),
+                          (CouplingConfig(g, gauged), image)):
+                try:
+                    states.append(solve(g, J, cl))
+                except BudgetExceededError:
+                    states.append(None)
+            a, b = states
+            if a is None or b is None:
+                assert a is b, (w, i)
+                continue
+            assert a.tied == b.tied, (w, i)
+            if not a.tied:
+                assert _float_bits(a.energy) == _float_bits(b.energy), (w, i)
+                want = canonicalize(g, e * a.signs, image)
+                assert np.array_equal(b.signs, want), (w, i)
 
 
 @settings(max_examples=80, deadline=None)
@@ -1139,9 +1233,9 @@ def test_the_kernel_runs_clean_under_address_and_ub_sanitizers(tmp_path):
 
 
 def test_a_warm_sweep_allocates_nothing():
-    # the kernel's column steps take turns in the plan's two step buffers
-    # and the couplings go to the plan too; a sweep allocates only small
-    # arrays
+    # the kernel runs a row's column steps in place in the plan's one step
+    # buffer and the couplings go to the plan too; a sweep allocates only
+    # small arrays
     for w, h, k in ((15, 15, 1), (7, 4, 64)):
         g = build_box(w, h)
         Js = [sample_couplings(g, GAUSS, 11, i) for i in range(k)]
@@ -1214,7 +1308,7 @@ def test_racing_builds_share_one_cached_kernel(tmp_path):
 
 
 def _sweep_bits_digest():
-    """SHA-256 over the row-cost block and backpointers of a fresh 13x13 and
+    """SHA-256 over the frontiers and backpointers of a fresh 13x13 and
     15x15 sweep and over one ``solve_batch`` of 7x7 problems; it imports
     what it uses, since child processes run its source alone."""
     import hashlib, struct
@@ -1228,9 +1322,10 @@ def _sweep_bits_digest():
         g, plan = build_box(w, w), solver._Plan(w, w)
         solver._sweep(g, [sample_couplings(g, gauss, 5, w)],
                       [solver._forced_cells(w, w, None)], plan)
-        # a free sweep writes only the lower half of each backpointer layer
-        digest.update(plan.rowcost.tobytes()
-                      + plan.backptr[..., :1 << w - 1].tobytes())
+        # a free sweep builds and writes only the lower half of each row,
+        # and the codes of the lower half of each backpointer layer
+        digest.update(plan.rowcost[..., :1 << w - 1].tobytes()
+                      + plan.backptr[..., :1 << w - 3].tobytes())
     g = build_box(7, 7)
     Js = [sample_couplings(g, gauss, 5, i) for i in range(8)]
     for p in solver.solve_batch(Js, [None] * 8):

@@ -16,10 +16,11 @@
  *
  * A row's cost is minus its horizontal energy, summed edge by edge from 0.0
  * in edge order, so its bits, too, rest on these operations alone and not
- * on the summation order of some CPU's BLAS kernel.  A forced sign enters
- * as a cell 2 * vertex + b: every row mask holding bit b at that vertex
- * costs inf.  The traceback walks the codes from the last row up, one
- * optimal configuration at a time, so it needs no buffer of all of them.
+ * on the summation order of some CPU's BLAS kernel.  The forced signs of
+ * a row enter as a pin: a mask of the row's pinned columns and the bits a
+ * row mask must hold there; every row mask that breaks it costs inf.  The
+ * traceback walks the codes from the last row up, one optimal
+ * configuration at a time, so it needs no buffer of all of them.
  *
  * With no field, a mask m and its flip ~m go through the same operations
  * (x - y is x + -y), so until a problem's first forced row its frontiers
@@ -184,15 +185,6 @@ static void column_step(const double *cur, double *nxt, unsigned char *bp,
         block_step(cur, nxt, bp, j, m, c);
 }
 
-/* inf on the entries of row (2^w) whose mask has bit c equal to b */
-static void forbid(double *row, size_t n, int c, int b)
-{
-    size_t lo = (size_t)1 << c;
-    for (size_t hi = (size_t)b << c; hi < n; hi += 2 * lo)
-        for (size_t i = 0; i < lo; i++)
-            row[hi + i] = INFINITY;
-}
-
 /* rows lo..h-1 of one problem's row costs (h, 2^w) from its couplings j,
  * whose first nh * h entries are the horizontal edges, row by row: entry m
  * of row r is minus the sum of +-J_a over the row's edges a = 0, 1, ... in
@@ -255,36 +247,35 @@ static void row_costs(double *cost, const double *j, int w, int h, int nh,
  * rowcost[r + 1] = (frontier after the row's last step) + rowcost[r + 1];
  * rowcost[start] must hold the frontier after row start.  vals (kcap, e)
  * holds each problem's couplings, the vertical edges after the horizontal
- * ones, row by row.  Problem p's ncells[p] forced cells follow those of the
- * problems before it in cells, and sym[p] gets the row of its first one, h
- * if it has none: its frontiers of rows r < sym[p] are symmetric and hold
- * their 2^(w-1) entries with bit w-1 down, its steps from those rows to
- * rows < sym[p] run on them, and row sym[p] - 1 is filled out before its
- * steps.  The sweep builds the row costs of the rows after start, or of
- * every row from row 0, only their lower halves on rows < sym[p]; problem
- * p copies them from problem p - 1 where its horizontal couplings have the
- * same bits and sym[p - 1] <= sym[p].  The forced cells go into the same
- * rows as inf.  buf (2^w) takes a row's column steps in place.  backptr
- * (h - 1, w, kcap, ceil(2^w / 4)) gets the codes of problem p's step c of
- * row r at [r, c, p], those of the lower half only for a step on a
- * symmetric frontier, and that step adds the vertical coupling of column c
- * between rows r and r + 1. */
+ * ones, row by row.  pins (kcap, h, 2) holds each problem's pin of each
+ * row, a mask of its pinned columns and the bits a row mask must hold
+ * there, and sym[p] gets the first row whose mask is not 0, h if none: its
+ * frontiers of rows r < sym[p] are symmetric and hold their 2^(w-1)
+ * entries with bit w-1 down, its steps from those rows to rows < sym[p]
+ * run on them, and row sym[p] - 1 is filled out before its steps.  The
+ * sweep builds the row costs of the rows after start, or of every row from
+ * row 0, only their lower halves on rows < sym[p]; problem p copies them
+ * from problem p - 1 where its horizontal couplings have the same bits and
+ * sym[p - 1] <= sym[p].  Entry i of a pinned row among them then costs inf
+ * where (i & mask) != bits.  buf (2^w) takes a row's column steps in place.
+ * backptr (h - 1, w, kcap, ceil(2^w / 4)) gets the codes of problem p's
+ * step c of row r at [r, c, p], those of the lower half only for a step on
+ * a symmetric frontier, and that step adds the vertical coupling of column
+ * c between rows r and r + 1. */
 void eaglass_sweep(int w, int h, int k, int kcap, int start,
                    double *rowcost, double *buf, unsigned char *backptr,
-                   int *sym, const double *vals, const int *cells,
-                   const int *ncells)
+                   int *sym, const double *vals, const int *pins)
 {
     size_t n = (size_t)1 << w, nb = (n + 3) / 4;
     int nh = w >= 3 ? w : w - 1, lo = start ? start + 1 : 0;
     size_t e = (size_t)nh * h + (size_t)w * (h - 1);
-    const int *cell = cells;
     for (int p = 0; p < k; p++) {
         double *cost = rowcost + (size_t)p * h * n;
         const double *j = vals + (size_t)p * e;
-        sym[p] = h;
-        for (int i = 0; i < ncells[p]; i++, cell++)
-            if (*cell / 2 / w < sym[p])
-                sym[p] = *cell / 2 / w;
+        const int *pin = pins + (size_t)p * h * 2;
+        sym[p] = 0;
+        while (sym[p] < h && !pin[2 * sym[p]])
+            sym[p]++;
         if (p && sym[p - 1] <= sym[p]
             && !memcmp(j, j - e, (size_t)nh * h * sizeof *j))
             for (int r = lo; r < h; r++)
@@ -296,10 +287,13 @@ void eaglass_sweep(int w, int h, int k, int kcap, int start,
     for (int p = 0; p < k; p++) {
         double *cost = rowcost + (size_t)p * h * n;
         const double *j = vals + (size_t)p * e + (size_t)nh * h;
-        for (int i = 0; i < ncells[p]; i++, cells++) {
-            int v = *cells / 2, r = v / w;
-            if (r >= lo)
-                forbid(cost + (size_t)r * n, n, v % w, *cells % 2);
+        const int *pin = pins + (size_t)p * h * 2;
+        for (int r = lo; r < h; r++) {
+            unsigned mask = (unsigned)pin[2 * r];
+            double *row = cost + (size_t)r * n;
+            for (size_t i = 0; mask && i < n; i++)
+                if ((i & mask) != (unsigned)pin[2 * r + 1])
+                    row[i] = INFINITY;
         }
         for (int r = start; r < h - 1; r++) {
             double *cur = cost + (size_t)r * n;

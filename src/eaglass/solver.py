@@ -36,7 +36,8 @@ compare with the plan's copy of the last sweep's, never with a caller's
 array, whose base (a ``CouplingConfig`` keeps a view) may have changed.
 
 Configurations are pairs modulo a global flip.  A clamp's signs pin one
-representative, which the kernel enters as infinite row costs.  With no
+representative, held in the plan as one pin per row next to the couplings
+(see ``_pins``) and entered by the kernel as infinite row costs.  With no
 field a row mask and its flip cost the same until a problem's first forced
 row, so on the rows before it the kernel builds and keeps only the masks
 with bit W-1 down and runs half-size steps; a free problem forces nothing,
@@ -191,18 +192,18 @@ def _forced_signs(geom: BoxGeometry, clamp: Clamp | None) -> dict[int, int]:
 
 
 @lru_cache(maxsize=1024)
-def _forced_cells(width: int, height: int,
-                  clamp: Clamp | None) -> tuple[tuple[int, ...], int]:
-    """A clamp's ``_forced_signs`` as the kernel takes them, each 2 * vertex
-    + the bit a row mask must not hold there (1 for a -1 sign), and its
-    canonical anchor on a width x height box.  A free problem forces no
-    vertex: its sweep keeps one member of each flipped pair itself."""
-    if clamp is None:
-        return (), 0
-    geom = build_box(width, height)
-    cells = tuple(2 * v + (s < 0)
-                  for v, s in _forced_signs(geom, clamp).items())
-    return cells, canonical_anchor(geom, clamp)
+def _pins(width: int, height: int,
+          clamp: Clamp | None) -> tuple[np.ndarray, int]:
+    """A clamp's ``_forced_signs`` as the kernel takes them, read-only pins
+    (H, 2), and its canonical anchor on a width x height box: pin r holds a
+    mask of row r's forced columns and the bits a row mask must hold there
+    (1 for a +1 sign).  A free problem forces no vertex: its sweep keeps one
+    member of each flipped pair itself."""
+    geom, pins = build_box(width, height), np.zeros((height, 2), np.int32)
+    for v, s in (_forced_signs(geom, clamp) if clamp else {}).items():
+        pins[v // width] |= (1 << v % width, (s > 0) << v % width)
+    pins.setflags(write=False)
+    return pins, canonical_anchor(geom, clamp)
 
 
 def _pattern(signs: np.ndarray) -> bytes:
@@ -232,7 +233,7 @@ def _kernel():
     if not path.exists():
         path = _build(name)
     lib = ctypes.CDLL(str(path))
-    lib.eaglass_sweep.argtypes = [ctypes.c_int] * 5 + [ctypes.c_void_p] * 7
+    lib.eaglass_sweep.argtypes = [ctypes.c_int] * 5 + [ctypes.c_void_p] * 6
     lib.eaglass_sweep.restype = None
     lib.eaglass_traceback.argtypes = [ctypes.c_int] * 5 + [ctypes.c_void_p] * 7
     return lib
@@ -282,19 +283,20 @@ class _Plan:
     of row r, four to a byte.  The kernel runs a row's column steps in place
     in ``buf``, so a warm sweep allocates no frontier-sized array;
     ``vals[k]`` holds a copy of problem k's couplings, which the kernel, the
-    traceback and the next sweep's resume read.
+    traceback and the next sweep's resume read, and ``pins[k]``,
+    ``anchor[k]`` its ``_pins``.
 
     ``rowcost[k, r]`` holds problem k's row costs of row r, which the kernel
     builds, then its frontier after row r: on a row before ``sym[k]``, the
     problem's first forced row (H if none), only the lower half of each,
     which the sweep writes.  The traceback writes ``rows``, ``count`` and
-    ``path``.  The arrays never move, so ``at`` keeps their addresses for the
-    kernel calls.  ``last`` remembers the sweep that last ran to its end, whose
-    couplings ``vals`` still holds: its forced cells and start row s.  That
-    sweep left its backpointers in ``backptr`` and its frontiers in
-    ``rowcost[:, r]`` for every r >= s, so a sweep of as many problems that
-    agrees with it on the leading rows resumes from there (see
-    ``_resume_row``)."""
+    ``path``.  The arrays never move, so ``at`` keeps their addresses, the
+    only ones the kernel calls take.  ``last`` remembers the sweep that last
+    ran to its end, whose couplings and pins the plan still holds: its
+    problem count and start row s.  That sweep left its backpointers in
+    ``backptr`` and its frontiers in ``rowcost[:, r]`` for every r >= s, so
+    a sweep of as many problems that agrees with it on the leading rows
+    resumes from there (see ``_resume_row``)."""
 
     def __init__(self, width: int, height: int):
         n = 1 << width
@@ -303,6 +305,8 @@ class _Plan:
         self.rowcost = np.empty((k, height, n))
         self.buf = np.empty(n)
         self.vals = np.empty((k, build_box(width, height).n_edges))
+        self.pins = np.empty((k, height, 2), np.int32)
+        self.anchor = np.empty(k, np.int32)
         self.sym, self.count = np.empty(k, np.int32), np.empty(k, np.int32)
         self.rows = np.empty((k, height), np.int32)
         self.path = np.empty((height - 1) * width + 1, np.uint32)
@@ -351,23 +355,24 @@ def _solve_all(geom: BoxGeometry, Js, clamps) -> list[SpinPair]:
     if W > MAX_SOLVE_WIDTH:
         raise BudgetExceededError(
             f"width {W} exceeds solver budget {MAX_SOLVE_WIDTH}")
-    forced = [_forced_cells(W, H, clamp) for clamp in clamps]
+    forced = [_pins(W, H, clamp) for clamp in clamps]
     plan = _plan(W, H)
     step = len(plan.rowcost)    # the problems one sweep holds
     out = []
     for lo in range(0, len(Js), step):
         chunk = slice(lo, lo + step)
         _sweep(geom, Js[chunk], forced[chunk], plan)
-        out += _best_pairs(geom, Js[chunk], forced[chunk], plan)
+        out += _best_pairs(geom, plan, len(Js[chunk]))
     return out
 
 
 def _sweep(geom: BoxGeometry, Js, forced, plan: _Plan) -> None:
     """Run the transfer kernel over K problems of ``plan``'s shape, each with
-    its ``_forced_cells``; their final frontiers end in ``rowcost[:, -1]``
-    (the lower half of a free problem's), backpointers in ``backptr`` and
-    first forced rows in ``sym``.  Every problem goes through the same
-    elementwise operations as it would alone, so its frontier and
+    its ``_pins``, which go to ``plan.pins`` and ``plan.anchor`` as its
+    couplings go to ``plan.vals``; their final frontiers end in
+    ``rowcost[:, -1]`` (the lower half of a free problem's), backpointers in
+    ``backptr`` and first forced rows in ``sym``.  Every problem goes through
+    the same elementwise operations as it would alone, so its frontier and
     backpointers do not depend on the batch.
 
     Each row's frontier is the sum of the last column step and the row's
@@ -375,77 +380,74 @@ def _sweep(geom: BoxGeometry, Js, forced, plan: _Plan) -> None:
     The sweep starts at the row ``_resume_row`` gives, from the frontier the
     last sweep left there; the backpointers above it are the last sweep's,
     which are the same bits."""
-    start = _resume_row(geom, plan, Js, forced)
+    pins = np.array([p for p, _ in forced])
+    start = _resume_row(geom, plan, Js, pins)
     for k, J in enumerate(Js):
         plan.vals[k] = J.values
-    _run_sweep(plan, start, [cells for cells, _ in forced])
-    plan.last = (forced, start)
+    plan.pins[:len(Js)] = pins
+    plan.anchor[:len(Js)] = [anchor for _, anchor in forced]
+    _run_sweep(plan, start, len(Js))
+    plan.last = (len(Js), start)
 
 
-def _run_sweep(plan: _Plan, start: int, cells) -> None:
-    """Rows ``start``..H-2 of the first K = ``len(cells)`` problems in one
-    call of the C kernel, on their couplings in ``plan.vals``.  The kernel
-    builds the row costs of the rows it sweeps into, or of every row from
-    row 0, and problem k copies them from problem k-1 where their horizontal
-    couplings have the same bits and k-1's first forced row is not below
-    its own; ``cells[k]`` holds its forced cells (see ``_forced_cells``),
-    which the kernel writes into its row costs as inf."""
-    k, h, w = len(cells), plan.rowcost.shape[1], plan.backptr.shape[1]
-    flat = np.array([x for c in cells for x in c], dtype=np.int32)
-    if (k > len(plan.rowcost) or not 0 <= start < h
-            or len(flat) and not 0 <= flat.min() <= flat.max() < 2 * h * w):
+def _run_sweep(plan: _Plan, start: int, k: int) -> None:
+    """Rows ``start``..H-2 of the first ``k`` problems in one call of the C
+    kernel, on their couplings in ``plan.vals`` and their pins in
+    ``plan.pins``.  The kernel builds the row costs of the rows it sweeps
+    into, or of every row from row 0, and problem i copies them from problem
+    i-1 where their horizontal couplings have the same bits and i-1's first
+    forced row is not below its own; it then writes inf into the row costs
+    of each row mask that breaks a pin (see ``_pins``)."""
+    h, w = plan.rowcost.shape[1], plan.backptr.shape[1]
+    if k > len(plan.rowcost) or not 0 <= start < h:
         raise ValueError(f"a sweep of {k} problems from row {start} "
                          "does not fit the plan")
-    counts = np.array([len(c) for c in cells], dtype=np.int32)
     at = plan.at
     _kernel().eaglass_sweep(
         w, h, k, plan.backptr.shape[2], start, at["rowcost"], at["buf"],
-        at["backptr"], at["sym"], at["vals"], flat.ctypes.data,
-        counts.ctypes.data)
+        at["backptr"], at["sym"], at["vals"], at["pins"])
 
 
-def _resume_row(geom: BoxGeometry, plan: _Plan, Js, forced) -> int:
-    """The row a sweep of ``Js``/``forced`` can start from, 0 for a full
-    sweep; clears the plan's memory, since the sweep overwrites it.
+def _resume_row(geom: BoxGeometry, plan: _Plan, Js, pins) -> int:
+    """The row a sweep of ``Js`` with ``pins`` (K, H, 2) can start from, 0
+    for a full sweep; clears the plan's memory, since the sweep overwrites
+    it.
 
     The frontier after row p depends only on the couplings of the edges
-    with ``geom.entry_row <= p`` and on the signs forced on rows 0..p.  If
-    every problem agrees with the last sweep's problem in its slot on rows
-    0..p, and that sweep left its frontier after row p, the sweep starts
-    there.  Each problem's couplings compare with the copy the last sweep
-    ran on, ``plan.vals[k]``, never with the caller's array, whose contents
-    may have changed since.  They compare as bits, since -0.0 == 0.0; the
-    comparison stops at the first problem that rules a resume out."""
+    with ``geom.entry_row <= p`` and on the pins of rows 0..p.  If every
+    problem agrees with the last sweep's problem in its slot on rows 0..p,
+    and that sweep left its frontier after row p, the sweep starts there.
+    The pins compare with ``plan.pins`` in one array comparison, and each
+    problem's couplings with the copy the last sweep ran on, never with the
+    caller's array, whose contents may have changed since.  They compare as
+    bits, since -0.0 == 0.0, up to the first problem that rules a resume
+    out."""
     last, plan.last = plan.last, None
-    if last is None or len(last[0]) != len(Js):
+    if last is None or last[0] != len(Js):
         return 0
-    old_forced, low = last
-    need = max(low, 1) + 1      # rows that must agree for any resume
-    agree = geom.height         # rows 0..agree-1 are equal in every problem
-    for J, old, (cells, _), (old_cells, _) in zip(Js, plan.vals, forced,
-                                                  old_forced):
-        moved = geom.entry_row[J.values.view(np.int64) != old.view(np.int64)]
-        if len(moved):
-            agree = min(agree, int(moved.min()))
-        for cell in set(cells) ^ set(old_cells):   # forced sign differs
-            agree = min(agree, cell // 2 // geom.width)
+    need = max(last[1], 1) + 1  # rows that must agree for any resume
+    repinned = (pins != plan.pins[:len(Js)]).any(axis=(0, 2))
+    # rows 0..agree-1 are equal in every problem
+    agree = int(repinned.argmax()) if repinned.any() else geom.height
+    for J, old in zip(Js, plan.vals):
         if agree < need:
             return 0
-    return agree - 1
+        moved = geom.entry_row[J.values.view(np.int64) != old.view(np.int64)]
+        agree = int(moved.min(initial=agree))
+    return agree - 1 if agree >= need else 0
 
 
-def _best_pairs(geom: BoxGeometry, Js, forced, plan: _Plan) -> list[SpinPair]:
-    """The canonical optimum of each problem of the sweep ``plan`` last ran,
-    from the C traceback, which walks every optimal configuration of each
-    problem and keeps the smallest canonical one; it raises for a problem
-    with more than ``_TIE_CAP`` of them.  ``forced`` holds each problem's
-    ``_forced_cells``, whose anchor sets the canonical flip."""
-    W, H, K = geom.width, geom.height, len(Js)
-    anchors = np.array([anchor for _, anchor in forced], dtype=np.int32)
+def _best_pairs(geom: BoxGeometry, plan: _Plan, K: int) -> list[SpinPair]:
+    """The canonical optimum of each of the K problems of the sweep ``plan``
+    last ran, from the C traceback, which walks every optimal configuration
+    of each problem and keeps the smallest canonical one; it raises for a
+    problem with more than ``_TIE_CAP`` of them.  ``plan.anchor`` holds
+    each problem's canonical anchor, which sets the canonical flip."""
+    W, H = geom.width, geom.height
     at = plan.at
     status = _kernel().eaglass_traceback(
         W, H, K, plan.backptr.shape[2], _TIE_CAP, at["rowcost"],
-        at["backptr"], at["sym"], anchors.ctypes.data, at["path"],
+        at["backptr"], at["sym"], at["anchor"], at["path"],
         at["rows"], at["count"])
     if status == 2:
         raise RuntimeError("no admissible configuration (unsatisfiable clamp?)")

@@ -129,10 +129,11 @@ def wall_count_grid(walls, n_values, k_values, dual: DualGeometry) -> dict:
     tethered = [w.dual_vertices for w in walls if w.tethered]
     grid = {}
     for n in n_values:
+        cols = None     # built at n's first k, which is checked first
         for k in k_values:
             if not 0 <= k <= dual.height:
                 raise ConfigError(f"segment height k={k} outside box")
-            cols = _segment_columns(dual, n)
+            cols = cols or _segment_columns(dual, n)
             hits = {dual.dual_vertex_id(c, k) for c in cols}
             grid[(n, k)] = sum(1 for vs in tethered if not hits.isdisjoint(vs))
     return grid

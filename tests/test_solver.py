@@ -460,8 +460,8 @@ def test_kernel_row_costs_equal_the_left_to_right_sum(width, height):
     # bit for bit, and the frontier after each later row equals the
     # reference steps over the reference row costs.  A free problem builds
     # and keeps the lower half of each row, with column steps of that half
-    # and the mirrored step W-1; with vertex 0 forced up (cell 0: inf on row
-    # 0's masks with bit 0 down) every row is whole and runs full column
+    # and the mirrored step W-1; with vertex 0 forced up (row 0's pin (1, 1):
+    # inf on its masks with bit 0 down) every row is whole and runs full column
     # steps (both up to W=13 and on 3 rows beyond, where the numpy steps are
     # slow; not for sums that overflow, whose NaN the frontiers' minima then
     # pass on)
@@ -473,12 +473,14 @@ def test_kernel_row_costs_equal_the_left_to_right_sum(width, height):
         vals = rng.normal(size=(1, g.n_edges))
         vals[0, :n_h * height] = _draw_mix(rng, mix, n_h * height)
         plan.vals[:1] = vals
-        for cells in ((), (0,)):
-            solver._run_sweep(plan, 0, [cells])
+        for pinned in (0, 1):
+            plan.pins[0] = 0
+            plan.pins[0, 0] = pinned
+            solver._run_sweep(plan, 0, 1)
             want = reference.row_costs(vals[0], width, height)
-            if cells:
+            if pinned:
                 want[0, ::2] = np.inf
-            n = 1 << width - 1 + len(cells)     # the entries a row keeps
+            n = 1 << width - 1 + pinned     # the entries a row keeps
             assert plan.rowcost[0, 0, :n].tobytes() == want[0, :n].tobytes(), \
                 mix
             if mix == "huge":
@@ -489,14 +491,14 @@ def test_kernel_row_costs_equal_the_left_to_right_sum(width, height):
                 cur = want[None, r, :n].copy()
                 for c in range(width):
                     nxt, bp = np.empty_like(cur), np.empty(cur.shape, np.uint8)
-                    if cells or c < width - 1:
+                    if pinned or c < width - 1:
                         reference.column_step(cur, nxt, vert[r, c], bp, c)
                     else:
                         reference.mirror_step(cur, nxt, vert[r, c], bp)
                     cur = nxt
                 want[r + 1, :n] += cur[0]
             assert (plan.rowcost[0, :rows, :n].tobytes()
-                    == want[:rows, :n].tobytes()), (mix, cells)
+                    == want[:rows, :n].tobytes()), (mix, pinned)
 
 
 def _kernel_row_costs(width, j_rows):
@@ -505,8 +507,8 @@ def _kernel_row_costs(width, j_rows):
     and swept in blocks of as many problems as one sweep holds.  A free
     problem builds only the lower half of its rows, so each block is swept
     with vertex 0 forced, which builds row 0 whole: once with inf on the
-    masks with bit 0 down (cell 0), once on those with bit 0 up (cell 1),
-    each time keeping the costs of the other masks."""
+    masks with bit 0 down (row 0's pin (1, 1)), once on those with bit 0 up
+    (pin (1, 0)), each time keeping the costs of the other masks."""
     plan = solver._Plan(width, 2)
     n_h = horizontal_edges_per_row(width)
     odd = np.arange(1 << width) % 2 == 1
@@ -515,8 +517,10 @@ def _kernel_row_costs(width, j_rows):
         block = j_rows[lo:lo + len(plan.rowcost)]
         plan.vals[:len(block)] = 0.0
         plan.vals[:len(block), :n_h] = block
-        for cell, kept in ((0, odd), (1, ~odd)):
-            solver._run_sweep(plan, 0, [(cell,)] * len(block))
+        for bit, kept in ((1, odd), (0, ~odd)):
+            plan.pins[:len(block)] = 0
+            plan.pins[:len(block), 0] = (1, bit)
+            solver._run_sweep(plan, 0, len(block))
             out[lo:lo + len(block), kept] = plan.rowcost[:len(block), 0, kept]
     return out
 
@@ -742,9 +746,9 @@ def _count_rows(monkeypatch):
     one call per sweep."""
     swept = [0]
 
-    def counted_sweep(plan, start, cells):
+    def counted_sweep(plan, start, k):
         swept[0] += plan.rowcost.shape[1] - 1 - start
-        return run_sweep(plan, start, cells)
+        return run_sweep(plan, start, k)
 
     run_sweep = solver._run_sweep
     monkeypatch.setattr(solver, "_run_sweep", counted_sweep)
@@ -855,11 +859,11 @@ def test_plan_holds_no_frontier_block():
     # the frontiers a sweep leaves behind live in its row-cost block, so a
     # W=15 plan holds no (K, H, 2^W) frontier block: only the row costs
     # (3,932,160 bytes), the 2-bit backpointer codes (1,720,320), one step
-    # frontier (262,144), the couplings (3,480) and the traceback's first
-    # forced rows, masks, counts and path (912)
+    # frontier (262,144), the couplings (3,480), the pins and anchor (124)
+    # and the traceback's first forced rows, masks, counts and path (912)
     plan = solver._plan(15, 15)
     assert sum(a.nbytes for a in vars(plan).values()
-               if isinstance(a, np.ndarray)) == 5_919_016
+               if isinstance(a, np.ndarray)) == 5_919_140
 
 
 # --------------------------------------------------------------------------
@@ -872,9 +876,10 @@ def _draw_sweep(rng, k, g):
     must keep; or gaussian values.  A problem may repeat the couplings of
     the problem before it, all of them or only the horizontal ones, whose
     row costs the kernel then copies.  Each has a first forced row drawn
-    from 0..H (H: none, a free problem), with a forced cell there and up to
-    2 more on the rows after it, even both bits of one vertex."""
-    vals, cells, syms = np.empty((k, g.n_edges)), [], []
+    from 0..H (H: none, a free problem), with a pin of 1 or 2 columns there
+    and of up to 2 on each row after it, each with random bits."""
+    vals, syms = np.empty((k, g.n_edges)), []
+    pins = np.zeros((k, g.height, 2), np.int32)
     horizontal = g.n_edges - g.width * (g.height - 1)
     for p in range(k):
         vals[p] = _draw_mix(
@@ -883,21 +888,18 @@ def _draw_sweep(rng, k, g):
         repeat = (0, g.n_edges, horizontal)[rng.integers(3) if p else 0]
         vals[p, :repeat] = vals[p - 1, :repeat]
         syms.append(int(rng.integers(g.height + 1)))
-        if syms[-1] == g.height:
-            cells.append(())
-            continue
-        more = rng.integers(2 * syms[-1] * g.width, 2 * g.n_vertices,
-                            size=rng.integers(0, 3))
-        cells.append((*map(int, more), int(rng.integers(
-            2 * syms[-1] * g.width, 2 * (syms[-1] + 1) * g.width))))
-    return vals, cells, syms
+        for r in range(syms[-1], g.height):
+            cols = rng.integers(g.width, size=rng.integers(r == syms[-1], 3))
+            mask = sum({1 << int(c) for c in cols})
+            pins[p, r] = mask, mask & int(rng.integers(1 << g.width))
+    return vals, pins, syms
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([*range(1, 13), 16]), st.integers(2, 4), st.data())
 def test_kernel_sweep_equals_the_bit_replacing_reference(w, h, data):
     # the whole compiled sweep from a start row against the reference row
-    # costs, forced cells, steps and row adds: every backpointer layer and
+    # costs, pins, steps and row adds: every backpointer layer and
     # each row's frontier, bit for bit; up to 64 problems (suite7's sweeps)
     # at W <= 7, each with its first forced row sym before, at or after the
     # start.  A row r < sym gets only the lower half of its row costs, and a
@@ -916,7 +918,7 @@ def test_kernel_sweep_equals_the_bit_replacing_reference(w, h, data):
     k = data.draw(st.integers(1, min(len(plan.rowcost), 64 if w <= 7 else 4)))
     start = data.draw(st.integers(0, h - 2))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    vals, cells, syms = _draw_sweep(rng, k, g)
+    vals, pins, syms = _draw_sweep(rng, k, g)
     n, half, masks = 1 << w, 1 << w - 1, np.arange(1 << w)
     lo = start + 1 if start else 0
     want = np.full((k, h, n), 7.5)
@@ -925,15 +927,15 @@ def test_kernel_sweep_equals_the_bit_replacing_reference(w, h, data):
     for i in range(k):
         want[i, lo:] = reference.row_costs(vals[i], w, h)[lo:]
         want[i, lo:syms[i], half:] = np.nan     # never built
-        for cell in cells[i]:
-            v, bit = divmod(cell, 2)
-            if v // w >= lo:
-                want[i, v // w, ((masks >> v % w) & 1) == bit] = np.inf
+        for r, (mask, bits) in enumerate(pins[i]):
+            if r >= lo and mask:
+                want[i, r, (masks & mask) != bits] = np.inf
     plan.rowcost[:k] = want
     plan.rowcost[:k, lo:] = np.nan
     plan.backptr[...] = 0xFF
     plan.vals[:k] = vals
-    solver._run_sweep(plan, start, cells)
+    plan.pins[:k] = pins
+    solver._run_sweep(plan, start, k)
     assert plan.sym[:k].tolist() == syms
     syms = np.array(syms)
     vert = vals[:, g.n_edges - w * (h - 1):].reshape(k, h - 1, w)
@@ -982,7 +984,7 @@ def test_a_free_sweep_writes_only_the_lower_half_of_each_layer():
         k, half = min(len(plan.rowcost), 3), 1 << w - 1
         written = max(1, half // 4)
         Js = [sample_couplings(g, GAUSS, 13, i) for i in range(k)]
-        forced = [solver._forced_cells(w, h, None)] * k
+        forced = [solver._pins(w, h, None)] * k
         plan.backptr[...] = 0xFF
         solver._sweep(g, Js, forced, plan)
         below = g.entry_row < h - 1     # the next sweep starts at row h-2
@@ -1016,7 +1018,7 @@ def test_a_sweep_reads_no_row_cost_it_did_not_build():
         plans[0].rowcost[...], plans[0].backptr[...] = np.nan, 0xFF
         plans[1].rowcost[...], plans[1].backptr[...] = 0.0, 0
         syms = [h, 1, 2, h, 0]
-        forced = [solver._forced_cells(w, h, None if r == h else Clamp(
+        forced = [solver._pins(w, h, None if r == h else Clamp(
             (r * w + w // 2,), (-1,))) for r in syms]
         J = sample_couplings(g, GAUSS, 23, w)
         last = g.entry_row == h - 1
@@ -1027,7 +1029,7 @@ def test_a_sweep_reads_no_row_cost_it_did_not_build():
                 solver._sweep(g, Js, forced, plan)
                 assert plan.last[1] == max(lo - 1, 0)
                 assert plan.sym[:5].tolist() == syms
-                got.append((solver._best_pairs(g, Js, forced, plan),
+                got.append((solver._best_pairs(g, plan, 5),
                             [_swept_bytes(plan, p, sym, plan.last[1])
                              for p, sym in enumerate(syms)]))
             _assert_same_states(got[0][0], got[1][0])
@@ -1132,6 +1134,52 @@ def test_a_gauge_transform_maps_each_solve_onto_its_image():
                 assert np.array_equal(b.signs, want), (w, i)
 
 
+def _vertex_maps(g, rng):
+    """Maps of box g onto itself as arrays, vertex v to map[v]: a rotation
+    by 1..W-1 columns, the left-right and the up-down reflection."""
+    w, h = g.width, g.height
+    c, r = np.arange(g.n_vertices) % w, np.arange(g.n_vertices) // w
+    return [r * w + (c + int(rng.integers(1, w))) % w, r * w + w - 1 - c,
+            (h - 1 - r) * w + c]
+
+
+def test_rotations_and_reflections_map_each_solve_onto_its_image():
+    # a rotation of the cylinder by k columns and its left-right and up-down
+    # reflections carry every configuration onto one of the same energy,
+    # which the sweep sums in another order: the image of a gaussian
+    # problem, free or with a clamp on 1-3 vertices, has its energy within
+    # 1e-12 (1 + |E|), and neither is tied, the mapped canonical minimizer.
+    # A rotation moves column W-1, whose step alone pairs mirrored entries
+    # on a symmetric frontier; the up-down map moves a clamp's first pinned
+    # row, where the sweep turns from half to full size
+    rng = np.random.default_rng(2311)
+    for w in range(3, 17):
+        g = build_box(w, int(rng.integers(2, min(6, 48 // w) + 1)))
+        maps = _vertex_maps(g, rng)
+        edge_of = {frozenset(uv): i
+                   for i, uv in enumerate(zip(g.eu.tolist(), g.ev.tolist()))}
+        for i in range(12 if w <= 12 else 4):
+            vals = rng.normal(size=g.n_edges)
+            verts = rng.choice(g.n_vertices, i % 4, replace=False)
+            signs = rng.choice([-1, 1], len(verts)).tolist()
+            Js, clamps = [CouplingConfig(g, vals)], [Clamp(verts, signs)
+                                                     if i % 4 else None]
+            for m in maps:
+                moved = np.empty(g.n_edges)
+                moved[[edge_of[frozenset((m[u], m[v]))]
+                       for u, v in zip(g.eu, g.ev)]] = vals
+                Js.append(CouplingConfig(g, moved))
+                clamps.append(Clamp(m[verts], signs) if i % 4 else None)
+            a, *images = solve_batch(Js, clamps)
+            for m, clamp, b in zip(maps, clamps[1:], images):
+                assert not (a.tied or b.tied), (w, i)
+                assert abs(b.energy - a.energy) <= 1e-12 * (1 + abs(a.energy))
+                image = np.empty_like(a.signs)
+                image[m] = a.signs
+                assert np.array_equal(b.signs, canonicalize(g, image, clamp)), \
+                    (w, i)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 4), st.data())
 def test_first_forced_row_anywhere_matches_bruteforce(w, data):
@@ -1176,7 +1224,9 @@ def test_first_forced_row_anywhere_matches_bruteforce(w, data):
 
 # a child process that builds the kernel with AddressSanitizer and
 # UndefinedBehaviorSanitizer into the directory argv[1] and runs free,
-# clamped and resumed batches at every width
+# clamped and resumed batches at every width: clamps on column 0, on column
+# W-1 (bit 15 at W=16) and on both, and sweeps resumed from one whose pins
+# differ only on the last row, below the rows the two sweeps share
 _SANITIZED_CHILD = """
 import sys
 from pathlib import Path
@@ -1197,15 +1247,23 @@ for w in range(1, 17):
     g = build_box(w, h)
     k = min(3, max(1, solver._BATCH_STATES >> w) + 1)
     Js = [sample_couplings(g, gauss, 17, i) for i in range(k)]
-    for rows in (range(h), range(1, h), range(h - 1, h)):
-        clamps = [None] + [Clamp((int(rng.choice(rows)) * w,), (1,))
-                           for _ in range(k - 1)]
+    last = g.entry_row == h - 1
+    cols = [(0,), (w - 1,), (0, w - 1) if w > 1 else (0,)]
+    def clamp(row, i):
+        return Clamp([row * w + c for c in cols[i % 3]],
+                     [1, -1][:len(cols[i % 3])])
+    for j, rows in enumerate((range(h), range(1, h), range(h - 1, h))):
+        clamps = [None] + [clamp(int(rng.choice(rows)), i + j)
+                           for i in range(k - 1)]
         for _ in range(2):  # the second sweep shares all but the last row
             solver.solve_batch(Js, clamps)
-            last = g.entry_row == h - 1
             Js = [CouplingConfig(g, np.where(last, -J.values, J.values))
                   for J in Js]
-        clamps.reverse()
+    n = min(k, len(solver._plan(w, h).rowcost))
+    solver.solve_batch(Js[:n], [None] * n)
+    for clamps in ([clamp(h - 1, i) for i in range(n)], [None] * n):
+        solver.solve_batch(Js[:n], clamps)
+        assert solver._plan(w, h).last == (n, h - 2)
     zero = CouplingConfig(g, np.zeros(g.n_edges))
     try:
         solver.solve_batch([zero], [None])
@@ -1234,22 +1292,64 @@ def test_the_kernel_runs_clean_under_address_and_ub_sanitizers(tmp_path):
 
 def test_a_warm_sweep_allocates_nothing():
     # the kernel runs a row's column steps in place in the plan's one step
-    # buffer and the couplings go to the plan too; a sweep allocates only
-    # small arrays
+    # buffer and the couplings and pins go to the plan too; a sweep, free or
+    # clamped, allocates only small arrays
     for w, h, k in ((15, 15, 1), (7, 4, 64)):
         g = build_box(w, h)
         Js = [sample_couplings(g, GAUSS, 11, i) for i in range(k)]
-        forced = [solver._forced_cells(w, h, None)] * k
-        plan = solver._Plan(w, h)
-        solver._sweep(g, Js, forced, plan)
-        plan.last = None        # no resume: the second sweep runs every row
-        tracemalloc.start()
-        try:
+        edges = [g.edges[i * 7 % g.n_edges] for i in range(k)]
+        for clamps in ([None] * k, [Clamp.opposite_pair(e.u, e.v)
+                                    for e in edges]):
+            forced = [solver._pins(w, h, cl) for cl in clamps]
+            plan = solver._Plan(w, h)
             solver._sweep(g, Js, forced, plan)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 1024, (w, h, k)
+            plan.last = None    # no resume: the second sweep runs every row
+            tracemalloc.start()
+            try:
+                solver._sweep(g, Js, forced, plan)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 1024, (w, h, k, clamps[0])
+
+
+def test_only_plan_addresses_reach_the_kernel(monkeypatch):
+    # a problem's couplings, pins and anchor reach the kernel through the
+    # plan, whose arrays never move: every pointer that a sweep or a
+    # traceback takes, free, clamped or resumed, is one of the plan's
+    lib, calls = solver._kernel(), []
+
+    class Recorder:
+        def __getattr__(self, name):
+            def call(*args):
+                calls.append((name, args))
+                return getattr(lib, name)(*args)
+            return call
+
+    monkeypatch.setattr(solver, "_kernel", Recorder)
+    solver._PLANS.store = {}
+    for w, h, k in ((3, 3, 5), (7, 4, 40), (15, 3, 1)):
+        g = build_box(w, h)
+        Js = [sample_couplings(g, GAUSS, 29, i) for i in range(k)]
+        clamps = [None if i % 3 == 2 else Clamp(
+            (i % g.n_vertices, (i + w) % g.n_vertices), (1, -1))
+            for i in range(k)]
+        last = g.entry_row == h - 1
+        flipped = [CouplingConfig(g, np.where(last, -J.values, J.values))
+                   for J in Js]
+        calls.clear()
+        for batch, cls in ((Js, [None] * k), (Js, clamps), (flipped, clamps)):
+            solve_batch(batch, cls)
+        plan = solver._plan(w, h)
+        assert [(name, args[4]) for name, args in calls] == [
+            ("eaglass_sweep", 0), ("eaglass_traceback", solver._TIE_CAP),
+            ("eaglass_sweep", 0), ("eaglass_traceback", solver._TIE_CAP),
+            ("eaglass_sweep", h - 2), ("eaglass_traceback", solver._TIE_CAP)]
+        for name, args in calls:
+            types = getattr(lib, name).argtypes
+            pointers = {a for a, t in zip(args, types) if t is ctypes.c_void_p}
+            assert len(pointers) == types.count(ctypes.c_void_p), name
+            assert pointers <= set(plan.at.values()), (w, name)
 
 
 # a child process that builds or loads the kernel in the directory argv[1]
@@ -1321,7 +1421,7 @@ def _sweep_bits_digest():
     for w in (13, 15):
         g, plan = build_box(w, w), solver._Plan(w, w)
         solver._sweep(g, [sample_couplings(g, gauss, 5, w)],
-                      [solver._forced_cells(w, w, None)], plan)
+                      [solver._pins(w, w, None)], plan)
         # a free sweep builds and writes only the lower half of each row,
         # and the codes of the lower half of each backpointer layer
         digest.update(plan.rowcost[..., :1 << w - 1].tobytes()
@@ -1496,10 +1596,11 @@ def _per_problem_sweeps(Js, forced, shared, single, start):
     plan ``single`` from the frontier ``shared`` started from in row
     ``start``: its row costs built from its own couplings, none copied.
     Asserts that each gives the same frontiers and backpointers."""
-    for i, (J, (cells, _)) in enumerate(zip(Js, forced)):
+    for i, (J, (pins, _)) in enumerate(zip(Js, forced)):
         single.rowcost[0, start] = shared.rowcost[i, start]
         single.vals[0] = J.values
-        solver._run_sweep(single, start, [cells])
+        single.pins[0] = pins
+        solver._run_sweep(single, start, 1)
         sym = shared.sym[i]
         assert single.sym[0] == sym
         assert (_swept_bytes(shared, i, sym, start)
@@ -1526,7 +1627,7 @@ def test_shared_row_costs_and_kernel_forced_cells_equal_per_problem_ones(
     clamps = [_draw_clamp(data, g) for _ in range(k)]
     shared, single = solver._Plan(*shape), solver._Plan(*shape)
     for resumed in (False, True):
-        forced = [solver._forced_cells(*shape, cl) for cl in clamps]
+        forced = [solver._pins(*shape, cl) for cl in clamps]
         solver._sweep(g, Js, forced, shared)
         start = shared.last[1]
         assert (start > 0) == resumed
@@ -1567,13 +1668,13 @@ def test_kernel_argtypes_match_the_exported_prototypes():
 
 def test_a_sweep_that_does_not_fit_the_plan_raises():
     # the checks on the caller's data: the problem count against the plan's
-    # capacity, the start row and the forced cells' range
+    # capacity and the start row (a pin's mask addresses no memory outside
+    # its row, and a clamp vertex outside the box raises in ``_pins``)
     plan = solver._Plan(3, 3)
     cap = len(plan.rowcost)
-    for start, cells in ((0, [()] * (cap + 1)), (-1, [()]), (3, [()]),
-                         (0, [(18,)]), (0, [(), (-1,)])):
+    for start, k in ((0, cap + 1), (-1, 1), (3, 1)):
         with pytest.raises(ValueError, match="does not fit the plan"):
-            solver._run_sweep(plan, start, cells)
+            solver._run_sweep(plan, start, k)
 
 
 def test_tie_cap_inside_a_batch():

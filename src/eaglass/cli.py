@@ -133,8 +133,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = ExperimentConfig.from_dict(_config_from_args(args))
-        report = run(config)
+        report = run(_config_from_args(args))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

@@ -18,7 +18,7 @@ import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -66,12 +66,26 @@ class ExperimentConfig:
     dual_budget: int = 4
     tol: float = 1e-9
 
+    def __post_init__(self):
+        """Bring the JSON spellings of a field to one form, so that a config
+        compares and hashes the same however it was built."""
+        if isinstance(self.dist, dict):
+            object.__setattr__(self, "dist",
+                               DistributionSpec.from_dict(self.dist))
+        for key in ("edge", "edge2"):
+            if getattr(self, key) is not None:
+                object.__setattr__(self, key, _edge_tuple(getattr(self, key)))
+        for key in ("n_list", "k_list", "n_pairs"):
+            value = getattr(self, key)
+            if isinstance(value, list):
+                object.__setattr__(self, key, tuple(
+                    tuple(x) if isinstance(x, list) else x for x in value))
+
     def core_dict(self) -> dict:
         """Config content that determines results: excludes parallelism and
         output location, which must not affect the report hash."""
-        d = asdict(self)
-        d.pop("parallel")
-        d.pop("out")
+        d = {name: getattr(self, name) for name in self.__dataclass_fields__
+             if name not in ("parallel", "out")}
         d["dist"] = self.dist.to_dict()
         d["schema_version"] = SCHEMA_VERSION
         return _jsonable(d)
@@ -82,15 +96,6 @@ class ExperimentConfig:
         version = d.pop("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {version}")
-        if "dist" in d and not isinstance(d["dist"], DistributionSpec):
-            d["dist"] = DistributionSpec.from_dict(d["dist"])
-        for key in ("edge", "edge2"):
-            if d.get(key) is not None:
-                d[key] = _edge_tuple(d[key])
-        for key in ("n_list", "k_list", "n_pairs"):
-            if isinstance(d.get(key), list):
-                d[key] = tuple(tuple(x) if isinstance(x, list) else x
-                               for x in d[key])
         unknown = set(d) - set(ExperimentConfig.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config fields {sorted(unknown)}")
@@ -156,9 +161,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
             if not is_type(getattr(cfg, name)):
                 raise ConfigError(f"{name} must be {expected}, "
                                   f"got {getattr(cfg, name)!r}")
-    for spec in (cfg.edge, cfg.edge2):
-        if spec is not None:
-            _edge_tuple(spec)
     if cfg.kind not in _KINDS:
         raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
     for name, low in (("samples", 1), ("parallel", 1), ("probes", 1),
@@ -272,20 +274,16 @@ def _validate_ladder(cfg: ExperimentConfig, ns) -> None:
 # shared helpers
 
 
+def _plain(obj):
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} {obj!r} has no JSON form")
+
+
 def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
+    """``obj`` as the report holds it: through the JSON codec, numpy values
+    as Python ones; a value JSON cannot hold (NaN, inf, a set) raises."""
+    return json.loads(json.dumps(obj, allow_nan=False, default=_plain))
 
 
 def _sample_rng(cfg: ExperimentConfig, index: int, tag: int = 0) -> np.random.Generator:
@@ -305,8 +303,7 @@ def _hard(cond: bool, message: str, cfg: ExperimentConfig, index: int) -> None:
             f"sample {index}: {message}", reproducer=_reproducer(cfg, index))
 
 
-def _resolve_edge(geom: BoxGeometry, spec) -> int:
-    key = _edge_tuple(spec)
+def _resolve_edge(geom: BoxGeometry, key: tuple) -> int:
     try:
         return geom.edge_by_key[key]
     except KeyError:

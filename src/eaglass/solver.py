@@ -382,8 +382,7 @@ def _sweep(geom: BoxGeometry, Js, forced, plan: _Plan) -> None:
     which are the same bits."""
     pins = np.array([p for p, _ in forced])
     start = _resume_row(geom, plan, Js, pins)
-    for k, J in enumerate(Js):
-        plan.vals[k] = J.values
+    np.stack([J.values for J in Js], out=plan.vals[:len(Js)])
     plan.pins[:len(Js)] = pins
     plan.anchor[:len(Js)] = [anchor for _, anchor in forced]
     _run_sweep(plan, start, len(Js))

@@ -10,8 +10,11 @@ that half, and ``mirror_step`` is step W-1.  ``unpack`` reads the kernel's
 2-bit codes, four to a byte.  ``best_pair`` is a walk of one problem's
 backpointers with Python sets, the traceback as it was before it went
 batched; ``unfold`` gives it the whole layers of a sweep whose first rows
-ran on symmetric frontiers.  ``verify_gsp_loop`` is ``verify_gsp`` as it
-was before its sums were grouped by boundary length: one 1-D sum per flip.
+ran on symmetric frontiers.  ``exact_minimizers`` enumerates every
+configuration a clamp allows and sums its energy in exact integers, so
+unlike ``brute_force`` it sees no rounding tie.  ``verify_gsp_loop`` is
+``verify_gsp`` as it was before its sums were grouped by boundary length:
+one 1-D sum per flip.
 ``locate_flip`` brackets a critical value by bisection on full re-solves,
 independent of the exterior-energy formula that ``excitation.critical_value``
 uses.
@@ -162,6 +165,26 @@ def best_pair(geom: BoxGeometry, J: CouplingConfig, clamp: Clamp | None,
     signs = min((canonicalize(geom, rows_to_signs(rows, geom.width), clamp)
                  for rows in configs), key=_pattern)
     return SpinPair(geom, signs, energy(J, signs), tied=len(configs) > 1)
+
+
+def exact_minimizers(J: CouplingConfig, clamp: Clamp | None = None) -> list:
+    """The signs, canonicalized for ``clamp``, of every configuration the
+    clamp allows (vertex 0 at +1 with none) whose energy is least when
+    summed exactly: each coupling as an integer multiple of the smallest
+    power of two among their denominators."""
+    g = J.geom
+    ratios = [float(v).as_integer_ratio() for v in J.values]
+    den = max(d for _, d in ratios)
+    j = np.array([n * (den // d) for n, d in ratios], dtype=object)
+    forced = dict(zip(clamp.vertices, clamp.signs)) if clamp else {0: 1}
+    base = np.zeros(g.n_vertices, np.int8)
+    base[list(forced)] = list(forced.values())
+    free = [v for v in range(g.n_vertices) if v not in forced]
+    signs, _ = _spin_products(g, base, free, np.arange(1 << len(free)))
+    prod = signs[:, g.eu].astype(np.int64) * signs[:, g.ev]
+    e = -(prod.astype(object) @ j)
+    return [canonicalize(g, signs[i], clamp).tolist()
+            for i in np.flatnonzero(e == e.min())]
 
 
 def verify_gsp_loop(J: CouplingConfig, spins, max_subset_size: int = 3,

@@ -2,6 +2,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -387,6 +388,35 @@ def test_config_values_keep_their_type():
     assert cfg.core_dict()["grid_lo"] == -3
 
 
+def test_one_experiment_hashes_the_same_however_it_is_built(monkeypatch):
+    # the constructor brings string, tuple and list edges and list-valued
+    # fields to one form, so a config built directly compares, hashes and
+    # replays as the same config read from a dict does
+    d = dict(kind="two_bond_map", width=3, height=3, grid_points=11,
+             samples=2, n_list=(1, 2), edge="h:0,1", edge2="v:-1,0")
+    built = [ExperimentConfig(**d),
+             ExperimentConfig(**dict(d, edge=("h", 0, 1),
+                                     edge2=("v", -1, 0))),
+             ExperimentConfig(**dict(d, edge=["h", 0, 1], edge2=["v", -1, 0],
+                                     n_list=[1, 2]))]
+    parsed = ExperimentConfig.from_dict(dict(d, n_list=[1, 2]))
+    assert all(cfg == parsed for cfg in built)
+    assert all(cfg.core_dict() == parsed.core_dict() for cfg in built)
+    digest = run(dict(d, n_list=[1, 2])).content_hash
+    assert all(run(cfg).content_hash == digest for cfg in built)
+
+    def boom(cfg, i):
+        lab._hard(False, "synthetic failure", cfg, i)
+
+    monkeypatch.setitem(lab._KINDS, "two_bond_map",
+                        lab._KINDS["two_bond_map"]._replace(sample=boom))
+    with pytest.raises(HardAssertionFailure) as exc_info:
+        run(built[0])
+    replayed = json.loads(exc_info.value.reproducer)["config"]
+    assert ExperimentConfig.from_dict(replayed).core_dict() == \
+        parsed.core_dict()
+
+
 def test_every_config_field_has_a_type_check():
     checked = {name for _, _, names in lab._FIELD_TYPES for name in names}
     assert checked | {"edge", "edge2"} == set(
@@ -531,6 +561,56 @@ def test_cli_internal_error_exit_code(error, capsys, monkeypatch):
     rep = json.loads(line[len("REPRODUCER "):])
     assert rep["seed"] == 4 and rep["sample"] == 0
     assert rep["config"]["kind"] == "solve"
+
+
+def _sample_returning(monkeypatch, record):
+    """Make every solve sample return ``record(i)`` for its index i."""
+    monkeypatch.setitem(lab._KINDS, "solve", lab._KINDS["solve"]._replace(
+        sample=lambda cfg, i: record(i)))
+
+
+def test_records_pass_through_the_json_codec(monkeypatch, capsys):
+    # numpy values and tuples in a record read as their plain-Python twin,
+    # and a value JSON cannot hold fails its own sample with a reproducer
+    cfg = dict(kind="solve", width=3, height=3, samples=2, master_seed=4)
+    twins = [
+        lambda i: {"sample": np.int64(i), "energy": np.float64(i / 3),
+                   "tied": np.bool_(i), "signs": np.array([1, -1], np.int8),
+                   "pair": (np.int32(i), (0.25, np.float32(0.5))),
+                   "grid": {"1,0": np.arange(3.0).reshape(1, 3)}},
+        lambda i: {"sample": i, "energy": i / 3, "tied": bool(i),
+                   "signs": [1, -1], "pair": (i, (0.25, 0.5)),
+                   "grid": {"1,0": [[0.0, 1.0, 2.0]]}}]
+    reports = []
+    for record in twins:
+        _sample_returning(monkeypatch, record)
+        reports.append(run(cfg))
+    assert reports[0].records == reports[1].records == [
+        {"sample": i, "energy": i / 3, "tied": bool(i), "signs": [1, -1],
+         "pair": [i, [0.25, 0.5]], "grid": {"1,0": [[0.0, 1.0, 2.0]]}}
+        for i in range(2)]
+    assert [type(v) for v in reports[0].records[1].values()] == [
+        int, float, bool, list, list, dict]
+    assert reports[0].content_hash == reports[1].content_hash
+
+    for bad in (math.nan, -math.inf, {1, 2}):
+        _sample_returning(monkeypatch,
+                          lambda i, bad=bad: {"sample": i, "energy": 0.0,
+                                              "extra": [bad]})
+        with pytest.raises(SampleError, match="JSON") as exc_info:
+            run(cfg)
+        assert not isinstance(exc_info.value, HardAssertionFailure)
+        rep = json.loads(exc_info.value.reproducer)
+        assert (rep["seed"], rep["sample"]) == (4, 0)
+        assert ExperimentConfig.from_dict(rep["config"]).core_dict() == \
+            ExperimentConfig.from_dict(cfg).core_dict()
+        code = cli_main(["solve", "--width", "3", "--height", "3",
+                         "--samples", "2", "--seed", "4"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: sample 0")
+        line, = [ln for ln in err.splitlines() if ln.startswith("REPRODUCER ")]
+        assert json.loads(line[len("REPRODUCER "):]) == rep
 
 
 # a law's parameter that it does not read is a config error, whether it

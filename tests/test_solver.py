@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from eaglass import excitation, lab, solver, walls
 from eaglass.disorder import CouplingConfig, DistributionSpec, sample_couplings
@@ -1053,22 +1053,6 @@ def test_a_free_problem_counts_each_pair_once():
         assert (state.signs[14:] == state.signs[14]).all()
 
 
-def _exact_minimizers(J):
-    """The signs, vertex 0 at +1, of every configuration whose energy is
-    least when summed exactly: each coupling as an integer multiple of the
-    smallest power of two among their denominators."""
-    g = J.geom
-    ratios = [float(v).as_integer_ratio() for v in J.values]
-    den = max(d for _, d in ratios)
-    j = np.array([n * (den // d) for n, d in ratios], dtype=object)
-    signs, _ = solver._spin_products(
-        g, np.ones(g.n_vertices, np.int8), range(1, g.n_vertices),
-        np.arange(1 << g.n_vertices - 1))
-    prod = signs[:, g.eu].astype(np.int64) * signs[:, g.ev]
-    e = -(prod.astype(object) @ j)
-    return [signs[i].tolist() for i in np.flatnonzero(e == e.min())]
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_a_free_solve_compares_flipped_rivals_before_rounding_absorbs_them(
         seed):
@@ -1086,10 +1070,44 @@ def test_a_free_solve_compares_flipped_rivals_before_rounding_absorbs_them(
     rng = np.random.default_rng(seed)
     J = CouplingConfig(g, rng.normal(size=g.n_edges)
                        * np.where(first, 1e-18, 1.0))
-    (exact,) = _exact_minimizers(J)
+    (exact,) = reference.exact_minimizers(J)
     for state in (solve(g, J), solve_batch([J, J], [None, None])[1]):
         assert not state.tied and state.signs.tolist() == exact
     assert solve(g, J, Clamp((0,), (1,))).tied
+
+
+# each law scales an edge's gaussian coupling by its entry row r of H rows,
+# so that the couplings span some 17 decades
+_DECADE_LAWS = {
+    "small rows first": lambda r, h, rng: 10.0 ** (17 * r / (h - 1) - 17),
+    "large rows first": lambda r, h, rng: 10.0 ** (-17 * r / (h - 1)),
+    "alternating rows": lambda r, h, rng: 10.0 ** (-17 * (r % 2)),
+    "random scales": lambda r, h, rng: 10.0 ** rng.uniform(-17, 0, len(r)),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 4), st.integers(2, 4),
+       st.sampled_from(sorted(_DECADE_LAWS)), st.integers(0, 2**32 - 1),
+       st.data())
+def test_an_untied_solve_returns_the_unique_exact_minimizer(w, h, law, seed,
+                                                            data):
+    # where rounding absorbs the difference of two configurations the
+    # solver may report a tie, but an untied state is the minimizer of the
+    # exact sums; brute_force sums in floating point and is no oracle here
+    g = build_box(w, h)
+    rng = np.random.default_rng(seed)
+    J = CouplingConfig(g, rng.normal(size=g.n_edges)
+                       * _DECADE_LAWS[law](g.entry_row, h, rng))
+    vertices = data.draw(st.one_of(st.none(), st.lists(
+        st.integers(0, g.n_vertices - 1), min_size=1, max_size=3,
+        unique=True)))
+    clamp = None if vertices is None else Clamp(
+        vertices, rng.choice([1, -1], len(vertices)))
+    exact = reference.exact_minimizers(J, clamp)
+    assume(len(exact) == 1)
+    for state in (solve(g, J, clamp), solve_batch([J, J], [None, clamp])[1]):
+        assert state.tied or state.signs.tolist() == exact[0]
 
 
 def test_a_gauge_transform_maps_each_solve_onto_its_image():

@@ -2,11 +2,11 @@
 
 Every experiment is a pure function of its configuration: per-edge couplings
 come from the counter-based sampler, per-sample auxiliary choices from a
-seed-sequence keyed by (master seed, sample index), and records are sorted by
-sample index before aggregation, so the report content hash is identical at
-any parallelism degree.  A failing per-sample hard assertion, or any other
+seed-sequence keyed by (master seed, sample index), and records are aggregated
+in sample index order, so the report content hash is identical at any
+parallelism degree.  A failing per-sample hard assertion, or any other
 exception in a sample, aborts the run with a reproducer line naming (seed,
-sample index, config).
+sample index, config); at any parallelism the lowest failing index raises.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import math
 import os
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
@@ -297,10 +296,9 @@ def _reproducer(cfg: ExperimentConfig, index: int) -> str:
                        "config": cfg.core_dict()}, sort_keys=True)
 
 
-def _hard(cond: bool, message: str, cfg: ExperimentConfig, index: int) -> None:
+def _hard(cond: bool, message: str) -> None:
     if not cond:
-        raise HardAssertionFailure(
-            f"sample {index}: {message}", reproducer=_reproducer(cfg, index))
+        raise HardAssertionFailure(message)
 
 
 def _resolve_edge(geom: BoxGeometry, key: tuple) -> int:
@@ -409,7 +407,7 @@ def _run_solve(cfg: ExperimentConfig, i: int) -> dict:
     J = sample_couplings(geom, cfg.dist, cfg.master_seed, i)
     gsp = solve(geom, J)
     report = verify_gsp(J, gsp, cfg.subset_budget, cfg.dual_budget)
-    _hard(report.passed, "ground state fails finite-volume verification", cfg, i)
+    _hard(report.passed, "ground state fails finite-volume verification")
     return {"sample": i, "energy": gsp.energy, "tied": gsp.tied,
             "pattern": "".join("+" if s > 0 else "-" for s in gsp.signs),
             "checked_subsets": report.checked_subsets,
@@ -425,15 +423,14 @@ def _run_flip_sweep(cfg: ExperimentConfig, i: int) -> dict:
     grid = c_val + np.linspace(-span, span, cfg.grid_points) + span * 1e-3
     census = exc.flip_census(J, b, grid)
     _hard(census.n_transitions == 1,
-          f"expected exactly one GSP flip, got {census.n_transitions}", cfg, i)
+          f"expected exactly one GSP flip, got {census.n_transitions}")
     lo, hi = census.transition_interval
     _hard(lo <= c_val <= hi,
-          "flip interval does not bracket the exterior-energy critical value",
-          cfg, i)
+          "flip interval does not bracket the exterior-energy critical value")
     for x, lab in zip(census.values, census.labels):
         if abs(x - c_val) > cfg.tol:
             _hard(lab == (1 if x > c_val else -1),
-                  f"label at J_b={x} contradicts critical value", cfg, i)
+                  f"label at J_b={x} contradicts critical value")
     return {"sample": i, "edge": b, "critical_value": c_val,
             "interval": [lo, hi], "n_transitions": census.n_transitions}
 
@@ -458,18 +455,17 @@ def _run_two_bond(cfg: ExperimentConfig, i: int) -> dict:
     b, e = _two_bond_edges(cfg, geom)
     cs = exc.two_bond_critical_set(J, b, e)
     dev = abs((cs.c1 - cs.c2) - (cs.c3 - cs.c4))
-    _hard(dev <= cfg.tol, f"C1-C2 != C3-C4 (deviation {dev})", cfg, i)
+    _hard(dev <= cfg.tol, f"C1-C2 != C3-C4 (deviation {dev})")
 
     xs = np.linspace(cfg.grid_lo, cfg.grid_hi, cfg.grid_points)
     ys = np.linspace(cfg.grid_lo, cfg.grid_hi, cfg.grid_points)
     interior_cells, mismatches = _two_bond_grid_check(
         cs, xs, ys, exc.grid_labels_enumeration(J, b, e, xs, ys))
     _hard(mismatches == 0,
-          f"{mismatches} grid cells disagree with the analytic critical set",
-          cfg, i)
+          f"{mismatches} grid cells disagree with the analytic critical set")
     cons = exc.consistency_check(J, cs)
     _hard(cons.max_abs_err <= cfg.tol,
-          f"piecewise critical-value identity off by {cons.max_abs_err}", cfg, i)
+          f"piecewise critical-value identity off by {cons.max_abs_err}")
     return {"sample": i, "critical_set": cs.to_json_dict(),
             "case": cs.case_kind, "cross_dev": dev,
             "interior_cells": interior_cells, "mismatches": mismatches,
@@ -490,8 +486,7 @@ def _run_wall_stats(cfg: ExperimentConfig, i: int) -> dict:
             col = int(_sample_rng(cfg, i, tag=3).integers(geom.width))
             b = geom.edge_by_key[("h", geom.abs_col(col), 0)]
         iface = exc.critical_contour(J, b)
-        _hard(b in iface.edge_ids, "contour misses the flipped edge's dual",
-              cfg, i)
+        _hard(b in iface.edge_ids, "contour misses the flipped edge's dual")
         excluded = (b,)
     elif cfg.proxy == "nested_volumes":
         iface = proxy_nested_volumes(cfg, i)
@@ -500,10 +495,9 @@ def _run_wall_stats(cfg: ExperimentConfig, i: int) -> dict:
     walls = wl.domain_walls(iface)
     grid = wl.wall_count_grid(walls, cfg.n_list, cfg.k_list, iface.dual)
     bound = wl.wall_bound_check(grid)
-    _hard(bound.passed, f"wall count bound violated: {bound.violations}", cfg, i)
+    _hard(bound.passed, f"wall count bound violated: {bound.violations}")
     cyc = wl.interface_cycle_check(iface, excluded_dual_edges=excluded)
-    _hard(cyc.passed, f"closed dual contour inside interface: {cyc.violations}",
-          cfg, i)
+    _hard(cyc.passed, f"closed dual contour inside interface: {cyc.violations}")
     record = {"sample": i, "proxy": cfg.proxy,
               "interface_size": len(iface.edge_ids),
               "n_walls": len(walls),
@@ -645,7 +639,7 @@ def _run_property_suite(cfg: ExperimentConfig, i: int) -> dict:
     checks["interface_triangle"] = iac <= (iab | ibc)
 
     for name, passed in checks.items():
-        _hard(passed, f"property {name} failed", cfg, i)
+        _hard(passed, f"property {name} failed")
     return {"sample": i, **{k: bool(v) for k, v in checks.items()}}
 
 
@@ -813,21 +807,18 @@ class RunReport:
                 "wallclock_s": self.wallclock_s}
 
 
-def _sample_worker(payload):
-    cfg, index = payload
+def _sample(cfg: ExperimentConfig, index: int) -> dict:
+    """One sample's record as the report holds it; any failure raises with
+    the reproducer that replays this sample alone."""
     try:
-        return index, "ok", _jsonable(_KINDS[cfg.kind].sample(cfg, index))
-    except HardAssertionFailure as exc_:
-        return index, "hard_fail", {"message": str(exc_),
-                                    "reproducer": exc_.reproducer}
+        return _jsonable(_KINDS[cfg.kind].sample(cfg, index))
+    except HardAssertionFailure as e:
+        raise HardAssertionFailure(f"sample {index}: {e}",
+                                   reproducer=_reproducer(cfg, index)) from None
     except Exception:
         # any other failure is an internal error; keep it replayable
-        return index, "error", {"message": f"sample {index}: "
-                                           f"{traceback.format_exc()}",
-                                "reproducer": _reproducer(cfg, index)}
-
-
-_FAILURES = {"hard_fail": HardAssertionFailure, "error": SampleError}
+        raise SampleError(f"sample {index}: {traceback.format_exc()}",
+                          reproducer=_reproducer(cfg, index)) from None
 
 
 def run(config: ExperimentConfig | dict) -> RunReport:
@@ -847,22 +838,19 @@ def run(config: ExperimentConfig | dict) -> RunReport:
             raise ConfigError(f"report path {path!r} is a directory")
     start = time.monotonic()
     core = cfg.core_dict()
-    payloads = [(cfg, i) for i in range(cfg.samples)]
+    sample = partial(_sample, cfg)
     if cfg.parallel <= 1:
-        raw = [_sample_worker(p) for p in payloads]
+        records = list(map(sample, range(cfg.samples)))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         # fork starts every worker at the first submit, so start no more
         # than there are samples
         workers = min(cfg.parallel, cfg.samples)
         chunk = max(1, cfg.samples // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_sample_worker, payloads, chunksize=chunk))
-    raw.sort(key=lambda t: t[0])
-    for index, status, payload in raw:
-        if status != "ok":
-            raise _FAILURES[status](payload["message"],
-                                    reproducer=payload["reproducer"])
-    records = [payload for _, _, payload in raw]
+            records = list(pool.map(sample, range(cfg.samples),
+                                    chunksize=chunk))
     aggregates, properties = _KINDS[cfg.kind].aggregate(cfg, records)
     aggregates = _jsonable({"n_samples": len(records), **aggregates})
     properties = _jsonable(properties)

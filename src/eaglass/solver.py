@@ -148,13 +148,17 @@ class SpinPair:
 
 
 def _edge_terms(J: CouplingConfig, spins) -> np.ndarray:
-    """J_e * s_u * s_v per edge for a ``SpinPair`` or signs on J's box."""
+    """J_e * s_u * s_v per edge for a ``SpinPair`` or ±1 signs in the order
+    of J's vertices; the solver's pairs hold int8 ±1 and skip the check."""
     geom = J.geom
     if isinstance(spins, SpinPair):
         if spins.geom is not geom and spins.geom != geom:
             raise ValueError("spin pair and couplings live on different boxes")
-        spins = spins.signs
-    signs = np.asarray(spins)
+        signs = spins.signs
+    else:
+        signs = np.asarray(spins)
+        if signs.dtype.kind not in "iuf" or np.count_nonzero(abs(signs) != 1):
+            raise ValueError("signs must be +1 or -1")
     if signs.shape != (geom.n_vertices,):
         raise ValueError(f"{signs.shape} signs for {geom.n_vertices} vertices")
     return J.values * signs[geom.eu] * signs[geom.ev]
@@ -382,7 +386,8 @@ def _sweep(geom: BoxGeometry, Js, forced, plan: _Plan) -> None:
     which are the same bits."""
     pins = np.array([p for p, _ in forced])
     start = _resume_row(geom, plan, Js, pins)
-    np.stack([J.values for J in Js], out=plan.vals[:len(Js)])
+    for k, J in enumerate(Js):
+        plan.vals[k] = J.values
     plan.pins[:len(Js)] = pins
     plan.anchor[:len(Js)] = [anchor for _, anchor in forced]
     _run_sweep(plan, start, len(Js))

@@ -1,5 +1,9 @@
+import concurrent.futures
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +12,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eaglass import lab
 from eaglass.cli import main as cli_main
+from eaglass.disorder import sample_couplings
 from eaglass.errors import ConfigError, HardAssertionFailure, SampleError
 from eaglass.lab import EXPERIMENT_KINDS, ExperimentConfig, run
+from eaglass.lattice import build_box
+from eaglass.solver import GspReport
 
 PRESETS = sorted((Path(__file__).resolve().parents[1] / "presets").glob("*.json"))
 
@@ -184,7 +191,7 @@ def test_pool_starts_no_more_workers_than_samples(monkeypatch):
         def map(self, fn, iterable, chunksize=1):
             return map(fn, iterable)
 
-    monkeypatch.setattr(lab, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     base = dict(kind="solve", width=3, height=3, master_seed=2, samples=3)
     hashes = {run({**base, "parallel": p}).content_hash for p in (1, 2, 16)}
     assert sizes == [2, 3]
@@ -279,7 +286,7 @@ def test_hard_failure_carries_reproducer(monkeypatch):
 
     def boom(cfg, i):
         from eaglass.lab import _hard
-        _hard(False, "synthetic failure", cfg, i)
+        _hard(False, "synthetic failure")
 
     monkeypatch.setitem(lab._KINDS, "solve",
                         lab._KINDS["solve"]._replace(sample=boom))
@@ -288,6 +295,73 @@ def test_hard_failure_carries_reproducer(monkeypatch):
     rep = json.loads(exc_info.value.reproducer)
     assert rep["sample"] == 0
     assert rep["config"]["kind"] == "solve"
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+@pytest.mark.parametrize("raised", [HardAssertionFailure, SampleError],
+                         ids=["hard", "internal"])
+def test_the_lowest_failing_sample_raises_at_any_parallelism(
+        monkeypatch, parallel, raised):
+    # samples 1 and 3 fail inside the solve body: its own hard assertion
+    # sees a failed verification, or the verifier raises
+    d = dict(kind="solve", width=3, height=3, master_seed=1, samples=5)
+    cfg = ExperimentConfig.from_dict(d)
+    failing = {sample_couplings(build_box(3, 3), cfg.dist, 1, i)
+               .values.tobytes() for i in (1, 3)}
+    verify_gsp = lab.verify_gsp
+
+    def verify(J, gsp, *budgets):
+        if J.values.tobytes() not in failing:
+            return verify_gsp(J, gsp, *budgets)
+        if raised is SampleError:
+            raise RuntimeError("synthetic failure")
+        return GspReport(0, 0, violations=("synthetic",))
+
+    monkeypatch.setattr(lab, "verify_gsp", verify)
+    with pytest.raises(raised) as exc_info:
+        run(dict(d, parallel=parallel))
+    e = exc_info.value
+    assert type(e) is raised
+    if raised is HardAssertionFailure:
+        assert str(e) == "sample 1: ground state fails finite-volume " \
+                         "verification"
+    else:
+        assert str(e).startswith("sample 1: Traceback")
+        assert "RuntimeError: synthetic failure" in str(e)
+    rep = json.loads(e.reproducer)
+    assert rep["sample"] == 1
+    assert rep["config"] == cfg.core_dict()
+
+
+def test_a_serial_run_stops_at_its_first_failure(monkeypatch):
+    calls = []
+
+    def counting(cfg, i):
+        calls.append(i)
+        lab._hard(i != 1, "synthetic failure")
+        return {"sample": i, "energy": 0.0}
+
+    monkeypatch.setitem(lab._KINDS, "solve",
+                        lab._KINDS["solve"]._replace(sample=counting))
+    with pytest.raises(HardAssertionFailure, match="^sample 1: "):
+        run(dict(kind="solve", width=3, height=3, master_seed=1, samples=5))
+    assert calls == [0, 1]
+
+
+def test_a_serial_run_loads_no_process_pool():
+    # every serial run, the benchmark's too, would otherwise pay for
+    # multiprocessing's imports
+    src = str(Path(lab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    child = ("import sys, eaglass.cli, eaglass.lab\n"
+             "eaglass.lab.run(dict(kind='solve', width=3, height=3))\n"
+             "print(sorted({'multiprocessing', 'concurrent.futures'}"
+             " & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", child], text=True,
+                          capture_output=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_contour_missing_the_flipped_edge_is_a_hard_failure(monkeypatch):
@@ -406,7 +480,7 @@ def test_one_experiment_hashes_the_same_however_it_is_built(monkeypatch):
     assert all(run(cfg).content_hash == digest for cfg in built)
 
     def boom(cfg, i):
-        lab._hard(False, "synthetic failure", cfg, i)
+        lab._hard(False, "synthetic failure")
 
     monkeypatch.setitem(lab._KINDS, "two_bond_map",
                         lab._KINDS["two_bond_map"]._replace(sample=boom))
@@ -530,7 +604,7 @@ def test_cli_hard_failure_exit_code(tmp_path, capsys, monkeypatch):
     import eaglass.lab as lab
 
     def boom(cfg, i):
-        lab._hard(False, "synthetic failure", cfg, i)
+        lab._hard(False, "synthetic failure")
 
     monkeypatch.setitem(lab._KINDS, "solve",
                         lab._KINDS["solve"]._replace(sample=boom))

@@ -321,6 +321,26 @@ def test_spins_must_live_on_the_couplings_box():
         walls.satisfaction(J, np.ones(16, dtype=np.int8))
 
 
+@pytest.mark.parametrize("bad", [np.zeros(9), np.full(9, 2.0),
+                                 np.ones(9, dtype=bool)],
+                         ids=["zeros", "twos", "bool"])
+def test_raw_signs_must_be_plus_or_minus_one(bad):
+    # zeros would give an energy of -0.0 and 86 violations of value 0.0,
+    # and a bool array would read False as 0
+    g = build_box(3, 3)
+    J = sample_couplings(g, GAUSS, 0, 0)
+    ones = np.ones(9)
+    for fn in (energy, walls.satisfaction, lambda J, s: walls.interface(
+            J, s, ones), lambda J, s: walls.interface(J, ones, s), verify_gsp):
+        with pytest.raises(ValueError, match=r"\+1 or -1"):
+            fn(J, bad)
+    gsp = solve(g, J)
+    signs = gsp.signs.astype(np.float64)
+    assert energy(J, signs) == energy(J, -signs) == gsp.energy
+    assert verify_gsp(J, signs).passed
+    assert walls.interface(J, signs, gsp).is_empty()
+
+
 def test_only_solve_takes_a_box_next_to_couplings():
     """Couplings carry their box, so no function also takes one."""
     both = []

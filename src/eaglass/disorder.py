@@ -1,10 +1,14 @@
 """Coupling realizations: sampling and local modification.
 
 Each edge value is a pure function of (master seed, sample index, edge key):
-a keyed BLAKE2b digest of the tuple acts as a counter-based generator block,
-mapped through the inverse CDF of the requested symmetric distribution.  The
-result does not depend on iteration order or parallelism, and an edge shared
-by nested boxes (same absolute key) receives the same value in every box.
+the 8-byte BLAKE2b digest of the packed tuple acts as a counter-based
+generator block, mapped through the inverse CDF of the requested symmetric
+distribution.  A draw packs (seed, sample) once into one hash state and
+copies that state per edge to absorb the edge's packed key, which is built
+once per box shape; the digests equal those of hashing each whole tuple
+afresh.  The result does not depend on iteration order or parallelism, and
+an edge shared by nested boxes (same absolute key) receives the same value
+in every box.
 """
 
 from __future__ import annotations
@@ -12,13 +16,14 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from hashlib import blake2b
 from statistics import NormalDist
 
 import numpy as np
 
 from .errors import ConfigError
-from .lattice import BoxGeometry
+from .lattice import BoxGeometry, build_box
 
 _PERSON = b"ea-coupling"
 _NORMAL = NormalDist()
@@ -53,11 +58,6 @@ class DistributionSpec:
         if not getattr(self, LAWS[self.kind]) > 0:
             raise ConfigError(f"{self.kind} {LAWS[self.kind]} must be > 0")
 
-    def from_uniform(self, u: float) -> float:
-        if self.kind == "gaussian":
-            return self.sigma * _NORMAL.inv_cdf(u)
-        return (2.0 * u - 1.0) * self.half_width
-
     def to_dict(self) -> dict:
         scale = LAWS[self.kind]
         return {"kind": self.kind, scale: getattr(self, scale)}
@@ -74,14 +74,34 @@ class DistributionSpec:
         return DistributionSpec(**d)
 
 
-def _edge_uniform(master_seed: int, sample_index: int, key: tuple) -> float:
-    """Deterministic uniform in (0,1) for one edge key."""
-    kind, c_abs, r = key
-    msg = struct.pack(">qqBqq", master_seed, sample_index,
-                      0 if kind == "h" else 1, c_abs, r)
-    digest = blake2b(msg, digest_size=8, person=_PERSON).digest()
-    u64 = int.from_bytes(digest, "big")
-    return ((u64 >> 11) + 0.5) * 2.0**-53
+@lru_cache(maxsize=64)
+def _packed_keys(width: int, height: int) -> tuple[bytes, ...]:
+    """Each edge's packed key in id order; keyed by shape, since hashing a
+    BoxGeometry hashes every Edge."""
+    return tuple(struct.pack(">Bqq", 0 if e.kind == "h" else 1, *e.key[1:])
+                 for e in build_box(width, height).edges)
+
+
+def _draw(geom: BoxGeometry, dist: DistributionSpec, master_seed: int,
+          sample_index: int, edge_ids=None) -> np.ndarray:
+    """The values of ``edge_ids`` (all edges in id order when None)."""
+    keys = _packed_keys(geom.width, geom.height)
+    if edge_ids is not None:
+        keys = [keys[i] for i in edge_ids]
+    head = blake2b(struct.pack(">qq", master_seed, sample_index),
+                   digest_size=8, person=_PERSON)
+    digests = []
+    for key in keys:
+        h = head.copy()
+        h.update(key)
+        digests.append(h.digest())
+    u64 = np.frombuffer(b"".join(digests), ">u8")
+    # exact: 53-bit integers and a power-of-two scale
+    u = ((u64 >> 11) + 0.5) * 2.0**-53
+    if dist.kind == "gaussian":
+        return np.array([_NORMAL.inv_cdf(x) for x in u.tolist()],
+                        np.float64) * dist.sigma
+    return (2.0 * u - 1.0) * dist.half_width
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +111,7 @@ class CouplingConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, np.float64))
-        if len(self.values) != self.geom.n_edges:
+        if self.values.shape != (self.geom.n_edges,):
             raise ValueError("one value per edge required")
         # bounds every partial sum of the solver and of fsum, so no accepted
         # input overflows to inf or meets inf - inf; rejects inf and NaN too
@@ -117,10 +137,7 @@ class CouplingConfig:
 
 def sample_couplings(geom: BoxGeometry, dist: DistributionSpec,
                      master_seed: int, sample_index: int) -> CouplingConfig:
-    vals = np.empty(geom.n_edges, dtype=np.float64)
-    for e in geom.edges:
-        vals[e.id] = dist.from_uniform(_edge_uniform(master_seed, sample_index, e.key))
-    return CouplingConfig(geom, vals)
+    return CouplingConfig(geom, _draw(geom, dist, master_seed, sample_index))
 
 
 def supersatisfied_threshold(J: CouplingConfig, edge_id: int) -> float:

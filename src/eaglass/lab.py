@@ -25,8 +25,9 @@ import numpy as np
 
 from . import excitation as exc
 from . import walls as wl
-from .disorder import (CouplingConfig, DistributionSpec, _is_finite_number,
-                       sample_couplings, super_satisfy, supersatisfied_threshold)
+from .disorder import (CouplingConfig, DistributionSpec, _draw,
+                       _is_finite_number, sample_couplings, super_satisfy,
+                       supersatisfied_threshold)
 from .errors import ConfigError, HardAssertionFailure, SampleError
 from .lattice import BoxGeometry, build_box
 from .solver import (MAX_SOLVE_WIDTH, Clamp, brute_force, solve, solve_batch,
@@ -384,12 +385,13 @@ def proxy_perturbed_exterior(cfg, index):
     geom = build_box(cfg.width, cfg.height)
     band = cfg.band_height if cfg.band_height is not None else cfg.height // 2
     j_base = sample_couplings(geom, cfg.dist, cfg.master_seed, index)
-    j_alt = sample_couplings(geom, cfg.dist, cfg.master_seed,
-                             index + _ALT_SAMPLE_OFFSET)
-    # edges with both endpoints in rows 0..band keep their base couplings
+    # edges with both endpoints in rows 0..band keep their base couplings;
+    # the rest are redrawn as a full draw at the offset index would give them
     window = np.flatnonzero(geom.entry_row <= band)
-    vals = j_alt.values.copy()
-    vals[window] = j_base.values[window]
+    outside = np.flatnonzero(geom.entry_row > band)
+    vals = j_base.values.copy()
+    vals[outside] = _draw(geom, cfg.dist, cfg.master_seed,
+                          index + _ALT_SAMPLE_OFFSET, outside)
     j_pert = CouplingConfig(geom, vals)
     alpha = solve(geom, j_base)
     beta = solve(geom, j_pert)

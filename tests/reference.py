@@ -21,9 +21,17 @@ uses.
 ``grid_labels_loop`` is ``grid_labels_enumeration`` as it was before it
 reduced the enumeration to product-class minima: one argmin over every
 configuration per grid row.
+``sampled_values`` is the coupling sampler as it was before a draw shared
+one hash state across its edges: per edge, a fresh keyed BLAKE2b of the
+whole packed (seed, sample, edge key) tuple, read as an integer and mapped
+through the law's inverse CDF one scalar at a time.
 """
 
 from __future__ import annotations
+
+import struct
+from hashlib import blake2b
+from statistics import NormalDist
 
 import numpy as np
 
@@ -278,3 +286,21 @@ def grid_labels_loop(J: CouplingConfig, edge_b: int, edge_e: int,
         out[i, :, 0] = sb[am]
         out[i, :, 1] = se[am]
     return out
+
+
+def sampled_values(geom: BoxGeometry, kind: str, scale: float,
+                   master_seed: int, sample_index: int) -> np.ndarray:
+    """Each edge's coupling of the ``kind`` law with scale parameter
+    ``scale``, one edge at a time."""
+    vals = []
+    for e in geom.edges:
+        kind_e, c_abs, r = e.key
+        msg = struct.pack(">qqBqq", master_seed, sample_index,
+                          0 if kind_e == "h" else 1, c_abs, r)
+        digest = blake2b(msg, digest_size=8, person=b"ea-coupling").digest()
+        u = ((int.from_bytes(digest, "big") >> 11) + 0.5) * 2.0**-53
+        if kind == "gaussian":
+            vals.append(scale * NormalDist().inv_cdf(u))
+        else:
+            vals.append((2.0 * u - 1.0) * scale)
+    return np.array(vals, np.float64)

@@ -1,14 +1,17 @@
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eaglass.disorder import (LAWS, DistributionSpec, sample_couplings,
-                              super_satisfy, supersatisfied_threshold)
+from eaglass.disorder import (LAWS, CouplingConfig, DistributionSpec, _draw,
+                              sample_couplings, super_satisfy,
+                              supersatisfied_threshold)
 from eaglass.errors import ConfigError
 from eaglass.lattice import build_box
+from reference import sampled_values
 
 GAUSS = DistributionSpec("gaussian", sigma=1.0)
 
@@ -53,6 +56,34 @@ def test_sampled_bits_are_pinned():
         "cbe8782256f5d6b0b61a305be166b5e07b8f201634df0f2631f1ff6fb8cb66de")
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 16), st.integers(2, 16), st.sampled_from(sorted(LAWS)),
+       st.floats(1e-3, 1e3), st.integers(-2**63, 2**63 - 1),
+       st.integers(0, 2**33), st.data())
+def test_sampler_matches_the_per_edge_reference(width, height, kind, scale,
+                                                seed, index, data):
+    # W = 1 and 2 have no wrap edge; every edge's value is the old per-edge
+    # formula's, bit for bit, and a draw of any list of edge ids (unsorted,
+    # repeated or empty) gives those entries of the full draw
+    g = build_box(width, height)
+    spec = DistributionSpec(kind, **{LAWS[kind]: scale})
+    full = sample_couplings(g, spec, seed, index).values
+    ref = sampled_values(g, kind, scale, seed, index)
+    assert full.tobytes() == ref.tobytes()
+    ids = data.draw(st.lists(st.integers(0, g.n_edges - 1), max_size=40))
+    part = _draw(g, spec, seed, index, np.array(ids, dtype=np.int64))
+    assert part.tobytes() == full[ids].tobytes()
+
+
+def test_out_of_range_seeds_raise_before_any_draw(monkeypatch):
+    import eaglass.disorder as disorder
+    g = build_box(3, 3)
+    monkeypatch.setattr(disorder, "blake2b", None)    # any draw would fail
+    for seed, index in ((2**63, 0), (-2**63 - 1, 0), (0, 2**63), (0, -2**63 - 1)):
+        with pytest.raises(struct.error):
+            sample_couplings(g, GAUSS, seed, index)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**63 - 1), st.integers(0, 1000))
 def test_sampling_deterministic(seed, index):
@@ -88,6 +119,19 @@ def test_values_are_stored_as_float64():
                           ).values.dtype == np.float64
     vals = np.ones(g.n_edges)
     assert CouplingConfig(g, vals).values is vals
+
+
+def test_values_of_any_other_shape_are_rejected():
+    # a column or row of n values, two per edge, or one bare value: each
+    # used to pass the length check (or fail in len()) and break later
+    g = build_box(3, 3)
+    n = g.n_edges
+    for bad in (np.ones((n, 1)), np.ones((1, n)), np.ones((n, 2)),
+                np.float64(1.0), np.ones(n - 1)):
+        with pytest.raises(ValueError, match="one value per edge required"):
+            CouplingConfig(g, bad)
+    J = CouplingConfig(g, [0.5] * n)
+    assert J.values.shape == (n,) and J.values.dtype == np.float64
 
 
 def test_couplings_whose_sums_can_overflow_are_a_config_error():

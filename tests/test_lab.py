@@ -242,6 +242,37 @@ def test_wall_stats_all_proxies():
             assert set(r["counts"]) == {"1,0", "1,1", "2,0", "2,1"}
 
 
+def test_perturbed_exterior_couplings_keep_their_bits(monkeypatch):
+    # the perturbed couplings equal the full construction: a whole draw at
+    # the offset index, with the band's window overwritten from the base
+    # draw, at every legal band of a 9x9 box and for both laws
+    seen, solve = [], lab.solve
+
+    def capturing_solve(geom, J):
+        seen.append(J)
+        return solve(geom, J)
+
+    monkeypatch.setattr(lab, "solve", capturing_solve)
+    g = build_box(9, 9)
+    for dist in ({"kind": "gaussian", "sigma": 1.3},
+                 {"kind": "uniform_symmetric", "half_width": 0.7}):
+        for band in range(1, 8):
+            cfg = ExperimentConfig.from_dict(dict(
+                kind="wall_stats", width=9, height=9, master_seed=-12,
+                proxy="perturbed_exterior", band_height=band, n_list=[1],
+                k_list=[0], dist=dist))
+            seen.clear()
+            lab.proxy_perturbed_exterior(cfg, 5)
+            j_base, j_pert = seen
+            base = sample_couplings(g, cfg.dist, -12, 5).values
+            vals = sample_couplings(g, cfg.dist, -12,
+                                    5 + lab._ALT_SAMPLE_OFFSET).values.copy()
+            window = g.entry_row <= band
+            vals[window] = base[window]
+            assert j_base.values.tobytes() == base.tobytes()
+            assert j_pert.values.tobytes() == vals.tobytes()
+
+
 def test_convergence_report(tmp_path):
     out = tmp_path / "conv"
     rep = run(dict(kind="convergence", n_list=[1, 2, 3], window_width=3,

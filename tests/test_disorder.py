@@ -62,9 +62,9 @@ def test_sampled_bits_are_pinned():
        st.integers(0, 2**33), st.data())
 def test_sampler_matches_the_per_edge_reference(width, height, kind, scale,
                                                 seed, index, data):
-    # W = 1 and 2 have no wrap edge; every edge's value is the old per-edge
-    # formula's, bit for bit, and a draw of any list of edge ids (unsorted,
-    # repeated or empty) gives those entries of the full draw
+    # W = 1 and 2 have no wrap edge; every edge's value is the per-edge
+    # reference formula's, bit for bit, and a draw of any list of edge ids
+    # (unsorted, repeated or empty) gives those entries of the full draw
     g = build_box(width, height)
     spec = DistributionSpec(kind, **{LAWS[kind]: scale})
     full = sample_couplings(g, spec, seed, index).values
@@ -122,8 +122,8 @@ def test_values_are_stored_as_float64():
 
 
 def test_values_of_any_other_shape_are_rejected():
-    # a column or row of n values, two per edge, or one bare value: each
-    # used to pass the length check (or fail in len()) and break later
+    # a column or row of n values, two per edge or one bare value would
+    # reach the solver and the wall code with the wrong shape
     g = build_box(3, 3)
     n = g.n_edges
     for bad in (np.ones((n, 1)), np.ones((1, n)), np.ones((n, 2)),

@@ -32,15 +32,36 @@
  * sign of a zero, which no comparison sees.
  * A free problem forces no row, so each of its pairs ends once in the lower
  * half of its final frontier.
+ *
+ * The column steps run on four lanes (v4d), as an AVX2 clone and a plain
+ * one that the loader picks between, or, from 16 entries on and where the
+ * CPU has AVX-512F and BMI2, on eight: a constructor checks the CPU once
+ * when the library loads and sets the step every sweep calls.  An eight-
+ * lane step compares a with d into mask registers, a <= d and a >= d, and
+ * deposits the two masks' bits into the even and odd bits of the eight
+ * entries' 16 code bits (pdep), so it writes the codes of eight entries in
+ * memory order with one store: steps c < 3 gather each lane's pair from
+ * within its block of eight, and step w-1 of a symmetric frontier reverses
+ * whole blocks.  Every path gives each entry the same sums, compares and
+ * select, so all of them give the same bits.
  */
 
 #include <math.h>
 #include <stddef.h>
 #include <string.h>
 
+/* SWEEP_PATH, defined only by tests, fixes the path a build takes: 0 the
+ * plain code, 1 its AVX2 clones, 2 AVX-512 */
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#include <immintrin.h>
+#if !defined(SWEEP_PATH) || SWEEP_PATH
 #define CLONES __attribute__((target_clones("avx2", "default")))
-#else
+#endif
+#if !defined(SWEEP_PATH) || SWEEP_PATH == 2
+#define ZMM __attribute__((target("avx512f,bmi2")))
+#endif
+#endif
+#ifndef CLONES
 #define CLONES
 #endif
 
@@ -185,6 +206,120 @@ static void column_step(const double *cur, double *nxt, unsigned char *bp,
         block_step(cur, nxt, bp, j, m, c);
 }
 
+typedef void step_fn(const double *, double *, unsigned char *, double,
+                     size_t, int, int);
+
+#ifdef ZMM
+/* pick on eight lanes into *out; returns their codes in lane order, lane
+ * l's a <= d at bit 2l and a >= d at bit 2l + 1, deposited from the two
+ * compare masks.  vminpd gives d unless a < d, so it is pick's select on
+ * every lane whose a is not NaN; a NaN lane keeps a. */
+ZMM static inline unsigned pick8(__m512d a, __m512d d, __m512d *out)
+{
+    __mmask8 le = _mm512_cmp_pd_mask(a, d, _CMP_LE_OS);
+    __mmask8 ge = _mm512_cmp_pd_mask(a, d, _CMP_GE_OS);
+    *out = _mm512_mask_min_pd(a, _mm512_cmp_pd_mask(a, a, _CMP_ORD_Q), a, d);
+    return _pdep_u32(le, 0x5555) | _pdep_u32(ge, 0xAAAA);
+}
+
+/* the codes of entries i..i+7, i a multiple of 8, into their two bytes */
+static inline void put8(unsigned char *bp, size_t i, unsigned code)
+{
+    unsigned short two = (unsigned short)code;
+    memcpy(bp + i / 4, &two, sizeof two);
+}
+
+/* block_step for c >= 3, eight entries a half-block */
+ZMM static void block_zmm(const double *cur, double *nxt, unsigned char *bp,
+                          double j, size_t m, int c)
+{
+    size_t lo = (size_t)1 << c;
+    __m512d dn = _mm512_set1_pd(-j), up = _mm512_set1_pd(j), e;
+    for (size_t hi = 0; hi < m; hi += 2 * lo)
+        for (size_t i = hi; i < hi + lo; i += 8) {
+            __m512d x = _mm512_loadu_pd(cur + i);
+            __m512d y = _mm512_loadu_pd(cur + i + lo);
+            put8(bp, i, pick8(x + dn, y - dn, &e));
+            _mm512_storeu_pd(nxt + i, e);
+            put8(bp, i + lo, pick8(x + up, y - up, &e));
+            _mm512_storeu_pd(nxt + i + lo, e);
+        }
+}
+
+/* step c < 3, eight entries at a time, whose pairs a block holds: lane l
+ * gathers x from its lane with bit c down and y from its lane with bit c
+ * up, and jm is -j or +j as its own bit c is down or up, so that its new
+ * entry and code come out in its own lane */
+ZMM static void lane_zmm(const double *cur, double *nxt, unsigned char *bp,
+                         double j, size_t m, int c)
+{
+    __m512i lane = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
+    __m512i bit = _mm512_set1_epi64((long long)1 << c);
+    __m512i ix = _mm512_andnot_si512(bit, lane);
+    __m512i iy = _mm512_or_si512(lane, bit);
+    __m512d jm = _mm512_mask_blend_pd(_mm512_test_epi64_mask(lane, bit),
+                                      _mm512_set1_pd(-j), _mm512_set1_pd(j));
+    for (size_t i = 0; i < m; i += 8) {
+        __m512d v = _mm512_loadu_pd(cur + i), e;
+        __m512d x = _mm512_permutexvar_pd(ix, v);
+        __m512d y = _mm512_permutexvar_pd(iy, v);
+        put8(bp, i, pick8(x + jm, y - jm, &e));
+        _mm512_storeu_pd(nxt + i, e);
+    }
+}
+
+/* mirror_step, eight entries at each end: the block of entries i..i+7
+ * takes its y from the block k..k+7, k = m - 8 - i, reversed, and that
+ * block its y from block i reversed, so both blocks' codes come out in
+ * memory order */
+ZMM static void mirror_zmm(const double *cur, double *nxt, unsigned char *bp,
+                           double j, size_t m)
+{
+    __m512i rev = _mm512_set_epi64(0, 1, 2, 3, 4, 5, 6, 7);
+    __m512d dn = _mm512_set1_pd(-j), e;
+    for (size_t i = 0; i < m / 2; i += 8) {
+        size_t k = m - 8 - i;
+        __m512d x = _mm512_loadu_pd(cur + i), y = _mm512_loadu_pd(cur + k);
+        __m512d xr = _mm512_permutexvar_pd(rev, x);
+        __m512d yr = _mm512_permutexvar_pd(rev, y);
+        put8(bp, i, pick8(x + dn, yr - dn, &e));
+        _mm512_storeu_pd(nxt + i, e);
+        put8(bp, k, pick8(y + dn, xr - dn, &e));
+        _mm512_storeu_pd(nxt + k, e);
+    }
+}
+
+/* column_step on eight lanes from 16 entries on, below on four */
+static void column_step_zmm(const double *cur, double *nxt, unsigned char *bp,
+                            double j, size_t m, int c, int w)
+{
+    if (m < 16)
+        column_step(cur, nxt, bp, j, m, c, w);
+    else if (m < (size_t)1 << w && c == w - 1)
+        mirror_zmm(cur, nxt, bp, j, m);
+    else if (c < 3)
+        lane_zmm(cur, nxt, bp, j, m, c);
+    else
+        block_zmm(cur, nxt, bp, j, m, c);
+}
+#endif
+
+/* the column step of every sweep, picked once when the library loads:
+ * on eight lanes where the CPU has AVX-512F and BMI2 */
+static step_fn *step = column_step;
+
+#ifdef ZMM
+__attribute__((constructor)) static void pick_step(void)
+{
+#ifndef SWEEP_PATH
+    __builtin_cpu_init();
+    if (!__builtin_cpu_supports("avx512f") || !__builtin_cpu_supports("bmi2"))
+        return;
+#endif
+    step = column_step_zmm;
+}
+#endif
+
 /* rows lo..h-1 of one problem's row costs (h, 2^w) from its couplings j,
  * whose first nh * h entries are the horizontal edges, row by row: entry m
  * of row r is minus the sum of +-J_a over the row's edges a = 0, 1, ... in
@@ -302,9 +437,8 @@ void eaglass_sweep(int w, int h, int k, int kcap, int start,
                 for (size_t i = n / 2; i < n; i++)
                     cur[i] = cur[n - 1 - i];
             for (int c = 0; c < w; c++) {
-                column_step(cur, buf, backptr + (((size_t)r * w + c) * kcap
-                                                 + p) * nb,
-                            j[r * w + c], m, c, w);
+                step(cur, buf, backptr + (((size_t)r * w + c) * kcap + p) * nb,
+                     j[r * w + c], m, c, w);
                 cur = buf;
             }
             double *row = cost + (size_t)(r + 1) * n;

@@ -17,10 +17,10 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from hashlib import blake2b
 from statistics import NormalDist
 
 import numpy as np
+from _blake2 import blake2b   # hashlib.blake2b, without hashlib's OpenSSL
 
 from .errors import ConfigError
 from .lattice import BoxGeometry, build_box

@@ -11,7 +11,6 @@ sample index, config); at any parallelism the lowest failing index raises.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -22,6 +21,11 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
+
+try:                    # hashlib's sha256 without its OpenSSL module
+    from _sha2 import sha256
+except ImportError:     # Python before 3.12
+    from _sha256 import sha256
 
 from . import excitation as exc
 from . import walls as wl
@@ -856,7 +860,7 @@ def run(config: ExperimentConfig | dict) -> RunReport:
     aggregates, properties = _KINDS[cfg.kind].aggregate(cfg, records)
     aggregates = _jsonable({"n_samples": len(records), **aggregates})
     properties = _jsonable(properties)
-    digest = hashlib.sha256(json.dumps(
+    digest = sha256(json.dumps(
         {"config": core, "records": records, "aggregates": aggregates,
          "properties": properties},
         sort_keys=True, separators=(",", ":"), allow_nan=False).encode()

@@ -6,7 +6,11 @@ step c replacing bit c of every mask in place, and the wrap coupling enters
 through the intra-row cost.  A small C kernel, ``_sweep.c``, builds the row
 costs and runs every row and column step of a sweep in one call and its
 traceback in another; it is compiled with the system's ``cc`` on first use
-and cached in the package's ``__pycache__`` (see ``_kernel``).  Backpointers
+and cached in the package's ``__pycache__`` (see ``_kernel``).  The library
+picks its column steps once when it loads: on eight AVX-512 lanes, whose
+compare masks become the codes, where the CPU has AVX-512F and BMI2, else
+on four, as an AVX2 or a plain build; every path gives the same bits, and
+the build flags name no CPU (no ``-march``).  Backpointers
 record every optimal choice as a 2-bit code, so exact ties are enumerated
 and broken deterministically: the returned configuration has the
 lexicographically smallest canonical bit pattern among all minimizers, and
@@ -58,7 +62,6 @@ from __future__ import annotations
 
 import atexit
 import ctypes
-import hashlib
 import os
 import platform
 import shutil
@@ -71,6 +74,11 @@ from math import fsum
 from pathlib import Path
 
 import numpy as np
+
+try:                    # hashlib's sha256 without its OpenSSL module
+    from _sha2 import sha256
+except ImportError:     # Python before 3.12
+    from _sha256 import sha256
 
 from .errors import BudgetExceededError
 from .disorder import CouplingConfig
@@ -195,17 +203,21 @@ def _forced_signs(geom: BoxGeometry, clamp: Clamp | None) -> dict[int, int]:
     return dict(zip(clamp.vertices, clamp.signs))
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=256)
 def _pins(width: int, height: int,
           clamp: Clamp | None) -> tuple[np.ndarray, int]:
     """A clamp's ``_forced_signs`` as the kernel takes them, read-only pins
     (H, 2), and its canonical anchor on a width x height box: pin r holds a
     mask of row r's forced columns and the bits a row mask must hold there
     (1 for a +1 sign).  A free problem forces no vertex: its sweep keeps one
-    member of each flipped pair itself."""
-    geom, pins = build_box(width, height), np.zeros((height, 2), np.int32)
+    member of each flipped pair itself.  The pins are built as Python ints
+    and become an array once."""
+    geom, rows = build_box(width, height), [[0, 0] for _ in range(height)]
     for v, s in (_forced_signs(geom, clamp) if clamp else {}).items():
-        pins[v // width] |= (1 << v % width, (s > 0) << v % width)
+        row = rows[v // width]
+        row[0] |= 1 << v % width
+        row[1] |= (s > 0) << v % width
+    pins = np.array(rows, np.int32)
     pins.setflags(write=False)
     return pins, canonical_anchor(geom, clamp)
 
@@ -244,7 +256,7 @@ def _kernel():
 
 
 def _library_name() -> str:
-    key = hashlib.sha256(_SOURCE.read_bytes()
+    key = sha256(_SOURCE.read_bytes()
                          + repr((_CFLAGS, platform.machine())).encode())
     return f"_sweep-{key.hexdigest()[:20]}.so"
 

@@ -395,6 +395,25 @@ def test_a_serial_run_loads_no_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
+def test_serial_solve_and_wall_runs_load_no_openssl_hashlib():
+    # the coupling draws, the kernel's cache key and the content hash use
+    # the interpreter's own blake2b and sha256; hashlib's OpenSSL module
+    # would add some 3.5 MB to every run's resident set
+    src = str(Path(lab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    child = ("import sys, eaglass.cli, eaglass.lab\n"
+             "eaglass.lab.run(dict(kind='solve', width=3, height=3))\n"
+             "eaglass.lab.run(dict(kind='wall_stats', width=5, height=5,"
+             " samples=2, proxy='perturbed_exterior', n_list=[1, 2],"
+             " k_list=[0, 1]))\n"
+             "print('_hashlib' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", child], text=True,
+                          capture_output=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_contour_missing_the_flipped_edge_is_a_hard_failure(monkeypatch):
     from eaglass import walls as wl
     monkeypatch.setattr(lab.exc, "critical_contour",

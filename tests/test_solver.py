@@ -1328,6 +1328,53 @@ def test_the_kernel_runs_clean_under_address_and_ub_sanitizers(tmp_path):
     assert "runtime error" not in proc.stderr, proc.stderr[-4000:]
 
 
+# a child process that builds the kernel into the directory argv[1] with
+# warnings as errors and SWEEP_PATH=argv[2], which fixes the column steps a
+# build runs whatever the CPU, then checks the pinned solver digest and the
+# whole sweep against the reference at every width from 4 on, where the
+# AVX-512 steps take over at 16 entries
+_PATH_CHILD = """
+import sys
+from pathlib import Path
+from hypothesis import given, settings, strategies as st
+from eaglass import solver
+solver._CFLAGS += ("-Wall", "-Wextra", "-Werror", "-DSWEEP_PATH=" + sys.argv[2])
+solver._BUILD_DIR = Path(sys.argv[1])
+import test_solver
+test_solver.test_solver_bits_are_pinned()
+sweep = test_solver.test_kernel_sweep_equals_the_bit_replacing_reference
+for w in range(4, 17):
+    settings(max_examples=5, deadline=None, database=None)(given(
+        st.just(w), st.integers(2, 4), st.data())(sweep.hypothesis.inner_test))()
+print(sorted(p.name for p in Path(sys.argv[1]).glob("*.so")))
+"""
+
+
+@pytest.mark.parametrize("path, symbols", [
+    ("0", ()), ("1", (b"block_step.avx2",)),
+    ("2", (b"block_step.avx2", b"block_zmm"))])
+def test_each_kernel_path_equals_the_reference(path, symbols, tmp_path):
+    # a CPU runs one path of the column steps, so the other tests leave
+    # two of them untested: the plain steps, their AVX2 clones, and AVX-512
+    # on eight lanes with the codes packed from mask registers
+    if path == "2" and not {"avx512f", "bmi2"} <= set(
+            Path("/proc/cpuinfo").read_text().split()):
+        pytest.skip("this CPU has no AVX-512F or no BMI2")
+    src = str(Path(solver.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, str(Path(__file__).parent),
+         *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", _PATH_CHILD, str(tmp_path),
+                           path], env=env, capture_output=True, text=True,
+                          timeout=600, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    [lib] = tmp_path.glob("_sweep-*.so")
+    assert proc.stdout.strip() == repr([lib.name])
+    data = lib.read_bytes()
+    for name in (b"block_step.avx2", b"block_zmm"):
+        assert (name in data) == (name in symbols), name
+
+
 def test_a_warm_sweep_allocates_nothing():
     # the kernel runs a row's column steps in place in the plan's one step
     # buffer and the couplings and pins go to the plan too; a sweep, free or
@@ -1685,6 +1732,15 @@ def test_the_kernel_compiles_without_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_the_build_flags_name_no_cpu():
+    # the cached library is keyed by the source, the flags and the machine
+    # name alone, so a flag for one CPU would be reused on another; the
+    # library picks its column steps by CPU when it loads instead
+    assert "-ffp-contract=off" in solver._CFLAGS
+    assert not [f for f in solver._CFLAGS
+                if f.startswith(("-march", "-mtune", "-mcpu", "-mavx"))]
+
+
 def test_kernel_argtypes_match_the_exported_prototypes():
     # a ctypes signature that disagrees with the C one is undefined
     # behaviour: each exported function takes one c_int per int and one
@@ -1713,6 +1769,26 @@ def test_a_sweep_that_does_not_fit_the_plan_raises():
     for start, k in ((0, cap + 1), (-1, 1), (3, 1)):
         with pytest.raises(ValueError, match="does not fit the plan"):
             solver._run_sweep(plan, start, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 16), st.integers(2, 5), st.data())
+def test_pins_equal_the_per_vertex_construction(w, h, data):
+    # _pins builds its rows as Python ints; the reference ORs each forced
+    # vertex into a numpy row in place
+    g = build_box(w, h)
+    verts = data.draw(st.lists(st.integers(0, g.n_vertices - 1), max_size=6,
+                               unique=True))
+    signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=len(verts),
+                               max_size=len(verts)))
+    clamp = Clamp(verts, signs) if verts else None
+    want = np.zeros((h, 2), np.int32)
+    for v, s in (solver._forced_signs(g, clamp) if clamp else {}).items():
+        want[v // w] |= (1 << v % w, (s > 0) << v % w)
+    pins, anchor = solver._pins(w, h, clamp)
+    assert pins.dtype == np.int32 and not pins.flags.writeable
+    assert pins.tobytes() == want.tobytes() and pins.shape == (h, 2)
+    assert anchor == solver.canonical_anchor(g, clamp)
 
 
 def test_tie_cap_inside_a_batch():
